@@ -36,11 +36,10 @@ survives, and is the default.
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 
 from . import perms
-from .core import CheckReport, CsgElement, CsgInstance, Violation
+from .core import CheckReport, CsgElement, CsgInstance, Tally, Violation
 
 BarTuple = tuple[str, ...]
 
@@ -234,24 +233,18 @@ def check_delta_g_object(monoid: FiniteMonoid, inst: CsgInstance, g: CsgElement,
     n = g.level
     a = perms.inverse(inst.underlying_perm(g))[i]
     gt = bar_action(inst, g, t, twist)
-    cases = 0
-    bad: list[Violation] = []
+    tally = Tally()
+    inputs = lambda: f"{inst.format(g)}, {t}"
     if n >= 1:
-        cases += 1
         lhs = bar_face(monoid, i, gt, wrap)
         rhs = bar_action(inst, inst.face(i, g),
                          bar_face(monoid, a, t, wrap), twist)
-        if lhs != rhs:
-            bad.append(Violation(f"d_{i}(g t) == d_{i}(g) d_{a}(t)",
-                                 f"{inst.format(g)}, {t}"))
-    cases += 1
+        tally.check(lhs == rhs, f"d_{i}(g t) == d_{i}(g) d_{a}(t)", inputs)
     lhs = bar_degeneracy(monoid, i, gt)
     rhs = bar_action(inst, inst.degeneracy(i, g),
                      bar_degeneracy(monoid, a, t), twist)
-    if lhs != rhs:
-        bad.append(Violation(f"s_{i}(g t) == s_{i}(g) s_{a}(t)",
-                             f"{inst.format(g)}, {t}"))
-    return CheckReport("bar-action", cases, tuple(bad))
+    tally.check(lhs == rhs, f"s_{i}(g t) == s_{i}(g) s_{a}(t)", inputs)
+    return tally.report("bar-action")
 
 
 def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance,
@@ -265,76 +258,26 @@ def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance,
     verdicts: dict[str, bool] = {}
     for twist in TWISTS:
         for wrap in WRAPS:
-            ok = True
-            for n in range(max_level + 1):
-                for g in inst.elements(n):
-                    for t in monoid.tuples(n):
-                        for i in range(n + 1):
-                            if not check_delta_g_object(
-                                    monoid, inst, g, t, i, twist, wrap).ok:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            verdicts[f"cyclic/{twist}/{wrap}"] = ok
+            verdicts[f"cyclic/{twist}/{wrap}"] = all(
+                check_delta_g_object(monoid, inst, g, t, i, twist, wrap).ok
+                for n in range(max_level + 1)
+                for g in inst.elements(n)
+                for t in monoid.tuples(n)
+                for i in range(n + 1))
     for twist in TWISTS:
-        ok = True
-        for n in range(1, max_level + 1):
-            for g in inst.elements(n):
-                for x in monoid.tuples(n - 1):
-                    for i in range(n + 1):
-                        if not check_covariant_insert(
-                                monoid, inst, g, x, i, twist).ok:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-            for g in inst.elements(n):
-                for x in monoid.tuples(n + 1):
-                    for j in range(n + 1):
-                        if not check_covariant_merge(
-                                monoid, inst, g, x, j, twist).ok:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        verdicts[f"covariant/{twist}"] = ok
+        verdicts[f"covariant/{twist}"] = all(
+            all(check_covariant_insert(monoid, inst, g, x, i, twist).ok
+                for g in inst.elements(n)
+                for x in monoid.tuples(n - 1)
+                for i in range(n + 1))
+            and all(check_covariant_merge(monoid, inst, g, x, j, twist).ok
+                    for g in inst.elements(n)
+                    for x in monoid.tuples(n + 1)
+                    for j in range(n + 1))
+            for n in range(1, max_level + 1))
     return verdicts
 
 
 def rotation(n: int, shift: int) -> tuple[int, ...]:
     """The rotation p(j) = (j + shift) mod (n + 1) at level n."""
     return tuple((j + shift) % (n + 1) for j in range(n + 1))
-
-
-def monoid_to_json(monoid: FiniteMonoid) -> str:
-    return json.dumps({
-        "name": monoid.name,
-        "elements": list(monoid.elements),
-        "unit": monoid.unit,
-        "table": [list(row) for row in monoid.table],
-    }, sort_keys=True, indent=2)
-
-
-def monoid_from_json(data: dict) -> FiniteMonoid:
-    try:
-        return FiniteMonoid(
-            str(data.get("name", "monoid")),
-            tuple(data["elements"]),
-            data["unit"],
-            tuple(tuple(row) for row in data["table"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed monoid description: {exc}") from None

@@ -160,7 +160,6 @@ def face_word(i: int, b: BraidWord) -> BraidWord:
             out.append((k, sign))
         else:
             out.append((k - 1, sign))
-    assert p == underlying_perm_word(b).index(i)
     return BraidWord(b.strands - 1, tuple(out))
 
 
@@ -189,7 +188,6 @@ def degeneracy_word(i: int, b: BraidWord) -> BraidWord:
             out.append((k, sign))
         else:
             out.append((k + 1, sign))
-    assert p == underlying_perm_word(b).index(i)
     return BraidWord(b.strands + 1, tuple(out))
 
 

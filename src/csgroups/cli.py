@@ -3,6 +3,7 @@ Command-line front end.
 
     csgroups eval "circ_0([1,0],[1,0])"
     csgroups check crossed --instance braid --trials 1000 --seed 7
+    csgroups check section            # a suite's first instance by default
     csgroups nerve --instance symm --level 2 --dimension 2 --count 3
     csgroups kan-lift horn.json
 
@@ -213,6 +214,10 @@ def cmd_check(args) -> int:
 
 def cmd_nerve(args) -> int:
     inst = INSTANCES[args.instance]
+    for flag in ("level", "dimension", "count", "word_len"):
+        if getattr(args, flag) < 0:
+            print(f"--{flag.replace('_', '-')} must be at least 0", file=sys.stderr)
+            return 2
     if args.format == "dot":
         try:
             sys.stdout.write(groupoid.skeleton_to_dot(inst, args.level))
@@ -237,8 +242,11 @@ def cmd_kan_lift(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read horn file: {exc}", file=sys.stderr)
         return 2
+    if not isinstance(data, dict):
+        print("malformed horn: expected a JSON object", file=sys.stderr)
+        return 2
     name = args.instance or data.get("instance", "braid")
-    if name not in INSTANCES:
+    if not isinstance(name, str) or name not in INSTANCES:
         print(f"unknown instance {name!r}", file=sys.stderr)
         return 2
     inst = INSTANCES[name]
@@ -274,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=sorted(SUITES))
-    p_check.add_argument("--instance", choices=sorted(INSTANCES), default="symm")
+    p_check.add_argument("--instance", choices=sorted(INSTANCES), default=None,
+                         help="default: the first instance the suite runs on")
     p_check.add_argument("--max-level", type=int, default=None)
     p_check.add_argument("--trials", type=int, default=None)
     p_check.add_argument("--seed", type=int, default=0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import braids, perms
 from .perms import Perm
@@ -56,14 +56,27 @@ class CheckReport:
         return not self.violations
 
 
-def merge_reports(name: str, reports) -> CheckReport:
-    cases = 0
-    violations: list[Violation] = []
-    for rep in reports:
-        cases += rep.cases
-        violations.extend(rep.violations)
-    violations.sort(key=lambda v: (v.identity, v.inputs))
-    return CheckReport(name, cases, tuple(violations))
+class Tally:
+    """Counts checked cases and collects the violations among them.
+    `describe` formats the inputs and is called only for a failing case."""
+
+    __slots__ = ("cases", "violations")
+
+    def __init__(self):
+        self.cases = 0
+        self.violations: list[Violation] = []
+
+    def check(self, ok: bool, identity: str, describe: Callable[[], str]):
+        self.cases += 1
+        if not ok:
+            self.violations.append(Violation(identity, describe()))
+
+    def add(self, report: CheckReport):
+        self.cases += report.cases
+        self.violations.extend(report.violations)
+
+    def report(self, name: str) -> CheckReport:
+        return CheckReport(name, self.cases, tuple(self.violations))
 
 
 class CsgInstance:
@@ -267,8 +280,8 @@ BRAID = BraidCsg()
 INSTANCES = {inst.name: inst for inst in (SYMMETRIC, BRAID)}
 
 
-def _viol(inst: CsgInstance, identity: str, *gs) -> Violation:
-    return Violation(identity, ", ".join(inst.format(g) for g in gs))
+def _inputs(inst: CsgInstance, *gs) -> str:
+    return ", ".join(inst.format(g) for g in gs)
 
 
 def check_crossed_identities(inst: CsgInstance, g: CsgElement, h: CsgElement,
@@ -277,20 +290,16 @@ def check_crossed_identities(inst: CsgInstance, g: CsgElement, h: CsgElement,
     inst._require_same_level(g, h)
     n = g.level
     a = perms.inverse(inst.underlying_perm(g))[i]
-    cases = 0
-    bad: list[Violation] = []
+    tally = Tally()
+    describe = lambda: _inputs(inst, g, h)
     if n >= 1:
-        cases += 1
         lhs = inst.face(i, inst.mul(g, h))
         rhs = inst.mul(inst.face(i, g), inst.face(a, h))
-        if not inst.equal(lhs, rhs):
-            bad.append(_viol(inst, f"d_{i}(g*h) == d_{i}(g)*d_{a}(h)", g, h))
-    cases += 1
+        tally.check(inst.equal(lhs, rhs), f"d_{i}(g*h) == d_{i}(g)*d_{a}(h)", describe)
     lhs = inst.degeneracy(i, inst.mul(g, h))
     rhs = inst.mul(inst.degeneracy(i, g), inst.degeneracy(a, h))
-    if not inst.equal(lhs, rhs):
-        bad.append(_viol(inst, f"s_{i}(g*h) == s_{i}(g)*s_{a}(h)", g, h))
-    return CheckReport("crossed", cases, tuple(bad))
+    tally.check(inst.equal(lhs, rhs), f"s_{i}(g*h) == s_{i}(g)*s_{a}(h)", describe)
+    return tally.report("crossed")
 
 
 def simplicial_report(x, n: int, face, degeneracy, equal, describe,
@@ -302,31 +311,25 @@ def simplicial_report(x, n: int, face, degeneracy, equal, describe,
     pair arguments optionally restrict each family to the given (i, j)
     index pairs; out-of-range pairs for a family are skipped.
     """
-    cases = 0
-    bad: list[Violation] = []
-
-    def run(label, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not equal(lhs, rhs):
-            bad.append(Violation(label, describe(x)))
+    tally = Tally()
+    inputs = lambda: describe(x)
 
     if face_pairs is None:
         face_pairs = [(i, j) for j in range(n + 1) for i in range(j)]
     for i, j in face_pairs:
         if not (0 <= i < j <= n and n >= 2):
             continue
-        run(f"d_{i} d_{j} == d_{j}-1 d_{i}",
-            face(i, face(j, x)), face(j - 1, face(i, x)))
+        tally.check(equal(face(i, face(j, x)), face(j - 1, face(i, x))),
+                    f"d_{i} d_{j} == d_{j}-1 d_{i}", inputs)
 
     if deg_pairs is None:
         deg_pairs = [(i, j) for j in range(n + 1) for i in range(j + 1)]
     for i, j in deg_pairs:
         if not 0 <= i <= j <= n:
             continue
-        run(f"s_{i} s_{j} == s_{j}+1 s_{i}",
-            degeneracy(i, degeneracy(j, x)),
-            degeneracy(j + 1, degeneracy(i, x)))
+        tally.check(equal(degeneracy(i, degeneracy(j, x)),
+                          degeneracy(j + 1, degeneracy(i, x))),
+                    f"s_{i} s_{j} == s_{j}+1 s_{i}", inputs)
 
     if mixed_pairs is None:
         mixed_pairs = [(i, j) for j in range(n + 1) for i in range(n + 2)]
@@ -336,16 +339,16 @@ def simplicial_report(x, n: int, face, degeneracy, equal, describe,
         sj = degeneracy(j, x)
         if i < j:
             if n >= 1:
-                run(f"d_{i} s_{j} == s_{j}-1 d_{i}",
-                    face(i, sj), degeneracy(j - 1, face(i, x)))
+                tally.check(equal(face(i, sj), degeneracy(j - 1, face(i, x))),
+                            f"d_{i} s_{j} == s_{j}-1 d_{i}", inputs)
         elif i in (j, j + 1):
-            run(f"d_{i} s_{j} == id", face(i, sj), x)
+            tally.check(equal(face(i, sj), x), f"d_{i} s_{j} == id", inputs)
         else:
             if n >= 1:
-                run(f"d_{i} s_{j} == s_{j} d_{i}-1",
-                    face(i, sj), degeneracy(j, face(i - 1, x)))
+                tally.check(equal(face(i, sj), degeneracy(j, face(i - 1, x))),
+                            f"d_{i} s_{j} == s_{j} d_{i}-1", inputs)
 
-    return CheckReport("simplicial", cases, tuple(bad))
+    return tally.report("simplicial")
 
 
 def check_simplicial_identities(inst: CsgInstance, g: CsgElement,
@@ -360,37 +363,31 @@ def check_extra_degeneracy(inst: CsgInstance, g: CsgElement) -> CheckReport:
     """s_left as an extra degeneracy below index 0, s_right above index
     n, and the projection squares for both."""
     n = g.level
-    cases = 0
-    bad: list[Violation] = []
-
-    def run(label, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not inst.equal(lhs, rhs):
-            bad.append(_viol(inst, label, g))
+    tally = Tally()
+    describe = lambda: _inputs(inst, g)
+    equal = inst.equal
 
     left, right = inst.s_left(g), inst.s_right(g)
-    run("d_0 sL == id", inst.face(0, left), g)
-    run(f"d_{n + 1} sR == id", inst.face(n + 1, right), g)
+    tally.check(equal(inst.face(0, left), g), "d_0 sL == id", describe)
+    tally.check(equal(inst.face(n + 1, right), g), f"d_{n + 1} sR == id", describe)
     for i in range(n + 1):
-        run(f"s_{i + 1} sL == sL s_{i}",
-            inst.degeneracy(i + 1, left), inst.s_left(inst.degeneracy(i, g)))
-        run(f"s_{i} sR == sR s_{i}",
-            inst.degeneracy(i, right), inst.s_right(inst.degeneracy(i, g)))
+        tally.check(equal(inst.degeneracy(i + 1, left), inst.s_left(inst.degeneracy(i, g))),
+                    f"s_{i + 1} sL == sL s_{i}", describe)
+        tally.check(equal(inst.degeneracy(i, right), inst.s_right(inst.degeneracy(i, g))),
+                    f"s_{i} sR == sR s_{i}", describe)
     if n >= 1:
         for i in range(n + 1):
-            run(f"d_{i + 1} sL == sL d_{i}",
-                inst.face(i + 1, left), inst.s_left(inst.face(i, g)))
-            run(f"d_{i} sR == sR d_{i}",
-                inst.face(i, right), inst.s_right(inst.face(i, g)))
+            tally.check(equal(inst.face(i + 1, left), inst.s_left(inst.face(i, g))),
+                        f"d_{i + 1} sL == sL d_{i}", describe)
+            tally.check(equal(inst.face(i, right), inst.s_right(inst.face(i, g))),
+                        f"d_{i} sR == sR d_{i}", describe)
 
-    cases += 2
-    if inst.underlying_perm(left) != perms.s_left_perm(inst.underlying_perm(g)):
-        bad.append(_viol(inst, "perm(sL g) == sL(perm g)", g))
-    if inst.underlying_perm(right) != perms.s_right_perm(inst.underlying_perm(g)):
-        bad.append(_viol(inst, "perm(sR g) == sR(perm g)", g))
+    tally.check(inst.underlying_perm(left) == perms.s_left_perm(inst.underlying_perm(g)),
+                "perm(sL g) == sL(perm g)", describe)
+    tally.check(inst.underlying_perm(right) == perms.s_right_perm(inst.underlying_perm(g)),
+                "perm(sR g) == sR(perm g)", describe)
 
-    return CheckReport("extra-degeneracy", cases, tuple(bad))
+    return tally.report("extra-degeneracy")
 
 
 def check_monoidal(inst: CsgInstance, g: CsgElement, h: CsgElement) -> CheckReport:
@@ -399,7 +396,7 @@ def check_monoidal(inst: CsgInstance, g: CsgElement, h: CsgElement) -> CheckRepo
     a = inst.pad(g, 0, m + 1)
     b = inst.pad(h, n + 1, 0)
     ok = inst.equal(inst.mul(a, b), inst.mul(b, a))
-    bad = () if ok else (_viol(inst, "pad(g)*pad(h) == pad(h)*pad(g)", g, h),)
+    bad = () if ok else (Violation("pad(g)*pad(h) == pad(h)*pad(g)", _inputs(inst, g, h)),)
     return CheckReport("monoidal", 1, bad)
 
 
@@ -415,8 +412,8 @@ def check_operadic(inst: CsgInstance, g: CsgElement, h: CsgElement,
     lhs = inst.mul(inst.pad(h, i, n - i), si)
     rhs = inst.mul(si, inst.pad(h, a, n - a))
     ok = inst.equal(lhs, rhs)
-    bad = () if ok else (
-        _viol(inst, f"pad(h,{i})*s_{i}^{m}(g) == s_{i}^{m}(g)*pad(h,{a})", g, h),)
+    bad = () if ok else (Violation(
+        f"pad(h,{i})*s_{i}^{m}(g) == s_{i}^{m}(g)*pad(h,{a})", _inputs(inst, g, h)),)
     return CheckReport("operadic", 1, bad)
 
 
@@ -427,15 +424,13 @@ def check_pure_homomorphism(inst: CsgInstance, p: CsgElement, q: CsgElement,
     if not inst.is_pure(p):
         raise ValueError("left factor must project to the identity")
     n = p.level
-    cases = 0
-    bad: list[Violation] = []
+    tally = Tally()
+    describe = lambda: _inputs(inst, p, q)
     if n >= 1 and i <= n:
-        cases += 1
-        if not inst.equal(inst.face(i, inst.mul(p, q)),
-                          inst.mul(inst.face(i, p), inst.face(i, q))):
-            bad.append(_viol(inst, f"d_{i}(p*q) == d_{i}(p)*d_{i}(q) [p pure]", p, q))
-    cases += 1
-    if not inst.equal(inst.degeneracy(i, inst.mul(p, q)),
-                      inst.mul(inst.degeneracy(i, p), inst.degeneracy(i, q))):
-        bad.append(_viol(inst, f"s_{i}(p*q) == s_{i}(p)*s_{i}(q) [p pure]", p, q))
-    return CheckReport("pure-homomorphism", cases, tuple(bad))
+        tally.check(inst.equal(inst.face(i, inst.mul(p, q)),
+                               inst.mul(inst.face(i, p), inst.face(i, q))),
+                    f"d_{i}(p*q) == d_{i}(p)*d_{i}(q) [p pure]", describe)
+    tally.check(inst.equal(inst.degeneracy(i, inst.mul(p, q)),
+                           inst.mul(inst.degeneracy(i, p), inst.degeneracy(i, q))),
+                f"s_{i}(p*q) == s_{i}(p)*s_{i}(q) [p pure]", describe)
+    return tally.report("pure-homomorphism")

@@ -32,7 +32,7 @@ import json
 import random
 
 from . import perms
-from .core import CsgElement, CsgInstance
+from .core import CheckReport, CsgElement, CsgInstance, Tally, simplicial_report
 from .perms import Perm
 
 
@@ -109,6 +109,61 @@ def random_arrow(inst: CsgInstance, rng: random.Random, n: int,
                  max_len: int = 12) -> GroupoidArrow:
     return GroupoidArrow(perms.random_perm(rng, n),
                          inst.random_element(rng, n, max_len))
+
+
+def format_arrow(inst: CsgInstance, a: GroupoidArrow) -> str:
+    return f"[{perms.format_perm(a.source)}; {inst.format(a.f)}]"
+
+
+# Checkers for the simplicial structure of the groupoid.
+
+def check_arrow_simplicial(inst: CsgInstance, a: GroupoidArrow, face_pairs=None,
+                           deg_pairs=None, mixed_pairs=None) -> CheckReport:
+    """The simplicial identities on one arrow; see core.simplicial_report."""
+    return simplicial_report(
+        a, a.level, lambda i, x: face_arrow(inst, i, x),
+        lambda i, x: degeneracy_arrow(inst, i, x),
+        lambda x, y: arrows_equal(inst, x, y), lambda x: format_arrow(inst, x),
+        face_pairs, deg_pairs, mixed_pairs)
+
+
+def check_arrow_functorial(inst: CsgInstance, a: GroupoidArrow, fb: CsgElement,
+                           indices) -> CheckReport:
+    """d_i and s_i preserve the composite of a with the arrow that
+    continues it by fb, at each of the given indices."""
+    b = GroupoidArrow(target(inst, a), fb)
+    comp = compose_arrows(inst, b, a)
+    tally = Tally()
+    inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
+    n = a.level
+    for i in indices:
+        if n >= 1 and i <= n:
+            lhs = face_arrow(inst, i, comp)
+            rhs = compose_arrows(inst, face_arrow(inst, i, b), face_arrow(inst, i, a))
+            tally.check(arrows_equal(inst, lhs, rhs), f"d_{i} is a functor", inputs)
+        lhs = degeneracy_arrow(inst, i, comp)
+        rhs = compose_arrows(inst, degeneracy_arrow(inst, i, b), degeneracy_arrow(inst, i, a))
+        tally.check(arrows_equal(inst, lhs, rhs), f"s_{i} is a functor", inputs)
+    return tally.report("arrow-functorial")
+
+
+def check_arrow_action(inst: CsgInstance, t: Perm, a: GroupoidArrow, i: int) -> CheckReport:
+    """d_i and s_i of a translate, against the translate by d_i(t) or
+    s_i(t) of the face or degeneracy at t^-1(i)."""
+    n = a.level
+    ti = perms.inverse(t)[i]
+    tally = Tally()
+    inputs = lambda: f"{perms.format_perm(t)}, {format_arrow(inst, a)}"
+    if n >= 1:
+        lhs = face_arrow(inst, i, n_action(t, a))
+        rhs = n_action(perms.face_perm(i, t), face_arrow(inst, ti, a))
+        tally.check(arrows_equal(inst, lhs, rhs),
+                    f"d_{i}(t.x) == d_{i}(t).d_t^-1({i})(x)", inputs)
+    lhs = degeneracy_arrow(inst, i, n_action(t, a))
+    rhs = n_action(perms.degeneracy_perm(i, t), degeneracy_arrow(inst, ti, a))
+    tally.check(arrows_equal(inst, lhs, rhs),
+                f"s_{i}(t.x) == s_{i}(t).s_t^-1({i})(x)", inputs)
+    return tally.report("arrow-action")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -194,6 +194,8 @@ def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
         k = int(data["k"])
         base = perms.parse_perm(data["base"])
         raw = data["faces"]
+        if not isinstance(raw, dict):
+            raise TypeError("faces must be an object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed horn description: {exc}") from None
     faces = {}

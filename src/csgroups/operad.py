@@ -11,8 +11,8 @@ landing at level n + m.  Together with the faces this makes the level
 sequence a shifted operad: levels add under composition, the face maps
 play the role of composing with the empty slot, and re-indexing
 arity(n) = level + 1 recovers the classical 1-based axioms (the
-shift_to_unshifted adapter below exposes that view, with a unique
-nullary element represented by STAR).
+UnshiftedView adapter below exposes that view, with a unique nullary
+element represented by STAR).
 
 On arrows the composition acts by block substitution on sources and by
 the doubly inverted set-level composition on group parts, at the slot
@@ -34,12 +34,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import perms
-from .core import CheckReport, CsgElement, CsgInstance, Violation
+from .core import CheckReport, CsgElement, CsgInstance, Tally, Violation
 from .groupoid import (
     GroupoidArrow,
     arrows_equal,
     compose_arrows,
     face_arrow,
+    format_arrow,
     identity_arrow,
     n_action,
     target,
@@ -141,7 +142,7 @@ class GroupoidCarrier:
         return identity_arrow(self.inst, perms.identity(n))
 
     def format(self, a) -> str:
-        return f"[{perms.format_perm(a.source)}; {self.inst.format(a.f)}]"
+        return format_arrow(self.inst, a)
 
     def act(self, a, beta: CsgElement, action: str):
         pb = self.inst.underlying_perm(beta)
@@ -167,15 +168,8 @@ def check_shifted_axioms(car, lam, mu, nu, axioms: Iterable[int] = (1, 2, 3, 4, 
     per family instead.
     """
     l, m, n = car.level(lam), car.level(mu), car.level(nu)
-    cases = 0
-    bad: list[Violation] = []
-
-    def run(label, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not car.equal(lhs, rhs):
-            bad.append(Violation(label, ", ".join(
-                car.format(x) for x in (lam, mu, nu))))
+    tally = Tally()
+    inputs = lambda: ", ".join(car.format(x) for x in (lam, mu, nu))
 
     def pick(pairs):
         if rng is None or not pairs:
@@ -184,49 +178,45 @@ def check_shifted_axioms(car, lam, mu, nu, axioms: Iterable[int] = (1, 2, 3, 4, 
 
     if 1 in axioms:
         for i, j in pick([(i, j) for i in range(l + 1) for j in range(m + 1)]):
-            run(f"(x o_{i} y) o_{i + j} z == x o_{i} (y o_{j} z)",
-                car.comp(car.comp(lam, i, mu), i + j, nu),
-                car.comp(lam, i, car.comp(mu, j, nu)))
+            tally.check(car.equal(car.comp(car.comp(lam, i, mu), i + j, nu),
+                                  car.comp(lam, i, car.comp(mu, j, nu))),
+                        f"(x o_{i} y) o_{i + j} z == x o_{i} (y o_{j} z)", inputs)
     if 2 in axioms:
         for i, k in pick([(i, k) for i in range(l + 1)
                           for k in range(i + 1, l + 1)]):
-            run(f"(x o_{i} y) o_{k}+m z == (x o_{k} z) o_{i} y",
-                car.comp(car.comp(lam, i, mu), k + m, nu),
-                car.comp(car.comp(lam, k, nu), i, mu))
+            tally.check(car.equal(car.comp(car.comp(lam, i, mu), k + m, nu),
+                                  car.comp(car.comp(lam, k, nu), i, mu)),
+                        f"(x o_{i} y) o_{k}+m z == (x o_{k} z) o_{i} y", inputs)
     if 3 in axioms and m >= 1:
         for i, j in pick([(i, j) for i in range(l + 1) for j in range(m + 1)]):
-            run(f"d_{i}+{j}(x o_{i} y) == x o_{i} d_{j}(y)",
-                car.face(i + j, car.comp(lam, i, mu)),
-                car.comp(lam, i, car.face(j, mu)))
+            tally.check(car.equal(car.face(i + j, car.comp(lam, i, mu)),
+                                  car.comp(lam, i, car.face(j, mu))),
+                        f"d_{i}+{j}(x o_{i} y) == x o_{i} d_{j}(y)", inputs)
     if 4 in axioms and l >= 1:
         # Deleting input i below the insertion slot shifts the slot down.
         for i, k in pick([(i, k) for i in range(l) for k in range(i + 1, l + 1)]):
-            run(f"d_{i}(x o_{k} z) == d_{i}(x) o_{k}-1 z",
-                car.face(i, car.comp(lam, k, nu)),
-                car.comp(car.face(i, lam), k - 1, nu))
+            tally.check(car.equal(car.face(i, car.comp(lam, k, nu)),
+                                  car.comp(car.face(i, lam), k - 1, nu)),
+                        f"d_{i}(x o_{k} z) == d_{i}(x) o_{k}-1 z", inputs)
     if 5 in axioms and l >= 1:
         for i, k in pick([(i, k) for i in range(l + 1)
                           for k in range(i + 1, l + 1)]):
-            run(f"d_{k}+m(x o_{i} y) == d_{k}(x) o_{i} y",
-                car.face(k + m, car.comp(lam, i, mu)),
-                car.comp(car.face(k, lam), i, mu))
+            tally.check(car.equal(car.face(k + m, car.comp(lam, i, mu)),
+                                  car.comp(car.face(k, lam), i, mu)),
+                        f"d_{k}+m(x o_{i} y) == d_{k}(x) o_{i} y", inputs)
 
-    return CheckReport("shifted-operad", cases, tuple(bad))
+    return tally.report("shifted-operad")
 
 
 def check_shifted_units(car, nu) -> CheckReport:
     """one(0) is a two-sided unit for the compositions."""
     unit = car.one(0)
-    cases = 0
-    bad: list[Violation] = []
-    cases += 1
-    if not car.equal(car.comp(unit, 0, nu), nu):
-        bad.append(Violation("id o_0 z == z", car.format(nu)))
+    tally = Tally()
+    inputs = lambda: car.format(nu)
+    tally.check(car.equal(car.comp(unit, 0, nu), nu), "id o_0 z == z", inputs)
     for i in range(car.level(nu) + 1):
-        cases += 1
-        if not car.equal(car.comp(nu, i, unit), nu):
-            bad.append(Violation(f"z o_{i} id == z", car.format(nu)))
-    return CheckReport("shifted-units", cases, tuple(bad))
+        tally.check(car.equal(car.comp(nu, i, unit), nu), f"z o_{i} id == z", inputs)
+    return tally.report("shifted-units")
 
 
 class _Star:
@@ -275,41 +265,30 @@ class UnshiftedView:
         return "*" if x is STAR else self.car.format(x)
 
 
-def shift_to_unshifted(car) -> UnshiftedView:
-    return UnshiftedView(car)
-
-
 def check_unshifted_axioms(view: UnshiftedView, lam, mu, nu) -> CheckReport:
     """Classical 1-based axioms, with STAR allowed for mu and nu."""
-    cases = 0
-    bad: list[Violation] = []
-
-    def run(label, lhs, rhs):
-        nonlocal cases
-        cases += 1
-        if not view.equal(lhs, rhs):
-            bad.append(Violation(label, ", ".join(
-                view.format(x) for x in (lam, mu, nu))))
+    tally = Tally()
+    inputs = lambda: ", ".join(view.format(x) for x in (lam, mu, nu))
 
     unit = view.unit()
     if nu is not STAR:
-        run("id o_1 z == z", view.comp(unit, 1, nu), nu)
+        tally.check(view.equal(view.comp(unit, 1, nu), nu), "id o_1 z == z", inputs)
         for i in range(1, view.arity(nu) + 1):
-            run(f"z o_{i} id == z", view.comp(nu, i, unit), nu)
+            tally.check(view.equal(view.comp(nu, i, unit), nu), f"z o_{i} id == z", inputs)
 
     la, ma = view.arity(lam), view.arity(mu)
     for i in range(1, la + 1):
         for j in range(1, ma + 1):
-            run(f"(x o_{i} y) o_{i}+{j}-1 z == x o_{i} (y o_{j} z)",
-                view.comp(view.comp(lam, i, mu), i + j - 1, nu),
-                view.comp(lam, i, view.comp(mu, j, nu)))
+            tally.check(view.equal(view.comp(view.comp(lam, i, mu), i + j - 1, nu),
+                                   view.comp(lam, i, view.comp(mu, j, nu))),
+                        f"(x o_{i} y) o_{i}+{j}-1 z == x o_{i} (y o_{j} z)", inputs)
     for i in range(1, la + 1):
         for k in range(i + 1, la + 1):
-            run(f"(x o_{i} y) o_{k}-1+m z == (x o_{k} z) o_{i} y",
-                view.comp(view.comp(lam, i, mu), k - 1 + ma, nu),
-                view.comp(view.comp(lam, k, nu), i, mu))
+            tally.check(view.equal(view.comp(view.comp(lam, i, mu), k - 1 + ma, nu),
+                                   view.comp(view.comp(lam, k, nu), i, mu)),
+                        f"(x o_{i} y) o_{k}-1+m z == (x o_{k} z) o_{i} y", inputs)
 
-    return CheckReport("unshifted-operad", cases, tuple(bad))
+    return tally.report("unshifted-operad")
 
 
 # Candidate readings for the equivariance conditions.
@@ -384,30 +363,22 @@ def check_circ_functorial(inst: CsgInstance, x: GroupoidArrow, y: GroupoidArrow,
                           i: int, v: GroupoidArrow, w: GroupoidArrow) -> CheckReport:
     """circ_gpd preserves identities, targets and composition; y must
     continue x and w must continue v."""
-    cases = 0
-    bad: list[Violation] = []
-
-    def run(label, ok):
-        nonlocal cases
-        cases += 1
-        if not ok:
-            bad.append(Violation(label, ", ".join(
-                f"[{perms.format_perm(a.source)}; {inst.format(a.f)}]"
-                for a in (x, y, v, w))))
+    tally = Tally()
+    inputs = lambda: ", ".join(format_arrow(inst, a) for a in (x, y, v, w))
 
     comp_outer = compose_arrows(inst, y, x)
     comp_inner = compose_arrows(inst, w, v)
     xv = circ_gpd(inst, x, i, v)
     yw = circ_gpd(inst, y, i, w)
 
-    run("target(x o_i v) == target(x) o_i target(v)",
-        target(inst, xv) == perms.block_substitute(
-            target(inst, x), i, target(inst, v)))
-    run("(y.x) o_i (w.v) == (y o_i w).(x o_i v)",
-        arrows_equal(inst, circ_gpd(inst, comp_outer, i, comp_inner),
-                     compose_arrows(inst, yw, xv)))
+    tally.check(target(inst, xv) == perms.block_substitute(
+                    target(inst, x), i, target(inst, v)),
+                "target(x o_i v) == target(x) o_i target(v)", inputs)
+    tally.check(arrows_equal(inst, circ_gpd(inst, comp_outer, i, comp_inner),
+                             compose_arrows(inst, yw, xv)),
+                "(y.x) o_i (w.v) == (y o_i w).(x o_i v)", inputs)
     ids = circ_gpd(inst, identity_arrow(inst, x.source), i,
                    identity_arrow(inst, v.source))
-    run("id o_i id == id",
-        arrows_equal(inst, ids, identity_arrow(inst, ids.source)))
-    return CheckReport("circ-functorial", cases, tuple(bad))
+    tally.check(arrows_equal(inst, ids, identity_arrow(inst, ids.source)),
+                "id o_i id == id", inputs)
+    return tally.report("circ-functorial")

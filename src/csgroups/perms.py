@@ -65,15 +65,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def transposition(n: int, k: int) -> Perm:
-    """The adjacent swap of k and k + 1 at level n."""
-    if not 0 <= k < n:
-        raise IndexError(f"transposition index {k} out of range at level {n}")
-    word = list(range(n + 1))
-    word[k], word[k + 1] = word[k + 1], word[k]
-    return tuple(word)
-
-
 def inversions(p: Perm) -> int:
     """Number of pairs a < b with p(a) > p(b)."""
     return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
@@ -177,15 +168,12 @@ def block_substitute(p: Perm, i: int, q: Perm) -> Perm:
 
 # Case-split identities describing how inverse images transport through
 # faces, degeneracies and block substitution.  Each kind names the value
-# being chased and the operator it is chased through.
-TRANSPORT_KINDS = (
-    "face-above",        # d_i(s)^-1(j-1) in terms of s^-1(j), for i < j
-    "face-below",        # d_j(s)^-1(i) in terms of s^-1(i), for i < j
-    "degeneracy-below",  # s_j(s)^-1(i) in terms of s^-1(i), for i < j
-    "block",             # (p o_i q)^-1(i+j) = p^-1(i) + q^-1(j)
-    "degeneracy-above",  # s_i(s)^-1(j+1) in terms of s^-1(j), for i < j
-)
-
+# being chased and the operator it is chased through:
+#   face-above        d_i(s)^-1(j-1) in terms of s^-1(j), for i < j
+#   face-below        d_j(s)^-1(i) in terms of s^-1(i), for i < j
+#   degeneracy-below  s_j(s)^-1(i) in terms of s^-1(i), for i < j
+#   block             (p o_i q)^-1(i+j) = p^-1(i) + q^-1(j)
+#   degeneracy-above  s_i(s)^-1(j+1) in terms of s^-1(j), for i < j
 
 def transport_holds(kind: str, p: Perm, i: int, j: int, q: Perm | None = None) -> bool:
     """Check one inverse-transport identity for the given inputs."""

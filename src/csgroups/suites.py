@@ -1,23 +1,30 @@
 """
 Named verification suites with deterministic, seedable reports.
 
-Each suite runs exhaustively on the symmetric family up to a level
-bound and with seeded random sampling on the braid family.  Identical
-parameters and seed reproduce the report byte for byte: iteration
-orders are fixed, the only randomness comes from one seeded generator,
-and counterexamples are sorted before emission (capped at 50 entries;
-the full count still decides the outcome).
+A suite is a table entry: for each instance it supports, the default
+parameters its report shows and a body holding only its case loops.
+The symmetric bodies enumerate every element up to a level bound; the
+braid bodies sample seeded random words.  One driver, run_suite,
+resolves the parameters, seeds the one random generator, counts the
+cases and builds the report.  Identical parameters and seed reproduce
+the report byte for byte: iteration orders are fixed, the only
+randomness comes from that generator, and counterexamples are sorted
+before emission (capped at 50 entries; the full count still decides
+the outcome).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import itertools
+import functools
 import json
 import random
+import types
+from itertools import product
 
 from . import barcx, braids, core, groupoid, operad, perms
-from .core import BRAID, INSTANCES, SYMMETRIC, CheckReport
+from .core import BRAID, INSTANCES, SYMMETRIC
 
 MAX_RECORDED = 50
 
@@ -65,723 +72,552 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-class _Collector:
-    def __init__(self):
-        self.cases = 0
-        self.bad: list[dict] = []
-
-    def add(self, report: CheckReport):
-        self.cases += report.cases
-        for v in report.violations:
-            self.bad.append({"identity": v.identity, "inputs": v.inputs})
-
-    def add_bool(self, ok: bool, identity: str, inputs: str):
-        self.cases += 1
-        if not ok:
-            self.bad.append({"identity": identity, "inputs": inputs})
-
-    def report(self, suite: str, instance: str, params: dict,
-               extra: dict | None = None) -> SuiteReport:
-        ordered = sorted(self.bad, key=lambda c: (c["identity"], c["inputs"]))
-        return SuiteReport(suite, instance, params, self.cases, len(self.bad),
-                           ordered[:MAX_RECORDED], extra)
+# The suite table: name -> instance -> (default params, body, least
+# max_level).  The first instance registered for a name is its default.
+_TABLE: dict[str, dict[str, tuple]] = {}
 
 
-def _levels_up_to(lvl: int):
-    return range(lvl + 1)
+def suite(name: str, min_level: int = 0, **defaults_by_instance):
+    """Register the decorated body as suite `name` on each instance given
+    as a keyword; the value holds that instance's default params, whose
+    keys are exactly the params its report shows.  `min_level` is the
+    least max_level the body runs at.  The body is called as
+    body(inst, p, rng, tally), with the params as attributes of p, and
+    may return the report's extra."""
+    def register(body):
+        for instance, defaults in defaults_by_instance.items():
+            _TABLE.setdefault(name, {})[instance] = (defaults, body, min_level)
+        return body
+    return register
 
 
-def suite_crossed(instance="symm", max_level=None, trials=None, seed=0,
-                  word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 3 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            els = list(inst.elements(n))
-            for g in els:
-                for h in els:
-                    for i in range(n + 1):
-                        col.add(core.check_crossed_identities(inst, g, h, i))
-        for n in range(1, lvl + 1):
-            one = inst.one(n)
-            for q in inst.elements(n):
-                for i in range(n + 1):
-                    col.add(core.check_pure_homomorphism(inst, one, q, i))
-        params = {"max_level": lvl}
-    else:
-        lvl = 5 if max_level is None else max_level
-        count = 1000 if trials is None else trials
-        wl = 12 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, max(lvl, 1))
-            g = inst.random_element(rng, n, wl)
-            h = inst.random_element(rng, n, wl)
-            i = rng.randint(0, n)
-            col.add(core.check_crossed_identities(inst, g, h, i))
-            p = inst.mul(g, inst.inv(inst.section(inst.underlying_perm(g))))
-            col.add(core.check_pure_homomorphism(inst, p, h, i))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("crossed", instance, params)
+def run_suite(name: str, instance: str | None = None, max_level: int | None = None,
+              trials: int | None = None, seed: int = 0,
+              word_len: int | None = None) -> SuiteReport:
+    if name not in _TABLE:
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         + ", ".join(sorted(_TABLE)))
+    entries = _TABLE[name]
+    instance = next(iter(entries)) if instance is None else instance
+    if instance not in entries:
+        raise ValueError(f"suite {name!r} runs on {' and '.join(entries)}, "
+                         f"not on {instance!r}")
+    defaults, body, min_level = entries[instance]
+    given = {"max_level": max_level, "trials": trials, "seed": seed,
+             "word_len": word_len}
+    params = {key: copy.deepcopy(default) if given.get(key) is None else given[key]
+              for key, default in defaults.items()}
+    for key, least in (("max_level", min_level), ("trials", 1), ("word_len", 0)):
+        value = params.get(key, given[key])
+        if value is not None and value < least:
+            raise ValueError(f"{key} must be at least {least} for suite {name!r} "
+                             f"on {instance}, got {value}")
+    tally = core.Tally()
+    extra = body(INSTANCES[instance], types.SimpleNamespace(**params),
+                 random.Random(seed), tally)
+    bad = sorted(tally.violations, key=lambda v: (v.identity, v.inputs))
+    return SuiteReport(name, instance, params, tally.cases, len(bad),
+                       [{"identity": v.identity, "inputs": v.inputs}
+                        for v in bad[:MAX_RECORDED]], extra)
 
 
-def suite_simplicial(instance="symm", max_level=None, trials=None, seed=0,
-                     word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 3 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            for g in inst.elements(n):
-                col.add(core.check_simplicial_identities(inst, g))
-        params = {"max_level": lvl}
-    else:
-        lvl = 5 if max_level is None else max_level
-        count = 1000 if trials is None else trials
-        wl = 12 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, max(lvl, 1))
-            g = inst.random_element(rng, n, wl)
-            face_pairs = []
-            if n >= 2:
-                j = rng.randint(1, n)
-                face_pairs = [(rng.randrange(j), j)]
-            j = rng.randint(0, n)
-            deg_pairs = [(rng.randint(0, j), j)]
-            mixed_pairs = [(rng.randint(0, n + 1), rng.randint(0, n))]
-            col.add(core.check_simplicial_identities(
-                inst, g, face_pairs, deg_pairs, mixed_pairs))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("simplicial", instance, params)
+def _index_pairs(rng, n):
+    """One sampled (i, j) pair for each family of simplicial identities
+    at level n; no face pair below level 2."""
+    face_pairs = []
+    if n >= 2:
+        j = rng.randint(1, n)
+        face_pairs = [(rng.randrange(j), j)]
+    j = rng.randint(0, n)
+    deg_pairs = [(rng.randint(0, j), j)]
+    mixed_pairs = [(rng.randint(0, n + 1), rng.randint(0, n))]
+    return face_pairs, deg_pairs, mixed_pairs
 
 
-def suite_extra_degeneracy(instance="symm", max_level=None, trials=None, seed=0,
-                           word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 3 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            for g in inst.elements(n):
-                col.add(core.check_extra_degeneracy(inst, g))
-        params = {"max_level": lvl}
-    else:
-        lvl = 5 if max_level is None else max_level
-        count = 1000 if trials is None else trials
-        wl = 12 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, max(lvl, 1))
-            col.add(core.check_extra_degeneracy(
-                inst, inst.random_element(rng, n, wl)))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("extra-degeneracy", instance, params)
+@suite("crossed", symm={"max_level": 3})
+def _crossed_symm(inst, p, rng, tally):
+    for n in range(p.max_level + 1):
+        for g, h, i in product(inst.elements(n), inst.elements(n), range(n + 1)):
+            tally.add(core.check_crossed_identities(inst, g, h, i))
+    for n in range(1, p.max_level + 1):
+        for q, i in product(inst.elements(n), range(n + 1)):
+            tally.add(core.check_pure_homomorphism(inst, inst.one(n), q, i))
 
 
-def suite_monoidal(instance="symm", max_level=None, trials=None, seed=0,
-                   word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 2 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            for m in _levels_up_to(lvl):
-                for g in inst.elements(n):
-                    for h in inst.elements(m):
-                        col.add(core.check_monoidal(inst, g, h))
-        params = {"max_level": lvl}
-    else:
-        lvl = 3 if max_level is None else max_level
-        count = 500 if trials is None else trials
-        wl = 6 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(0, lvl)
-            m = rng.randint(0, lvl)
-            col.add(core.check_monoidal(inst,
-                                        inst.random_element(rng, n, wl),
-                                        inst.random_element(rng, m, wl)))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("monoidal", instance, params)
+@suite("crossed", min_level=1,
+       braid={"max_level": 5, "trials": 1000, "seed": 0, "word_len": 12})
+def _crossed_braid(inst, p, rng, tally):
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        g = inst.random_element(rng, n, p.word_len)
+        h = inst.random_element(rng, n, p.word_len)
+        i = rng.randint(0, n)
+        tally.add(core.check_crossed_identities(inst, g, h, i))
+        q = inst.mul(g, inst.inv(inst.section(inst.underlying_perm(g))))
+        tally.add(core.check_pure_homomorphism(inst, q, h, i))
 
 
-def suite_operadic(instance="symm", max_level=None, trials=None, seed=0,
-                   word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 2 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            for m in _levels_up_to(lvl):
-                for g in inst.elements(n):
-                    for h in inst.elements(m):
-                        for i in range(n + 1):
-                            col.add(core.check_operadic(inst, g, h, i))
-        params = {"max_level": lvl}
-    else:
-        lvl = 3 if max_level is None else max_level
-        count = 500 if trials is None else trials
-        wl = 6 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, lvl)
-            m = rng.randint(0, lvl)
-            i = rng.randint(0, n)
-            col.add(core.check_operadic(inst,
-                                        inst.random_element(rng, n, wl),
-                                        inst.random_element(rng, m, wl), i))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("operadic", instance, params)
+@suite("simplicial", symm={"max_level": 3})
+def _simplicial_symm(inst, p, rng, tally):
+    for n in range(p.max_level + 1):
+        for g in inst.elements(n):
+            tally.add(core.check_simplicial_identities(inst, g))
 
 
-def suite_inverse_transport(instance="symm", max_level=None, trials=None,
-                            seed=0, word_len=None) -> SuiteReport:
+@suite("simplicial", min_level=1,
+       braid={"max_level": 5, "trials": 1000, "seed": 0, "word_len": 12})
+def _simplicial_braid(inst, p, rng, tally):
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        g = inst.random_element(rng, n, p.word_len)
+        tally.add(core.check_simplicial_identities(inst, g, *_index_pairs(rng, n)))
+
+
+@suite("extra-degeneracy", symm={"max_level": 3})
+def _extra_degeneracy_symm(inst, p, rng, tally):
+    for n in range(p.max_level + 1):
+        for g in inst.elements(n):
+            tally.add(core.check_extra_degeneracy(inst, g))
+
+
+@suite("extra-degeneracy", min_level=1,
+       braid={"max_level": 5, "trials": 1000, "seed": 0, "word_len": 12})
+def _extra_degeneracy_braid(inst, p, rng, tally):
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        tally.add(core.check_extra_degeneracy(
+            inst, inst.random_element(rng, n, p.word_len)))
+
+
+@suite("monoidal", symm={"max_level": 2})
+def _monoidal_symm(inst, p, rng, tally):
+    levels = range(p.max_level + 1)
+    for n, m in product(levels, levels):
+        for g, h in product(inst.elements(n), inst.elements(m)):
+            tally.add(core.check_monoidal(inst, g, h))
+
+
+@suite("monoidal", braid={"max_level": 3, "trials": 500, "seed": 0, "word_len": 6})
+def _monoidal_braid(inst, p, rng, tally):
+    for _ in range(p.trials):
+        n = rng.randint(0, p.max_level)
+        m = rng.randint(0, p.max_level)
+        tally.add(core.check_monoidal(inst,
+                                      inst.random_element(rng, n, p.word_len),
+                                      inst.random_element(rng, m, p.word_len)))
+
+
+@suite("operadic", symm={"max_level": 2})
+def _operadic_symm(inst, p, rng, tally):
+    levels = range(p.max_level + 1)
+    for n, m in product(levels, levels):
+        for g, h, i in product(inst.elements(n), inst.elements(m), range(n + 1)):
+            tally.add(core.check_operadic(inst, g, h, i))
+
+
+@suite("operadic", min_level=1,
+       braid={"max_level": 3, "trials": 500, "seed": 0, "word_len": 6})
+def _operadic_braid(inst, p, rng, tally):
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        m = rng.randint(0, p.max_level)
+        i = rng.randint(0, n)
+        tally.add(core.check_operadic(inst,
+                                      inst.random_element(rng, n, p.word_len),
+                                      inst.random_element(rng, m, p.word_len), i))
+
+
+@suite("inverse-transport", symm={"max_level": 4, "block_level": 2})
+def _inverse_transport(inst, p, rng, tally):
     """Inverse-image transport through faces, degeneracies and block
-    substitution; enumerable, so always run on the symmetric family."""
-    lvl = 4 if max_level is None else max_level
-    block_lvl = 2
-    col = _Collector()
-    for n in range(1, lvl + 1):
-        for p in perms.all_perms(n):
+    substitution; enumerable, so only run on the symmetric family."""
+    for n in range(1, p.max_level + 1):
+        for q in perms.all_perms(n):
             for j in range(1, n + 1):
                 for i in range(j):
                     for kind in ("face-above", "face-below",
                                  "degeneracy-below", "degeneracy-above"):
-                        col.add_bool(perms.transport_holds(kind, p, i, j),
-                                     f"transport {kind} i={i} j={j}",
-                                     perms.format_perm(p))
-    for n in _levels_up_to(block_lvl):
-        for m in _levels_up_to(block_lvl):
-            for p in perms.all_perms(n):
-                for q in perms.all_perms(m):
-                    for i in range(n + 1):
-                        for j in range(m + 1):
-                            col.add_bool(
-                                perms.transport_holds("block", p, i, j, q),
-                                f"transport block i={i} j={j}",
-                                f"{perms.format_perm(p)}, {perms.format_perm(q)}")
-    return col.report("inverse-transport", "symm",
-                      {"max_level": lvl, "block_level": block_lvl})
+                        tally.check(perms.transport_holds(kind, q, i, j),
+                                    f"transport {kind} i={i} j={j}",
+                                    lambda: perms.format_perm(q))
+    levels = range(p.block_level + 1)
+    for n, m in product(levels, levels):
+        for a, b, i, j in product(perms.all_perms(n), perms.all_perms(m),
+                                  range(n + 1), range(m + 1)):
+            tally.check(perms.transport_holds("block", a, i, j, b),
+                        f"transport block i={i} j={j}",
+                        lambda: f"{perms.format_perm(a)}, {perms.format_perm(b)}")
 
 
-def _arrow_ops(inst):
-    face = lambda i, x: groupoid.face_arrow(inst, i, x)
-    deg = lambda i, x: groupoid.degeneracy_arrow(inst, i, x)
-    eq = lambda a, b: groupoid.arrows_equal(inst, a, b)
-    desc = lambda a: f"[{perms.format_perm(a.source)}; {inst.format(a.f)}]"
-    return face, deg, eq, desc
+@suite("groupoid-simplicial", symm={"max_level": 3})
+def _groupoid_simplicial_symm(inst, p, rng, tally):
+    for n in range(p.max_level + 1):
+        els = list(inst.elements(n))
+        sources = list(perms.all_perms(n))
+        arrows = [groupoid.GroupoidArrow(s, f) for s in sources for f in els]
+        face_indices = range(n + 1) if n >= 1 else ()  # no faces at level 0
+        for a in arrows:
+            tally.add(groupoid.check_arrow_simplicial(inst, a))
+            ida = groupoid.identity_arrow(inst, a.source)
+            for i in face_indices:
+                lhs = groupoid.face_arrow(inst, i, ida)
+                rhs = groupoid.identity_arrow(inst, perms.face_perm(i, a.source))
+                tally.check(groupoid.arrows_equal(inst, lhs, rhs), f"d_{i} preserves identities",
+                            lambda: groupoid.format_arrow(inst, a))
+            for fb in els:
+                tally.add(groupoid.check_arrow_functorial(inst, a, fb, range(n + 1)))
+        for t, a, i in product(sources, arrows, range(n + 1)):
+            tally.add(groupoid.check_arrow_action(inst, t, a, i))
+        for src, dst in product(sources, sources):
+            arrow = groupoid.hom_arrow(inst, src, dst)
+            tally.check(groupoid.target(inst, arrow) == dst,
+                        "hom_arrow lands at its target",
+                        lambda: f"{perms.format_perm(src)} -> {perms.format_perm(dst)}")
 
 
-def _check_arrow_functorial(inst, col, a, fb, indices):
-    face, deg, eq, desc = _arrow_ops(inst)
-    b = groupoid.GroupoidArrow(groupoid.target(inst, a), fb)
-    comp = groupoid.compose_arrows(inst, b, a)
-    n = a.level
-    for i in indices:
-        if n >= 1 and i <= n:
-            col.add_bool(
-                eq(face(i, comp), groupoid.compose_arrows(inst, face(i, b), face(i, a))),
-                f"d_{i} is a functor", f"{desc(a)}, {desc(b)}")
-        col.add_bool(
-            eq(deg(i, comp), groupoid.compose_arrows(inst, deg(i, b), deg(i, a))),
-            f"s_{i} is a functor", f"{desc(a)}, {desc(b)}")
+@suite("groupoid-simplicial", min_level=1,
+       braid={"max_level": 4, "trials": 300, "seed": 0, "word_len": 8})
+def _groupoid_simplicial_braid(inst, p, rng, tally):
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        a = groupoid.random_arrow(inst, rng, n, p.word_len)
+        tally.add(groupoid.check_arrow_simplicial(inst, a, *_index_pairs(rng, n)))
+        tally.add(groupoid.check_arrow_functorial(
+            inst, a, inst.random_element(rng, n, p.word_len), [rng.randint(0, n)]))
+        tally.add(groupoid.check_arrow_action(
+            inst, perms.random_perm(rng, n), a, rng.randint(0, n)))
+        pure = inst.mul(a.f, inst.inv(inst.section(inst.underlying_perm(a.f))))
+        auto = groupoid.GroupoidArrow(a.source, pure)
+        face = groupoid.face_arrow(inst, rng.randint(0, n), auto)
+        describe = lambda: groupoid.format_arrow(inst, auto)
+        tally.check(groupoid.is_automorphism(inst, auto),
+                    "pure parts give automorphisms", describe)
+        tally.check(groupoid.is_automorphism(inst, face),
+                    "faces preserve automorphisms", describe)
 
 
-def _check_arrow_action(inst, col, t, a, i):
-    face, deg, eq, desc = _arrow_ops(inst)
-    n = a.level
-    ti = perms.inverse(t)[i]
-    if n >= 1:
-        col.add_bool(
-            eq(face(i, groupoid.n_action(t, a)),
-               groupoid.n_action(perms.face_perm(i, t), face(ti, a))),
-            f"d_{i}(t.x) == d_{i}(t).d_t^-1({i})(x)",
-            f"{perms.format_perm(t)}, {desc(a)}")
-    col.add_bool(
-        eq(deg(i, groupoid.n_action(t, a)),
-           groupoid.n_action(perms.degeneracy_perm(i, t), deg(ti, a))),
-        f"s_{i}(t.x) == s_{i}(t).s_t^-1({i})(x)",
-        f"{perms.format_perm(t)}, {desc(a)}")
+def _gpd_elements(inst, lvl):
+    """Every arrow at the levels up to lvl."""
+    return [groupoid.GroupoidArrow(s, f)
+            for n in range(lvl + 1)
+            for s in perms.all_perms(n)
+            for f in inst.elements(n)]
 
 
-def suite_groupoid_simplicial(instance="symm", max_level=None, trials=None,
-                              seed=0, word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 3 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            face, deg, eq, desc = _arrow_ops(inst)
-            els = list(inst.elements(n))
-            sources = list(perms.all_perms(n))
-            arrows = [groupoid.GroupoidArrow(s, f) for s in sources for f in els]
-            for a in arrows:
-                col.add(core.simplicial_report(a, n, face, deg, eq, desc))
-                ida = groupoid.identity_arrow(inst, a.source)
-                for i in range(n + 1):
-                    if n >= 1:
-                        col.add_bool(
-                            eq(face(i, ida),
-                               groupoid.identity_arrow(inst, perms.face_perm(i, a.source))),
-                            f"d_{i} preserves identities", desc(a))
-                for fb in els:
-                    _check_arrow_functorial(inst, col, a, fb, range(n + 1))
-            for t in sources:
-                for a in arrows:
-                    for i in range(n + 1):
-                        _check_arrow_action(inst, col, t, a, i)
-            for src in sources:
-                for dst in sources:
-                    arrow = groupoid.hom_arrow(inst, src, dst)
-                    col.add_bool(groupoid.target(inst, arrow) == dst,
-                                 "hom_arrow lands at its target",
-                                 f"{perms.format_perm(src)} -> {perms.format_perm(dst)}")
-        params = {"max_level": lvl}
-    else:
-        lvl = 4 if max_level is None else max_level
-        count = 300 if trials is None else trials
-        wl = 8 if word_len is None else word_len
-        rng = random.Random(seed)
-        face, deg, eq, desc = _arrow_ops(inst)
-        for _ in range(count):
-            n = rng.randint(1, lvl)
-            a = groupoid.random_arrow(inst, rng, n, wl)
-            face_pairs = []
-            if n >= 2:
-                j = rng.randint(1, n)
-                face_pairs = [(rng.randrange(j), j)]
-            j = rng.randint(0, n)
-            deg_pairs = [(rng.randint(0, j), j)]
-            mixed_pairs = [(rng.randint(0, n + 1), rng.randint(0, n))]
-            col.add(core.simplicial_report(a, n, face, deg, eq, desc,
-                                           face_pairs, deg_pairs, mixed_pairs))
-            _check_arrow_functorial(inst, col, a,
-                                    inst.random_element(rng, n, wl),
-                                    [rng.randint(0, n)])
-            _check_arrow_action(inst, col, perms.random_perm(rng, n), a,
-                                rng.randint(0, n))
-            pure = inst.mul(a.f, inst.inv(inst.section(inst.underlying_perm(a.f))))
-            auto = groupoid.GroupoidArrow(a.source, pure)
-            col.add_bool(groupoid.is_automorphism(inst, auto),
-                         "pure parts give automorphisms", desc(auto))
-            col.add_bool(
-                groupoid.is_automorphism(inst, face(rng.randint(0, n), auto)),
-                "faces preserve automorphisms", desc(auto))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("groupoid-simplicial", instance, params)
-
-
-def suite_shifted_operad(instance="symm", max_level=None, trials=None, seed=0,
-                         word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
+@suite("shifted-operad", symm={"max_level": 2, "seed": 0})
+def _shifted_operad_symm(inst, p, rng, tally):
     set_car = operad.SetCarrier(inst)
     gpd_car = operad.GroupoidCarrier(inst)
-    if instance == "symm":
-        lvl = 2 if max_level is None else max_level
-        set_elements = [g for n in _levels_up_to(lvl) for g in inst.elements(n)]
-        for nu in set_elements:
-            col.add(operad.check_shifted_units(set_car, nu))
-        for lam in set_elements:
-            for mu in set_elements:
-                for nu in set_elements:
-                    col.add(operad.check_shifted_axioms(set_car, lam, mu, nu))
-        gpd_elements = [groupoid.GroupoidArrow(s, f)
-                        for n in _levels_up_to(min(lvl, 1))
-                        for s in perms.all_perms(n)
-                        for f in inst.elements(n)]
-        for nu in gpd_elements:
-            col.add(operad.check_shifted_units(gpd_car, nu))
-        for lam in gpd_elements:
-            for mu in gpd_elements:
-                for nu in gpd_elements:
-                    col.add(operad.check_shifted_axioms(gpd_car, lam, mu, nu))
-        rng = random.Random(seed)
-        for _ in range(200):
-            lam, mu, nu = (gpd_random(inst, rng, lvl) for _ in range(3))
-            col.add(operad.check_shifted_axioms(gpd_car, lam, mu, nu, rng=rng))
-        params = {"max_level": lvl, "seed": seed}
-    else:
-        lvl = 2 if max_level is None else max_level
-        count = 300 if trials is None else trials
-        wl = 4 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            for car in (set_car, gpd_car):
-                lam, mu, nu = (car.random(rng, rng.randint(1, lvl), wl)
-                               for _ in range(3))
-                col.add(operad.check_shifted_axioms(car, lam, mu, nu, rng=rng))
-            col.add(operad.check_shifted_units(
-                set_car, set_car.random(rng, rng.randint(0, lvl), wl)))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("shifted-operad", instance, params)
+    set_elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
+    for nu in set_elements:
+        tally.add(operad.check_shifted_units(set_car, nu))
+    for lam, mu, nu in product(set_elements, repeat=3):
+        tally.add(operad.check_shifted_axioms(set_car, lam, mu, nu))
+    gpd_elements = _gpd_elements(inst, min(p.max_level, 1))
+    for nu in gpd_elements:
+        tally.add(operad.check_shifted_units(gpd_car, nu))
+    for lam, mu, nu in product(gpd_elements, repeat=3):
+        tally.add(operad.check_shifted_axioms(gpd_car, lam, mu, nu))
+    for _ in range(200):
+        lam, mu, nu = (gpd_car.random(rng, rng.randint(0, p.max_level), 8)
+                       for _ in range(3))
+        tally.add(operad.check_shifted_axioms(gpd_car, lam, mu, nu, rng=rng))
 
 
-def gpd_random(inst, rng, lvl, word_len=8):
-    n = rng.randint(0, lvl)
-    return groupoid.GroupoidArrow(perms.random_perm(rng, n),
-                                  inst.random_element(rng, n, word_len))
+@suite("shifted-operad", min_level=1,
+       braid={"max_level": 2, "trials": 300, "seed": 0, "word_len": 4})
+def _shifted_operad_braid(inst, p, rng, tally):
+    set_car = operad.SetCarrier(inst)
+    gpd_car = operad.GroupoidCarrier(inst)
+    for _ in range(p.trials):
+        for car in (set_car, gpd_car):
+            lam, mu, nu = (car.random(rng, rng.randint(1, p.max_level), p.word_len)
+                           for _ in range(3))
+            tally.add(operad.check_shifted_axioms(car, lam, mu, nu, rng=rng))
+        tally.add(operad.check_shifted_units(
+            set_car, set_car.random(rng, rng.randint(0, p.max_level), p.word_len)))
 
 
-def suite_unshifted_operad(instance="symm", max_level=None, trials=None, seed=0,
-                           word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    set_view = operad.shift_to_unshifted(operad.SetCarrier(inst))
-    gpd_view = operad.shift_to_unshifted(operad.GroupoidCarrier(inst))
-    if instance == "symm":
-        lvl = 2 if max_level is None else max_level
-        set_elements = [g for n in _levels_up_to(lvl) for g in inst.elements(n)]
-        with_star = set_elements + [operad.STAR]
-        for lam in set_elements:
-            for mu in with_star:
-                for nu in with_star:
-                    col.add(operad.check_unshifted_axioms(set_view, lam, mu, nu))
-        gpd_elements = [groupoid.GroupoidArrow(s, f)
-                        for n in _levels_up_to(min(lvl, 1))
-                        for s in perms.all_perms(n)
-                        for f in inst.elements(n)]
-        for lam in gpd_elements:
-            for mu in gpd_elements + [operad.STAR]:
-                for nu in gpd_elements + [operad.STAR]:
-                    col.add(operad.check_unshifted_axioms(gpd_view, lam, mu, nu))
-        params = {"max_level": lvl}
-    else:
-        lvl = 2 if max_level is None else max_level
-        count = 300 if trials is None else trials
-        wl = 4 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            for view, rand in ((set_view, lambda n: inst.random_element(rng, n, wl)),
-                               (gpd_view, lambda n: gpd_random(inst, rng, n, wl))):
-                lam = rand(rng.randint(1, lvl))
-                mu = operad.STAR if rng.random() < 0.25 else rand(rng.randint(0, lvl))
-                nu = operad.STAR if rng.random() < 0.25 else rand(rng.randint(0, lvl))
-                col.add(operad.check_unshifted_axioms(view, lam, mu, nu))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("unshifted-operad", instance, params)
+@suite("unshifted-operad", symm={"max_level": 2})
+def _unshifted_operad_symm(inst, p, rng, tally):
+    set_view = operad.UnshiftedView(operad.SetCarrier(inst))
+    gpd_view = operad.UnshiftedView(operad.GroupoidCarrier(inst))
+    set_elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
+    with_star = set_elements + [operad.STAR]
+    for lam, mu, nu in product(set_elements, with_star, with_star):
+        tally.add(operad.check_unshifted_axioms(set_view, lam, mu, nu))
+    gpd_elements = _gpd_elements(inst, min(p.max_level, 1))
+    with_star = gpd_elements + [operad.STAR]
+    for lam, mu, nu in product(gpd_elements, with_star, with_star):
+        tally.add(operad.check_unshifted_axioms(gpd_view, lam, mu, nu))
 
 
-def suite_operadic_mult(instance="symm", max_level=None, trials=None, seed=0,
-                        word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    col = _Collector()
-    if instance == "symm":
-        lvl = 2 if max_level is None else max_level
-        for n in _levels_up_to(lvl):
-            outer = list(inst.elements(n))
-            for m in _levels_up_to(lvl):
-                inner = list(inst.elements(m))
-                for a in outer:
-                    for a2 in outer:
-                        for b in inner:
-                            for b2 in inner:
-                                for i in range(n + 1):
-                                    col.add(operad.check_operadic_mult(
-                                        inst, a, a2, i, b, b2))
-        for n in _levels_up_to(lvl):
-            srcs = list(perms.all_perms(n))
-            els = list(inst.elements(n))
-            for m in _levels_up_to(lvl):
-                in_srcs = list(perms.all_perms(m))
-                in_els = list(inst.elements(m))
-                for xs in srcs:
-                    for xf in els:
-                        x = groupoid.GroupoidArrow(xs, xf)
-                        for yf in els:
-                            for vs in in_srcs:
-                                for vf in in_els:
-                                    v = groupoid.GroupoidArrow(vs, vf)
-                                    for wf in in_els:
-                                        for i in range(n + 1):
-                                            y = groupoid.GroupoidArrow(
-                                                groupoid.target(inst, x), yf)
-                                            w = groupoid.GroupoidArrow(
-                                                groupoid.target(inst, v), wf)
-                                            col.add(operad.check_circ_functorial(
-                                                inst, x, y, i, v, w))
-        params = {"max_level": lvl}
-    else:
-        lvl = 2 if max_level is None else max_level
-        count = 300 if trials is None else trials
-        wl = 5 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            n = rng.randint(1, lvl)
-            m = rng.randint(0, lvl)
-            i = rng.randint(0, n)
-            col.add(operad.check_operadic_mult(
-                inst,
-                inst.random_element(rng, n, wl), inst.random_element(rng, n, wl),
-                i,
-                inst.random_element(rng, m, wl), inst.random_element(rng, m, wl)))
-            x = groupoid.random_arrow(inst, rng, n, wl)
-            v = groupoid.random_arrow(inst, rng, m, wl)
-            y = groupoid.GroupoidArrow(groupoid.target(inst, x),
-                                       inst.random_element(rng, n, wl))
-            w = groupoid.GroupoidArrow(groupoid.target(inst, v),
-                                       inst.random_element(rng, m, wl))
-            col.add(operad.check_circ_functorial(inst, x, y, i, v, w))
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-    return col.report("operadic-mult", instance, params)
+@suite("unshifted-operad", min_level=1,
+       braid={"max_level": 2, "trials": 300, "seed": 0, "word_len": 4})
+def _unshifted_operad_braid(inst, p, rng, tally):
+    set_car = operad.SetCarrier(inst)
+    gpd_car = operad.GroupoidCarrier(inst)
+    # A groupoid operand's level is drawn once more, up to the level drawn for it.
+    samplers = ((operad.UnshiftedView(set_car),
+                 lambda n: set_car.random(rng, n, p.word_len)),
+                (operad.UnshiftedView(gpd_car),
+                 lambda n: gpd_car.random(rng, rng.randint(0, n), p.word_len)))
+    for _ in range(p.trials):
+        for view, rand in samplers:
+            lam = rand(rng.randint(1, p.max_level))
+            mu = operad.STAR if rng.random() < 0.25 else rand(rng.randint(0, p.max_level))
+            nu = operad.STAR if rng.random() < 0.25 else rand(rng.randint(0, p.max_level))
+            tally.add(operad.check_unshifted_axioms(view, lam, mu, nu))
 
 
+@suite("operadic-mult", symm={"max_level": 2})
+def _operadic_mult_symm(inst, p, rng, tally):
+    levels = range(p.max_level + 1)
+    for n, m in product(levels, levels):
+        outer = list(inst.elements(n))
+        inner = list(inst.elements(m))
+        for a, a2, b, b2, i in product(outer, outer, inner, inner, range(n + 1)):
+            tally.add(operad.check_operadic_mult(inst, a, a2, i, b, b2))
+    for n, m in product(levels, levels):
+        outer = [groupoid.GroupoidArrow(s, f)
+                 for s in perms.all_perms(n) for f in inst.elements(n)]
+        inner = [groupoid.GroupoidArrow(s, f)
+                 for s in perms.all_perms(m) for f in inst.elements(m)]
+        for x, yf, v, wf in product(outer, inst.elements(n), inner, inst.elements(m)):
+            y = groupoid.GroupoidArrow(groupoid.target(inst, x), yf)
+            w = groupoid.GroupoidArrow(groupoid.target(inst, v), wf)
+            for i in range(n + 1):
+                tally.add(operad.check_circ_functorial(inst, x, y, i, v, w))
+
+
+@suite("operadic-mult", min_level=1,
+       braid={"max_level": 2, "trials": 300, "seed": 0, "word_len": 5})
+def _operadic_mult_braid(inst, p, rng, tally):
+    wl = p.word_len
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        m = rng.randint(0, p.max_level)
+        i = rng.randint(0, n)
+        tally.add(operad.check_operadic_mult(
+            inst,
+            inst.random_element(rng, n, wl), inst.random_element(rng, n, wl),
+            i,
+            inst.random_element(rng, m, wl), inst.random_element(rng, m, wl)))
+        x = groupoid.random_arrow(inst, rng, n, wl)
+        v = groupoid.random_arrow(inst, rng, m, wl)
+        y = groupoid.GroupoidArrow(groupoid.target(inst, x),
+                                   inst.random_element(rng, n, wl))
+        w = groupoid.GroupoidArrow(groupoid.target(inst, v),
+                                   inst.random_element(rng, m, wl))
+        tally.add(operad.check_circ_functorial(inst, x, y, i, v, w))
+
+
+# Interpretation search for the two equivariance conditions on both
+# carriers.  The suite passes when the calibrated readings (the inverse
+# left translation, with the acting element's slot and degeneracy index
+# transported through its own permutation) hold on every tested input;
+# the verdict table for all readings lands in the report's extra field.
 CALIBRATED_COND1 = "cond1/left-inv"
 CALIBRATED_COND2 = "cond2/left-inv/slot=sigma/deg=sigma"
 
 
-def suite_equivariance(instance="symm", max_level=None, trials=None, seed=0,
-                       word_len=None) -> SuiteReport:
-    """
-    Interpretation search for the two equivariance conditions on both
-    carriers.  The suite passes when the calibrated readings (the
-    inverse left translation, with the acting element's slot and
-    degeneracy index transported through its own permutation) hold on
-    every tested input; the verdict table for all readings lands in the
-    report's extra field.
-    """
-    inst = INSTANCES[instance]
+def _record_equivariance(tally, verdicts, car, mu, i, nu, beta_inner, beta_outer):
+    """Fold every reading's verdict on one input into `verdicts`; the
+    calibrated readings count as the suite's cases."""
+    describe = lambda beta: (f"{car.format(mu)}, {car.format(nu)}, "
+                             f"{car.inst.format(beta)}, i={i}")
+    for reading, ok in operad.check_g_like_equivariance(
+            car, mu, i, nu, beta_inner, beta_outer).items():
+        key = f"{car.kind}/{reading}"
+        verdicts[key] = verdicts.get(key, True) and ok
+        if reading == CALIBRATED_COND1:
+            tally.check(ok, "equivariance cond1 [left-inv]",
+                        lambda: describe(beta_inner))
+        elif reading == CALIBRATED_COND2:
+            tally.check(ok, "equivariance cond2 [calibrated]",
+                        lambda: describe(beta_outer))
+
+
+def _verdict_extra(verdicts):
+    return {"verdicts": dict(sorted(verdicts.items())),
+            "surviving": sorted(k for k, v in verdicts.items() if v)}
+
+
+@suite("equivariance", symm={"max_level": 2, "seed": 0})
+def _equivariance_symm(inst, p, rng, tally):
     set_car = operad.SetCarrier(inst)
     gpd_car = operad.GroupoidCarrier(inst)
-    col = _Collector()
     verdicts: dict[str, bool] = {}
-
-    def record(car, mu, i, nu, beta_inner, beta_outer):
-        for action in operad.ACTIONS:
-            key = f"{car.kind}/cond1/{action}"
-            ok = operad.equivariance_condition1(car, action, mu, i, nu, beta_inner)
-            verdicts[key] = verdicts.get(key, True) and ok
-            if f"cond1/{action}" == CALIBRATED_COND1:
-                col.add_bool(ok, f"equivariance cond1 [{action}]",
-                             f"{car.format(mu)}, {car.format(nu)}, "
-                             f"{inst.format(beta_inner)}, i={i}")
-        for action in operad.ACTIONS:
-            for slot in operad.SLOT_RULES:
-                for deg in operad.PLACEMENTS:
-                    key = f"{car.kind}/cond2/{action}/slot={slot}/deg={deg}"
-                    ok = operad.equivariance_condition2(
-                        car, action, slot, deg, mu, i, nu, beta_outer)
-                    verdicts[key] = verdicts.get(key, True) and ok
-                    if f"cond2/{action}/slot={slot}/deg={deg}" == CALIBRATED_COND2:
-                        col.add_bool(ok, "equivariance cond2 [calibrated]",
-                                     f"{car.format(mu)}, {car.format(nu)}, "
-                                     f"{inst.format(beta_outer)}, i={i}")
-
-    if instance == "symm":
-        lvl = 2 if max_level is None else max_level
-        for m in _levels_up_to(lvl):
-            for n in _levels_up_to(lvl):
-                for mu in inst.elements(m):
-                    for nu in inst.elements(n):
-                        for i in range(m + 1):
-                            for beta_inner in inst.elements(n):
-                                for beta_outer in inst.elements(m):
-                                    record(set_car, mu, i, nu, beta_inner, beta_outer)
-        rng = random.Random(seed)
-        for _ in range(150):
-            m = rng.randint(0, lvl)
-            n = rng.randint(0, lvl)
-            mu = groupoid.GroupoidArrow(perms.random_perm(rng, m),
-                                        inst.random_element(rng, m))
-            nu = groupoid.GroupoidArrow(perms.random_perm(rng, n),
-                                        inst.random_element(rng, n))
-            record(gpd_car, mu, rng.randint(0, m), nu,
-                   inst.random_element(rng, n), inst.random_element(rng, m))
-        params = {"max_level": lvl, "seed": seed}
-    else:
-        lvl = 2 if max_level is None else max_level
-        count = 200 if trials is None else trials
-        wl = 4 if word_len is None else word_len
-        rng = random.Random(seed)
-        for _ in range(count):
-            m = rng.randint(0, lvl)
-            n = rng.randint(0, lvl)
-            i = rng.randint(0, m)
-            mu_el = inst.random_element(rng, m, wl)
-            nu_el = inst.random_element(rng, n, wl)
-            bi = inst.random_element(rng, n, wl)
-            bo = inst.random_element(rng, m, wl)
-            record(set_car, mu_el, i, nu_el, bi, bo)
-            mu_ar = groupoid.GroupoidArrow(perms.random_perm(rng, m), mu_el)
-            nu_ar = groupoid.GroupoidArrow(perms.random_perm(rng, n), nu_el)
-            record(gpd_car, mu_ar, i, nu_ar, bi, bo)
-        params = {"max_level": lvl, "trials": count, "seed": seed, "word_len": wl}
-
-    surviving = sorted(k for k, v in verdicts.items() if v)
-    extra = {"verdicts": dict(sorted(verdicts.items())), "surviving": surviving}
-    return col.report("equivariance", instance, params, extra)
+    levels = range(p.max_level + 1)
+    for m, n in product(levels, levels):
+        for mu, nu, i, beta_inner, beta_outer in product(
+                inst.elements(m), inst.elements(n), range(m + 1),
+                inst.elements(n), inst.elements(m)):
+            _record_equivariance(tally, verdicts, set_car, mu, i, nu,
+                                 beta_inner, beta_outer)
+    for _ in range(150):
+        m = rng.randint(0, p.max_level)
+        n = rng.randint(0, p.max_level)
+        mu = groupoid.GroupoidArrow(perms.random_perm(rng, m),
+                                    inst.random_element(rng, m))
+        nu = groupoid.GroupoidArrow(perms.random_perm(rng, n),
+                                    inst.random_element(rng, n))
+        _record_equivariance(tally, verdicts, gpd_car, mu, rng.randint(0, m), nu,
+                             inst.random_element(rng, n), inst.random_element(rng, m))
+    return _verdict_extra(verdicts)
 
 
-def suite_section(instance="braid", max_level=None, trials=None, seed=0,
-                  word_len=None) -> SuiteReport:
+@suite("equivariance", braid={"max_level": 2, "trials": 200, "seed": 0, "word_len": 4})
+def _equivariance_braid(inst, p, rng, tally):
+    set_car = operad.SetCarrier(inst)
+    gpd_car = operad.GroupoidCarrier(inst)
+    verdicts: dict[str, bool] = {}
+    for _ in range(p.trials):
+        m = rng.randint(0, p.max_level)
+        n = rng.randint(0, p.max_level)
+        i = rng.randint(0, m)
+        mu_el = inst.random_element(rng, m, p.word_len)
+        nu_el = inst.random_element(rng, n, p.word_len)
+        bi = inst.random_element(rng, n, p.word_len)
+        bo = inst.random_element(rng, m, p.word_len)
+        _record_equivariance(tally, verdicts, set_car, mu_el, i, nu_el, bi, bo)
+        mu_ar = groupoid.GroupoidArrow(perms.random_perm(rng, m), mu_el)
+        nu_ar = groupoid.GroupoidArrow(perms.random_perm(rng, n), nu_el)
+        _record_equivariance(tally, verdicts, gpd_car, mu_ar, i, nu_ar, bi, bo)
+    return _verdict_extra(verdicts)
+
+
+@suite("section", braid={"max_level": 3, "random_levels": [4, 5],
+                         "trials": 200, "seed": 0})
+def _section(inst, p, rng, tally):
     """The positive-lift squares; inherently about the braid family."""
-    lvl = 3 if max_level is None else max_level
-    count = 200 if trials is None else trials
-    col = _Collector()
-    for n in _levels_up_to(lvl):
-        for p in perms.all_perms(n):
+    for n in range(p.max_level + 1):
+        for q in perms.all_perms(n):
             for i in range(n + 1):
-                col.add_bool(braids.section_is_simplicial(p, i),
-                             f"section square at {i}", perms.format_perm(p))
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.choice((4, 5))
-        p = perms.random_perm(rng, n)
+                tally.check(braids.section_is_simplicial(q, i),
+                            f"section square at {i}", lambda: perms.format_perm(q))
+    for _ in range(p.trials):
+        n = rng.choice(p.random_levels)
+        q = perms.random_perm(rng, n)
         i = rng.randint(0, n)
-        col.add_bool(braids.section_is_simplicial(p, i),
-                     f"section square at {i}", perms.format_perm(p))
-    return col.report("section", "braid",
-                      {"max_level": lvl, "random_levels": [4, 5],
-                       "trials": count, "seed": seed})
+        tally.check(braids.section_is_simplicial(q, i),
+                    f"section square at {i}", lambda: perms.format_perm(q))
 
 
-def suite_bar(instance="symm", max_level=None, trials=None, seed=0,
-              word_len=None) -> SuiteReport:
-    lvl = 3 if max_level is None else max_level
-    count = 200 if trials is None else trials
-    wl = 8 if word_len is None else word_len
-    col = _Collector()
+@suite("bar", symm={"max_level": 3, "trials": 200, "seed": 0, "word_len": 8},
+       braid={"max_level": 3, "trials": 200, "seed": 0, "word_len": 8})
+def _bar(inst, p, rng, tally):
+    """Runs the symmetric levels exhaustively and samples braid words,
+    whichever instance it is asked for."""
     for monoid in barcx.standard_monoids():
-        for n in _levels_up_to(lvl):
+        for n in range(p.max_level + 1):
             for t in monoid.tuples(n):
-                col.add(barcx.check_bar_simplicial(monoid, t))
+                tally.add(barcx.check_bar_simplicial(monoid, t))
     noncomm = barcx.left_wins_monoid()
     conventions = barcx.calibrate_conventions(noncomm, SYMMETRIC, max_level=2)
     surviving = sorted(k for k, v in conventions.items() if v)
-    col.add_bool(bool(surviving), "some action convention survives",
-                 json.dumps(conventions, sort_keys=True))
+    tally.check(bool(surviving), "some action convention survives",
+                lambda: json.dumps(conventions, sort_keys=True))
     # Exhaustive run of the surviving (covariant) reading on the
     # noncommutative monoid.
     for n in range(1, 3):
         for g in SYMMETRIC.elements(n):
-            for x in noncomm.tuples(n - 1):
-                for i in range(n + 1):
-                    col.add(barcx.check_covariant_insert(noncomm, SYMMETRIC, g, x, i))
-            for x in noncomm.tuples(n + 1):
-                for j in range(n + 1):
-                    col.add(barcx.check_covariant_merge(noncomm, SYMMETRIC, g, x, j))
+            for x, i in product(noncomm.tuples(n - 1), range(n + 1)):
+                tally.add(barcx.check_covariant_insert(noncomm, SYMMETRIC, g, x, i))
+            for x, j in product(noncomm.tuples(n + 1), range(n + 1)):
+                tally.add(barcx.check_covariant_merge(noncomm, SYMMETRIC, g, x, j))
     # The multiplying faces stay compatible along rotations.
     rotations_ok = True
-    for n in range(1, lvl + 1):
+    for n in range(1, p.max_level + 1):
         for shift in range(n + 1):
             g = SYMMETRIC.element(barcx.rotation(n, shift))
-            for t in noncomm.tuples(n):
-                for i in range(n + 1):
-                    rep = barcx.check_delta_g_object(noncomm, SYMMETRIC, g, t, i)
-                    col.add(rep)
-                    rotations_ok = rotations_ok and rep.ok
-    rng = random.Random(seed)
+            for t, i in product(noncomm.tuples(n), range(n + 1)):
+                rep = barcx.check_delta_g_object(noncomm, SYMMETRIC, g, t, i)
+                tally.add(rep)
+                rotations_ok = rotations_ok and rep.ok
     big = barcx.left_wins4_monoid()
-    for _ in range(count):
+    for _ in range(p.trials):
         n = rng.randint(1, 3)
-        g = BRAID.random_element(rng, n, wl)
-        col.add(barcx.check_covariant_insert(
+        g = BRAID.random_element(rng, n, p.word_len)
+        tally.add(barcx.check_covariant_insert(
             big, BRAID, g, big.random_tuple(rng, n - 1), rng.randint(0, n)))
-        col.add(barcx.check_covariant_merge(
+        tally.add(barcx.check_covariant_merge(
             big, BRAID, g, big.random_tuple(rng, n + 1), rng.randint(0, n)))
-    extra = {"conventions": conventions, "surviving": surviving,
-             "multiplying_faces_along_rotations": rotations_ok}
-    return col.report("bar", instance,
-                      {"max_level": lvl, "trials": count, "seed": seed,
-                       "word_len": wl}, extra)
+    return {"conventions": conventions, "surviving": surviving,
+            "multiplying_faces_along_rotations": rotations_ok}
 
 
-def suite_quotient(instance="braid", max_level=None, trials=None, seed=0,
-                   word_len=None) -> SuiteReport:
-    inst = INSTANCES[instance]
-    orbit_lvl = 2
-    orbit_dim = 3
-    count = 200 if trials is None else trials
-    lvl = (3 if instance == "braid" else 2) if max_level is None else max_level
-    wl = 6 if word_len is None else word_len
-    col = _Collector()
-
-    for n in _levels_up_to(orbit_lvl):
+@suite("quotient", min_level=1,
+       symm={"orbit_level": 2, "orbit_dim": 3, "max_level": 2, "trials": 200,
+             "seed": 0, "word_len": 6},
+       braid={"orbit_level": 2, "orbit_dim": 3, "max_level": 3, "trials": 200,
+              "seed": 0, "word_len": 6})
+def _quotient(inst, p, rng, tally):
+    for n in range(p.orbit_level + 1):
         translations = list(perms.all_perms(n))
         els = list(SYMMETRIC.elements(n))
-        for m in range(orbit_dim + 1):
-            for start in translations:
-                for chain in itertools.product(els, repeat=m):
-                    s = groupoid.NerveSimplex(start, chain)
-                    q = groupoid.quotient_map(s)
-                    for t in translations:
-                        moved = groupoid.nerve_n_action(t, s)
-                        same = all(SYMMETRIC.equal(a, b) for a, b in
-                                   zip(groupoid.quotient_map(moved), q))
-                        col.add_bool(same and len(q) == m,
-                                     "quotient constant on orbits",
-                                     f"{perms.format_perm(start)} m={m}")
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, lvl)
-        m = rng.randint(0, orbit_dim)
-        s = groupoid.random_simplex(inst, rng, n, m, wl)
+        for m in range(p.orbit_dim + 1):
+            for start, chain in product(translations, product(els, repeat=m)):
+                s = groupoid.NerveSimplex(start, chain)
+                q = groupoid.quotient_map(s)
+                for t in translations:
+                    moved = groupoid.nerve_n_action(t, s)
+                    same = all(SYMMETRIC.equal(a, b) for a, b in
+                               zip(groupoid.quotient_map(moved), q))
+                    tally.check(same and len(q) == m, "quotient constant on orbits",
+                                lambda: f"{perms.format_perm(start)} m={m}")
+    for _ in range(p.trials):
+        n = rng.randint(1, p.max_level)
+        m = rng.randint(0, p.orbit_dim)
+        where = lambda: f"level {n} dim {m}"
+        s = groupoid.random_simplex(inst, rng, n, m, p.word_len)
         q = groupoid.quotient_map(s)
         t = perms.random_perm(rng, n)
         moved = groupoid.nerve_n_action(t, s)
-        col.add_bool(groupoid.orbit_equivalent(inst, s, moved),
-                     "translates stay in one orbit", f"level {n} dim {m}")
-        col.add_bool(all(inst.equal(a, b) for a, b in
-                         zip(groupoid.quotient_map(moved), q)),
-                     "quotient constant on orbits", f"level {n} dim {m}")
+        tally.check(groupoid.orbit_equivalent(inst, s, moved),
+                    "translates stay in one orbit", where)
+        tally.check(_tuples_equal(inst, groupoid.quotient_map(moved), q),
+                    "quotient constant on orbits", where)
         if m >= 1:
-            other = groupoid.random_simplex(inst, rng, n, m, wl)
-            q2 = groupoid.quotient_map(other)
-            quot_equal = all(inst.equal(a, b) for a, b in zip(q, q2))
-            col.add_bool(
+            other = groupoid.random_simplex(inst, rng, n, m, p.word_len)
+            quot_equal = _tuples_equal(inst, q, groupoid.quotient_map(other))
+            tally.check(
                 quot_equal == groupoid.orbit_equivalent(
                     inst, groupoid.NerveSimplex(s.start, s.chain),
                     groupoid.NerveSimplex(s.start, other.chain)),
-                "quotient separates orbits", f"level {n} dim {m}")
+                "quotient separates orbits", where)
         for i in range(m + 1):
             if m >= 1:
-                col.add_bool(
+                tally.check(
                     _tuples_equal(inst, groupoid.quotient_map(
                         groupoid.nerve_face(inst, i, s)),
                         groupoid.opposite_nerve_face(inst, i, q)),
-                    f"quotient commutes with d_{i}", f"level {n} dim {m}")
-            col.add_bool(
+                    f"quotient commutes with d_{i}", where)
+            tally.check(
                 _tuples_equal(inst, groupoid.quotient_map(
                     groupoid.nerve_degeneracy(inst, i, s)),
                     groupoid.opposite_nerve_degeneracy(inst, i, q, n)),
-                f"quotient commutes with s_{i}", f"level {n} dim {m}")
-    return col.report("quotient", instance,
-                      {"orbit_level": orbit_lvl, "orbit_dim": orbit_dim,
-                       "max_level": lvl, "trials": count, "seed": seed,
-                       "word_len": wl})
+                f"quotient commutes with s_{i}", where)
 
 
 def _tuples_equal(inst, a, b) -> bool:
     return len(a) == len(b) and all(inst.equal(x, y) for x, y in zip(a, b))
 
 
-SUITES = {
-    "crossed": suite_crossed,
-    "simplicial": suite_simplicial,
-    "extra-degeneracy": suite_extra_degeneracy,
-    "monoidal": suite_monoidal,
-    "operadic": suite_operadic,
-    "inverse-transport": suite_inverse_transport,
-    "groupoid-simplicial": suite_groupoid_simplicial,
-    "shifted-operad": suite_shifted_operad,
-    "unshifted-operad": suite_unshifted_operad,
-    "operadic-mult": suite_operadic_mult,
-    "equivariance": suite_equivariance,
-    "section": suite_section,
-    "bar": suite_bar,
-    "quotient": suite_quotient,
-}
+# The public entry points: the driver bound to each suite's name.
+SUITES = {name: functools.partial(run_suite, name) for name in _TABLE}
 
-
-def run_suite(name: str, instance: str = "symm", max_level: int | None = None,
-              trials: int | None = None, seed: int = 0,
-              word_len: int | None = None) -> SuiteReport:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         + ", ".join(sorted(SUITES)))
-    if instance not in INSTANCES:
-        raise ValueError(f"unknown instance {instance!r}")
-    return SUITES[name](instance=instance, max_level=max_level, trials=trials,
-                        seed=seed, word_len=word_len)
+suite_crossed = SUITES["crossed"]
+suite_simplicial = SUITES["simplicial"]
+suite_extra_degeneracy = SUITES["extra-degeneracy"]
+suite_monoidal = SUITES["monoidal"]
+suite_operadic = SUITES["operadic"]
+suite_inverse_transport = SUITES["inverse-transport"]
+suite_groupoid_simplicial = SUITES["groupoid-simplicial"]
+suite_shifted_operad = SUITES["shifted-operad"]
+suite_unshifted_operad = SUITES["unshifted-operad"]
+suite_operadic_mult = SUITES["operadic-mult"]
+suite_equivariance = SUITES["equivariance"]
+suite_section = SUITES["section"]
+suite_bar = SUITES["bar"]
+suite_quotient = SUITES["quotient"]

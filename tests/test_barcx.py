@@ -1,7 +1,6 @@
 """Monoid powers: the cyclic operators, the covariant structure, and the
 convention calibration."""
 
-import json
 import random
 
 import pytest
@@ -18,8 +17,6 @@ from csgroups.barcx import (
     cyclic_monoid,
     left_wins_monoid,
     left_wins4_monoid,
-    monoid_from_json,
-    monoid_to_json,
     standard_monoids,
     trivial_monoid,
 )
@@ -136,12 +133,3 @@ def test_insert_merge_bounds():
         bar_face(m, 2, ("e", "e"))
     with pytest.raises(ValueError):
         bar_face(m, 0, ("e",))
-
-
-def test_monoid_json_roundtrip():
-    m = left_wins_monoid()
-    back = monoid_from_json(json.loads(monoid_to_json(m)))
-    assert back.elements == m.elements and back.unit == m.unit
-    assert back.mult("x", "y") == "x"
-    with pytest.raises(ValueError):
-        monoid_from_json({"elements": ["e"], "unit": "e"})

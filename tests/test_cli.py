@@ -125,3 +125,41 @@ def test_kan_lift_cli(tmp_path, capsys):
     mangled.write_text("{\"level\": 2}")
     code, _, err = run(capsys, "kan-lift", str(mangled))
     assert code == 2
+
+
+def test_check_instance_contract(capsys):
+    code, out, err = run(capsys, "check", "section", "--instance", "symm")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "check", "inverse-transport", "--instance", "braid")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "check", "section", "--trials", "5")
+    assert code == 0 and out.startswith("suite section [braid] pass")
+    code, out, _ = run(capsys, "check", "quotient", "--trials", "5")
+    assert code == 0 and out.startswith("suite quotient [symm] pass")
+
+
+@pytest.mark.parametrize("argv", [
+    ("crossed", "--max-level", "-3"),
+    ("crossed", "--instance", "braid", "--trials", "-5"),
+    ("monoidal", "--instance", "braid", "--trials", "0"),
+    ("crossed", "--instance", "braid", "--word-len", "-1"),
+    ("crossed", "--instance", "braid", "--max-level", "0"),
+    ("simplicial", "--instance", "braid", "--max-level", "0"),
+    ("extra-degeneracy", "--instance", "braid", "--max-level", "0"),
+])
+def test_check_rejects_out_of_range_numbers(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "must be at least" in err
+
+
+def test_kan_lift_rejects_non_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "kan-lift", str(path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+def test_nerve_rejects_negative_level(capsys):
+    code, out, err = run(capsys, "nerve", "--level", "-1")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1

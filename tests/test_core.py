@@ -153,8 +153,23 @@ def test_report_shape():
     rep = core.check_crossed_identities(
         SYMMETRIC, SYMMETRIC.one(1), SYMMETRIC.one(1), 0)
     assert rep.ok and rep.cases == 2 and rep.violations == ()
-    merged = core.merge_reports("combined", [rep, rep])
-    assert merged.cases == 4 and merged.ok
+
+
+def test_tally_describes_only_failures():
+    described = []
+
+    def describe():
+        described.append(True)
+        return "inputs"
+
+    tally = core.Tally()
+    tally.check(True, "holds", describe)
+    tally.check(False, "breaks", describe)
+    tally.add(core.CheckReport("other", 3, (core.Violation("x", "y"),)))
+    rep = tally.report("combined")
+    assert len(described) == 1
+    assert rep.name == "combined" and rep.cases == 5 and not rep.ok
+    assert rep.violations == (core.Violation("breaks", "inputs"), core.Violation("x", "y"))
 
 
 def test_section_and_parse():

@@ -130,7 +130,7 @@ def test_shifted_axioms_random_braid_both_carriers():
 
 
 def test_unshifted_view():
-    view = operad.shift_to_unshifted(operad.SetCarrier(SYMMETRIC))
+    view = operad.UnshiftedView(operad.SetCarrier(SYMMETRIC))
     one0 = SYMMETRIC.one(0)
     a = SYMMETRIC.element((1, 0))
     assert view.arity(a) == 2
@@ -151,7 +151,7 @@ def test_unshifted_view():
 
 def test_unshifted_axioms():
     rng = random.Random(5)
-    view = operad.shift_to_unshifted(operad.SetCarrier(BRAID))
+    view = operad.UnshiftedView(operad.SetCarrier(BRAID))
     for _ in range(30):
         lam = BRAID.random_element(rng, rng.randint(1, 2), 4)
         mu = operad.STAR if rng.random() < 0.3 else \
@@ -160,7 +160,7 @@ def test_unshifted_axioms():
             BRAID.random_element(rng, rng.randint(0, 2), 4)
         rep = operad.check_unshifted_axioms(view, lam, mu, nu)
         assert rep.ok, rep.violations[0]
-    sview = operad.shift_to_unshifted(operad.SetCarrier(SYMMETRIC))
+    sview = operad.UnshiftedView(operad.SetCarrier(SYMMETRIC))
     els = [g for n in range(3) for g in SYMMETRIC.elements(n)]
     for lam in els[:9]:
         for mu in els[:9] + [operad.STAR]:

@@ -1,0 +1,103 @@
+"""Suite reports against fixed digests.
+
+`suite_golden.json` holds the SHA-256 of `to_json() + to_text()` for
+every suite on every instance it runs on, at three small scopes
+(symmetric operadic-mult and equivariance stay at level 1, where they
+run in well under a second).  `perfbench/golden.json` holds the digest
+of `to_json()` at the acceptance scopes and seed 0.  A change to any
+report byte, parameter or counterexample order shows up here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from csgroups import suites
+
+HERE = Path(__file__).resolve().parent
+SMALL = json.loads((HERE / "suite_golden.json").read_text())
+ACCEPTANCE_GOLDEN = json.loads((HERE.parent / "perfbench" / "golden.json").read_text())
+
+# The acceptance scopes of tests/test_acceptance.py, run at seed 0.
+ACCEPTANCE = {
+    "symm": (
+        ("crossed", {"max_level": 3}),
+        ("simplicial", {"max_level": 3}),
+        ("extra-degeneracy", {"max_level": 3}),
+        ("monoidal", {"max_level": 2}),
+        ("operadic", {"max_level": 2}),
+        ("shifted-operad", {"max_level": 2}),
+        ("unshifted-operad", {"max_level": 2}),
+        ("operadic-mult", {"max_level": 2}),
+        ("equivariance", {"max_level": 2}),
+        ("inverse-transport", {"max_level": 4}),
+        ("groupoid-simplicial", {"max_level": 3}),
+        ("quotient", {"trials": 200}),
+    ),
+    "braid": (
+        ("crossed", {"trials": 1000, "max_level": 5, "word_len": 12}),
+        ("simplicial", {"trials": 1000, "max_level": 5, "word_len": 12}),
+        ("extra-degeneracy", {"trials": 1000, "max_level": 5, "word_len": 12}),
+        ("monoidal", {"trials": 500}),
+        ("operadic", {"trials": 500}),
+        ("groupoid-simplicial", {"trials": 300}),
+        ("shifted-operad", {"trials": 300}),
+        ("unshifted-operad", {"trials": 300}),
+        ("operadic-mult", {"trials": 300}),
+        ("equivariance", {"trials": 200}),
+        ("section", {"trials": 200}),
+        ("quotient", {"trials": 200}),
+        ("bar", {"trials": 200}),
+    ),
+}
+
+# Every suite runs on both instances except these two.
+UNSUPPORTED = {("section", "symm"), ("inverse-transport", "braid")}
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_goldens_cover_every_suite_and_instance():
+    expected = {(name, inst) for name in suites.SUITES
+                for inst in ("symm", "braid")} - UNSUPPORTED
+    assert {(e["suite"], e["instance"]) for e in SMALL} == expected
+    assert {(name, inst) for inst, table in ACCEPTANCE.items()
+            for name, _ in table} == expected - {("bar", "symm")}
+    for name, inst in UNSUPPORTED:
+        with pytest.raises(ValueError, match="runs on"):
+            suites.run_suite(name, instance=inst)
+
+
+def test_small_scope_reports_match_digests():
+    mismatched = []
+    for e in SMALL:
+        report = suites.run_suite(e["suite"], instance=e["instance"], **e["kwargs"])
+        if digest(report.to_json() + report.to_text()) != e["digest"]:
+            mismatched.append((e["suite"], e["instance"], e["kwargs"]))
+    assert mismatched == []
+
+
+def test_acceptance_scope_reports_match_digests():
+    mismatched = []
+    for inst, table in ACCEPTANCE.items():
+        for name, kwargs in table:
+            report = suites.run_suite(name, instance=inst, seed=0, **kwargs)
+            if digest(report.to_json()) != ACCEPTANCE_GOLDEN[inst][name]:
+                mismatched.append((name, inst))
+    assert mismatched == []
+
+
+def test_default_instance_is_the_first_declared():
+    assert suites.suite_quotient(trials=5).instance == "symm"
+    assert suites.suite_section(trials=5).instance == "braid"
+    assert suites.suite_bar(trials=5).instance == "symm"
+    assert suites.run_suite("crossed", max_level=1).instance == "symm"
+
+
+def test_reports_do_not_share_the_table_defaults():
+    suites.suite_section(trials=1).params["random_levels"].append(9)
+    assert suites.suite_section(trials=1).params["random_levels"] == [4, 5]
