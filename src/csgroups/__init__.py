@@ -11,11 +11,11 @@ from .core import (
     INSTANCES,
     SYMMETRIC,
     BraidCsg,
-    CheckReport,
     CsgElement,
     CsgInstance,
     LevelMismatch,
     SymmetricCsg,
+    Tally,
     Violation,
 )
 
@@ -24,11 +24,11 @@ __all__ = [
     "INSTANCES",
     "SYMMETRIC",
     "BraidCsg",
-    "CheckReport",
     "CsgElement",
     "CsgInstance",
     "LevelMismatch",
     "SymmetricCsg",
+    "Tally",
     "Violation",
 ]
 

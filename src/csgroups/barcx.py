@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import product
 
 from . import perms
-from .core import CheckReport, CsgElement, CsgInstance, Tally, Violation
+from .core import CsgElement, CsgInstance, Tally, simplicial_report
 
 BarTuple = tuple[str, ...]
 
@@ -160,13 +161,11 @@ def bar_action(inst: CsgInstance, g: CsgElement, t: BarTuple,
     return tuple(t[lookup[i]] for i in range(len(t)))
 
 
-def check_bar_simplicial(monoid: FiniteMonoid, t: BarTuple,
-                         wrap: str = DEFAULT_WRAP) -> CheckReport:
+def check_bar_simplicial(tally: Tally, monoid: FiniteMonoid, t: BarTuple,
+                         wrap: str = DEFAULT_WRAP):
     """The plain simplicial identities on one tuple."""
-    from .core import simplicial_report
-
-    return simplicial_report(
-        t, len(t) - 1,
+    simplicial_report(
+        tally, t, len(t) - 1,
         lambda i, x: bar_face(monoid, i, x, wrap),
         lambda i, x: bar_degeneracy(monoid, i, x),
         lambda a, b: a == b,
@@ -187,9 +186,9 @@ def bar_merge(monoid: FiniteMonoid, j: int, t: BarTuple) -> BarTuple:
     return t[:j] + (monoid.mult(t[j], t[j + 1]),) + t[j + 2:]
 
 
-def check_covariant_insert(monoid: FiniteMonoid, inst: CsgInstance,
+def check_covariant_insert(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
                            g: CsgElement, x: BarTuple, i: int,
-                           twist: str = DEFAULT_TWIST) -> CheckReport:
+                           twist: str = DEFAULT_TWIST):
     """g . insert_{g^-1(i)}(x) == insert_i(d_i(g) . x); x has g.level
     entries."""
     n = g.level
@@ -199,16 +198,13 @@ def check_covariant_insert(monoid: FiniteMonoid, inst: CsgInstance,
     lhs = bar_action(inst, g, bar_insert(monoid, a, x), twist)
     rhs = bar_insert(monoid, i,
                      bar_action(inst, inst.face(i, g), x, twist))
-    ok = lhs == rhs
-    bad = () if ok else (Violation(
-        f"g.insert_{a}(x) == insert_{i}(d_{i}(g).x)",
-        f"{inst.format(g)}, {x}"),)
-    return CheckReport("covariant-insert", 1, bad)
+    tally.check(lhs == rhs, f"g.insert_{a}(x) == insert_{i}(d_{i}(g).x)",
+                lambda: f"{inst.format(g)}, {x}")
 
 
-def check_covariant_merge(monoid: FiniteMonoid, inst: CsgInstance,
+def check_covariant_merge(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
                           g: CsgElement, x: BarTuple, j: int,
-                          twist: str = DEFAULT_TWIST) -> CheckReport:
+                          twist: str = DEFAULT_TWIST):
     """g . merge_j(x) == merge_{g(j)}(s_{g(j)}(g) . x); x has
     g.level + 2 entries."""
     n = g.level
@@ -218,22 +214,18 @@ def check_covariant_merge(monoid: FiniteMonoid, inst: CsgInstance,
     lhs = bar_action(inst, g, bar_merge(monoid, j, x), twist)
     rhs = bar_merge(monoid, k,
                     bar_action(inst, inst.degeneracy(k, g), x, twist))
-    ok = lhs == rhs
-    bad = () if ok else (Violation(
-        f"g.merge_{j}(x) == merge_{k}(s_{k}(g).x)",
-        f"{inst.format(g)}, {x}"),)
-    return CheckReport("covariant-merge", 1, bad)
+    tally.check(lhs == rhs, f"g.merge_{j}(x) == merge_{k}(s_{k}(g).x)",
+                lambda: f"{inst.format(g)}, {x}")
 
 
-def check_delta_g_object(monoid: FiniteMonoid, inst: CsgInstance, g: CsgElement,
-                         t: BarTuple, i: int, twist: str = DEFAULT_TWIST,
-                         wrap: str = DEFAULT_WRAP) -> CheckReport:
+def check_delta_g_object(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
+                         g: CsgElement, t: BarTuple, i: int,
+                         twist: str = DEFAULT_TWIST, wrap: str = DEFAULT_WRAP):
     """The twisted face and degeneracy identities for the coordinate
     action on one input."""
     n = g.level
     a = perms.inverse(inst.underlying_perm(g))[i]
     gt = bar_action(inst, g, t, twist)
-    tally = Tally()
     inputs = lambda: f"{inst.format(g)}, {t}"
     if n >= 1:
         lhs = bar_face(monoid, i, gt, wrap)
@@ -244,7 +236,6 @@ def check_delta_g_object(monoid: FiniteMonoid, inst: CsgInstance, g: CsgElement,
     rhs = bar_action(inst, inst.degeneracy(i, g),
                      bar_degeneracy(monoid, a, t), twist)
     tally.check(lhs == rhs, f"s_{i}(g t) == s_{i}(g) s_{a}(t)", inputs)
-    return tally.report("bar-action")
 
 
 def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance,
@@ -255,26 +246,28 @@ def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance,
     max_level.  Keys are 'cyclic/<twist>/<wrap>' for the multiplying
     faces and 'covariant/<twist>' for the insert/merge pair.
     """
+    def cyclic(tally, twist, wrap):
+        for n in range(max_level + 1):
+            for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
+                check_delta_g_object(tally, monoid, inst, g, t, i, twist, wrap)
+                yield tally.ok
+
+    def covariant(tally, twist):
+        for n in range(1, max_level + 1):
+            for g, x, i in product(inst.elements(n), monoid.tuples(n - 1), range(n + 1)):
+                check_covariant_insert(tally, monoid, inst, g, x, i, twist)
+                yield tally.ok
+            for g, x, j in product(inst.elements(n), monoid.tuples(n + 1), range(n + 1)):
+                check_covariant_merge(tally, monoid, inst, g, x, j, twist)
+                yield tally.ok
+
+    # One tally per reading; all() stops a reading at its first failing case.
     verdicts: dict[str, bool] = {}
     for twist in TWISTS:
         for wrap in WRAPS:
-            verdicts[f"cyclic/{twist}/{wrap}"] = all(
-                check_delta_g_object(monoid, inst, g, t, i, twist, wrap).ok
-                for n in range(max_level + 1)
-                for g in inst.elements(n)
-                for t in monoid.tuples(n)
-                for i in range(n + 1))
+            verdicts[f"cyclic/{twist}/{wrap}"] = all(cyclic(Tally(), twist, wrap))
     for twist in TWISTS:
-        verdicts[f"covariant/{twist}"] = all(
-            all(check_covariant_insert(monoid, inst, g, x, i, twist).ok
-                for g in inst.elements(n)
-                for x in monoid.tuples(n - 1)
-                for i in range(n + 1))
-            and all(check_covariant_merge(monoid, inst, g, x, j, twist).ok
-                    for g in inst.elements(n)
-                    for x in monoid.tuples(n + 1)
-                    for j in range(n + 1))
-            for n in range(1, max_level + 1))
+        verdicts[f"covariant/{twist}"] = all(covariant(Tally(), twist))
     return verdicts
 
 

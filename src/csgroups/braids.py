@@ -31,7 +31,7 @@ import hashlib
 import random
 import re
 
-from .perms import Perm, degeneracy_perm, face_perm, identity, inverse, inversions
+from .perms import Perm, degeneracy_perm, face_perm, inverse
 
 FreeWord = tuple[int, ...]
 Letter = tuple[int, int]
@@ -221,10 +221,7 @@ def permutation_braid(p: Perm) -> BraidWord:
             a = max(a - 1, 0)
         else:
             a += 1
-    result = BraidWord(len(p), tuple(word))
-    assert len(word) == inversions(p)
-    assert underlying_perm_word(result) == p
-    return result
+    return BraidWord(len(p), tuple(word))
 
 
 def section_is_simplicial(p: Perm, i: int) -> bool:

@@ -10,11 +10,11 @@ they satisfy the crossed identities
     d_i(g h) = d_i(g) d_{a}(h),   s_i(g h) = s_i(g) s_{a}(h),
 
 where a is the image of i under the inverse of g's underlying
-permutation.  The checkers at the bottom of this module turn these and
+permutation.  The checkers at the bottom of this module test these and
 the related laws (plain simplicial identities, extra degeneracies,
 commuting paddings, the degeneracy-conjugation law used by the partial
-compositions) into structured reports that name the failing identity
-and its inputs.
+compositions).  Each takes the caller's Tally first and records every
+case into it, naming the failing identity and its inputs.
 """
 
 from __future__ import annotations
@@ -45,20 +45,10 @@ class Violation:
     inputs: str
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
-    name: str
-    cases: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class Tally:
-    """Counts checked cases and collects the violations among them.
-    `describe` formats the inputs and is called only for a failing case."""
+    """Counts checked cases and collects the violations among them; every
+    checker records into the tally its caller passes.  `describe` formats
+    the inputs and is called only for a failing case."""
 
     __slots__ = ("cases", "violations")
 
@@ -71,12 +61,9 @@ class Tally:
         if not ok:
             self.violations.append(Violation(identity, describe()))
 
-    def add(self, report: CheckReport):
-        self.cases += report.cases
-        self.violations.extend(report.violations)
-
-    def report(self, name: str) -> CheckReport:
-        return CheckReport(name, self.cases, tuple(self.violations))
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class CsgInstance:
@@ -284,13 +271,12 @@ def _inputs(inst: CsgInstance, *gs) -> str:
     return ", ".join(inst.format(g) for g in gs)
 
 
-def check_crossed_identities(inst: CsgInstance, g: CsgElement, h: CsgElement,
-                             i: int) -> CheckReport:
+def check_crossed_identities(tally: Tally, inst: CsgInstance, g: CsgElement,
+                             h: CsgElement, i: int):
     """d_i and s_i applied to a product, against the twisted-index form."""
     inst._require_same_level(g, h)
     n = g.level
     a = perms.inverse(inst.underlying_perm(g))[i]
-    tally = Tally()
     describe = lambda: _inputs(inst, g, h)
     if n >= 1:
         lhs = inst.face(i, inst.mul(g, h))
@@ -299,19 +285,17 @@ def check_crossed_identities(inst: CsgInstance, g: CsgElement, h: CsgElement,
     lhs = inst.degeneracy(i, inst.mul(g, h))
     rhs = inst.mul(inst.degeneracy(i, g), inst.degeneracy(a, h))
     tally.check(inst.equal(lhs, rhs), f"s_{i}(g*h) == s_{i}(g)*s_{a}(h)", describe)
-    return tally.report("crossed")
 
 
-def simplicial_report(x, n: int, face, degeneracy, equal, describe,
+def simplicial_report(tally: Tally, x, n: int, face, degeneracy, equal, describe,
                       face_pairs=None, deg_pairs=None,
-                      mixed_pairs=None) -> CheckReport:
+                      mixed_pairs=None):
     """
     The five families of simplicial identities on one object, for any
     carrier supplying face(i, x), degeneracy(i, x) and equality.  The
     pair arguments optionally restrict each family to the given (i, j)
     index pairs; out-of-range pairs for a family are skipped.
     """
-    tally = Tally()
     inputs = lambda: describe(x)
 
     if face_pairs is None:
@@ -348,22 +332,19 @@ def simplicial_report(x, n: int, face, degeneracy, equal, describe,
                 tally.check(equal(face(i, sj), degeneracy(j, face(i - 1, x))),
                             f"d_{i} s_{j} == s_{j} d_{i}-1", inputs)
 
-    return tally.report("simplicial")
 
-
-def check_simplicial_identities(inst: CsgInstance, g: CsgElement,
+def check_simplicial_identities(tally: Tally, inst: CsgInstance, g: CsgElement,
                                 face_pairs=None, deg_pairs=None,
-                                mixed_pairs=None) -> CheckReport:
-    return simplicial_report(
-        g, g.level, inst.face, inst.degeneracy, inst.equal, inst.format,
+                                mixed_pairs=None):
+    simplicial_report(
+        tally, g, g.level, inst.face, inst.degeneracy, inst.equal, inst.format,
         face_pairs, deg_pairs, mixed_pairs)
 
 
-def check_extra_degeneracy(inst: CsgInstance, g: CsgElement) -> CheckReport:
+def check_extra_degeneracy(tally: Tally, inst: CsgInstance, g: CsgElement):
     """s_left as an extra degeneracy below index 0, s_right above index
     n, and the projection squares for both."""
     n = g.level
-    tally = Tally()
     describe = lambda: _inputs(inst, g)
     equal = inst.equal
 
@@ -387,21 +368,18 @@ def check_extra_degeneracy(inst: CsgInstance, g: CsgElement) -> CheckReport:
     tally.check(inst.underlying_perm(right) == perms.s_right_perm(inst.underlying_perm(g)),
                 "perm(sR g) == sR(perm g)", describe)
 
-    return tally.report("extra-degeneracy")
 
-
-def check_monoidal(inst: CsgInstance, g: CsgElement, h: CsgElement) -> CheckReport:
+def check_monoidal(tally: Tally, inst: CsgInstance, g: CsgElement, h: CsgElement):
     """The two paddings entering the juxtaposition product commute."""
     n, m = g.level, h.level
     a = inst.pad(g, 0, m + 1)
     b = inst.pad(h, n + 1, 0)
-    ok = inst.equal(inst.mul(a, b), inst.mul(b, a))
-    bad = () if ok else (Violation("pad(g)*pad(h) == pad(h)*pad(g)", _inputs(inst, g, h)),)
-    return CheckReport("monoidal", 1, bad)
+    tally.check(inst.equal(inst.mul(a, b), inst.mul(b, a)),
+                "pad(g)*pad(h) == pad(h)*pad(g)", lambda: _inputs(inst, g, h))
 
 
-def check_operadic(inst: CsgInstance, g: CsgElement, h: CsgElement,
-                   i: int) -> CheckReport:
+def check_operadic(tally: Tally, inst: CsgInstance, g: CsgElement, h: CsgElement,
+                   i: int):
     """Padded elements conjugate through iterated degeneracies by moving
     their insertion index along g's inverse permutation."""
     n, m = g.level, h.level
@@ -411,20 +389,18 @@ def check_operadic(inst: CsgInstance, g: CsgElement, h: CsgElement,
     si = inst.degeneracy_power(i, m, g)
     lhs = inst.mul(inst.pad(h, i, n - i), si)
     rhs = inst.mul(si, inst.pad(h, a, n - a))
-    ok = inst.equal(lhs, rhs)
-    bad = () if ok else (Violation(
-        f"pad(h,{i})*s_{i}^{m}(g) == s_{i}^{m}(g)*pad(h,{a})", _inputs(inst, g, h)),)
-    return CheckReport("operadic", 1, bad)
+    tally.check(inst.equal(lhs, rhs),
+                f"pad(h,{i})*s_{i}^{m}(g) == s_{i}^{m}(g)*pad(h,{a})",
+                lambda: _inputs(inst, g, h))
 
 
-def check_pure_homomorphism(inst: CsgInstance, p: CsgElement, q: CsgElement,
-                            i: int) -> CheckReport:
+def check_pure_homomorphism(tally: Tally, inst: CsgInstance, p: CsgElement,
+                            q: CsgElement, i: int):
     """Faces and degeneracies are plain homomorphisms when the left
     factor projects to the identity."""
     if not inst.is_pure(p):
         raise ValueError("left factor must project to the identity")
     n = p.level
-    tally = Tally()
     describe = lambda: _inputs(inst, p, q)
     if n >= 1 and i <= n:
         tally.check(inst.equal(inst.face(i, inst.mul(p, q)),
@@ -433,4 +409,3 @@ def check_pure_homomorphism(inst: CsgInstance, p: CsgElement, q: CsgElement,
     tally.check(inst.equal(inst.degeneracy(i, inst.mul(p, q)),
                            inst.mul(inst.degeneracy(i, p), inst.degeneracy(i, q))),
                 f"s_{i}(p*q) == s_{i}(p)*s_{i}(q) [p pure]", describe)
-    return tally.report("pure-homomorphism")

@@ -32,7 +32,7 @@ import json
 import random
 
 from . import perms
-from .core import CheckReport, CsgElement, CsgInstance, Tally, simplicial_report
+from .core import CsgElement, CsgInstance, Tally, simplicial_report
 from .perms import Perm
 
 
@@ -117,23 +117,22 @@ def format_arrow(inst: CsgInstance, a: GroupoidArrow) -> str:
 
 # Checkers for the simplicial structure of the groupoid.
 
-def check_arrow_simplicial(inst: CsgInstance, a: GroupoidArrow, face_pairs=None,
-                           deg_pairs=None, mixed_pairs=None) -> CheckReport:
+def check_arrow_simplicial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
+                           face_pairs=None, deg_pairs=None, mixed_pairs=None):
     """The simplicial identities on one arrow; see core.simplicial_report."""
-    return simplicial_report(
-        a, a.level, lambda i, x: face_arrow(inst, i, x),
+    simplicial_report(
+        tally, a, a.level, lambda i, x: face_arrow(inst, i, x),
         lambda i, x: degeneracy_arrow(inst, i, x),
         lambda x, y: arrows_equal(inst, x, y), lambda x: format_arrow(inst, x),
         face_pairs, deg_pairs, mixed_pairs)
 
 
-def check_arrow_functorial(inst: CsgInstance, a: GroupoidArrow, fb: CsgElement,
-                           indices) -> CheckReport:
+def check_arrow_functorial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
+                           fb: CsgElement, indices):
     """d_i and s_i preserve the composite of a with the arrow that
     continues it by fb, at each of the given indices."""
     b = GroupoidArrow(target(inst, a), fb)
     comp = compose_arrows(inst, b, a)
-    tally = Tally()
     inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
     n = a.level
     for i in indices:
@@ -144,15 +143,14 @@ def check_arrow_functorial(inst: CsgInstance, a: GroupoidArrow, fb: CsgElement,
         lhs = degeneracy_arrow(inst, i, comp)
         rhs = compose_arrows(inst, degeneracy_arrow(inst, i, b), degeneracy_arrow(inst, i, a))
         tally.check(arrows_equal(inst, lhs, rhs), f"s_{i} is a functor", inputs)
-    return tally.report("arrow-functorial")
 
 
-def check_arrow_action(inst: CsgInstance, t: Perm, a: GroupoidArrow, i: int) -> CheckReport:
+def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArrow,
+                       i: int):
     """d_i and s_i of a translate, against the translate by d_i(t) or
     s_i(t) of the face or degeneracy at t^-1(i)."""
     n = a.level
     ti = perms.inverse(t)[i]
-    tally = Tally()
     inputs = lambda: f"{perms.format_perm(t)}, {format_arrow(inst, a)}"
     if n >= 1:
         lhs = face_arrow(inst, i, n_action(t, a))
@@ -163,7 +161,6 @@ def check_arrow_action(inst: CsgInstance, t: Perm, a: GroupoidArrow, i: int) -> 
     rhs = n_action(perms.degeneracy_perm(i, t), degeneracy_arrow(inst, ti, a))
     tally.check(arrows_equal(inst, lhs, rhs),
                 f"s_{i}(t.x) == s_{i}(t).s_t^-1({i})(x)", inputs)
-    return tally.report("arrow-action")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,9 +190,14 @@ def simplex_arrows(inst: CsgInstance, s: NerveSimplex) -> tuple[GroupoidArrow, .
     return tuple(GroupoidArrow(objs[j], f) for j, f in enumerate(s.chain))
 
 
+def chains_equal(inst: CsgInstance, a: tuple[CsgElement, ...],
+                 b: tuple[CsgElement, ...]) -> bool:
+    """Whether two element chains have the same length and equal entries."""
+    return len(a) == len(b) and all(inst.equal(x, y) for x, y in zip(a, b))
+
+
 def simplices_equal(inst: CsgInstance, a: NerveSimplex, b: NerveSimplex) -> bool:
-    return (a.start == b.start and len(a.chain) == len(b.chain)
-            and all(inst.equal(x, y) for x, y in zip(a.chain, b.chain)))
+    return a.start == b.start and chains_equal(inst, a.chain, b.chain)
 
 
 def orbit_equivalent(inst: CsgInstance, a: NerveSimplex, b: NerveSimplex) -> bool:

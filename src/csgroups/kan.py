@@ -109,7 +109,8 @@ def decompose(inst: CsgInstance, g: CsgElement,
     section = section or inst.section
     s = section(inst.underlying_perm(g))
     p = inst.mul(g, inst.inv(s))
-    assert inst.is_pure(p)
+    if not inst.is_pure(p):
+        raise ValueError("the section does not lift the element's permutation")
     return Decomposition(p, s)
 
 
@@ -196,13 +197,17 @@ def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
         raw = data["faces"]
         if not isinstance(raw, dict):
             raise TypeError("faces must be an object")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed horn description: {exc}") from None
-    faces = {}
+    texts = {}
     for key, text in raw.items():
-        r = int(key)
-        faces[r] = inst.parse_at(text, n - 1)
-    missing = [r for r in range(n + 1) if r not in faces]
-    if missing != [k]:
+        if not isinstance(text, str):
+            raise ValueError(f"face {key} must be a string, not {type(text).__name__}")
+        texts[int(key)] = text
+    # The faces present must be exactly 0..n without k; checked without
+    # enumerating the levels, whose number the input sets.
+    if not (0 <= k <= n and len(texts) == n and k not in texts
+            and all(0 <= r <= n for r in texts)):
         raise ValueError(f"faces present do not match missing index {k}")
+    faces = {r: inst.parse_at(text, n - 1) for r, text in texts.items()}
     return horn_from_faces(n, k, faces, base)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import perms
-from .core import CheckReport, CsgElement, CsgInstance, Tally, Violation
+from .core import CsgElement, CsgInstance, Tally
 from .groupoid import (
     GroupoidArrow,
     arrows_equal,
@@ -43,6 +43,7 @@ from .groupoid import (
     format_arrow,
     identity_arrow,
     n_action,
+    random_arrow,
     target,
 )
 
@@ -66,19 +67,16 @@ def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> G
     return GroupoidArrow(src, part)
 
 
-def check_operadic_mult(inst: CsgInstance, a: CsgElement, a2: CsgElement, i: int,
-                        b: CsgElement, b2: CsgElement) -> CheckReport:
+def check_operadic_mult(tally: Tally, inst: CsgInstance, a: CsgElement,
+                        a2: CsgElement, i: int, b: CsgElement, b2: CsgElement):
     """(a o_i b) * (a2 o_{a^-1(i)} b2) == (a a2) o_i (b b2)."""
     inst._require_same_level(a, a2)
     inst._require_same_level(b, b2)
     ai = perms.inverse(inst.underlying_perm(a))[i]
     lhs = inst.mul(circ_set(inst, a, i, b), circ_set(inst, a2, ai, b2))
     rhs = circ_set(inst, inst.mul(a, a2), i, inst.mul(b, b2))
-    ok = inst.equal(lhs, rhs)
-    bad = () if ok else (Violation(
-        f"(a o_{i} b)*(a2 o_{ai} b2) == a*a2 o_{i} b*b2",
-        ", ".join(inst.format(x) for x in (a, a2, b, b2))),)
-    return CheckReport("operadic-mult", 1, bad)
+    tally.check(inst.equal(lhs, rhs), f"(a o_{i} b)*(a2 o_{ai} b2) == a*a2 o_{i} b*b2",
+                lambda: ", ".join(inst.format(x) for x in (a, a2, b, b2)))
 
 
 class SetCarrier:
@@ -154,12 +152,11 @@ class GroupoidCarrier:
         raise ValueError(f"unknown action {action!r}")
 
     def random(self, rng, n, max_len):
-        return GroupoidArrow(perms.random_perm(rng, n),
-                             self.inst.random_element(rng, n, max_len))
+        return random_arrow(self.inst, rng, n, max_len)
 
 
-def check_shifted_axioms(car, lam, mu, nu, axioms: Iterable[int] = (1, 2, 3, 4, 5),
-                         rng=None) -> CheckReport:
+def check_shifted_axioms(tally: Tally, car, lam, mu, nu,
+                         axioms: Iterable[int] = (1, 2, 3, 4, 5), rng=None):
     """
     Index instantiations of the five shifted-operad families on one
     triple: sequential composition (1), parallel composition (2), and
@@ -168,7 +165,6 @@ def check_shifted_axioms(car, lam, mu, nu, axioms: Iterable[int] = (1, 2, 3, 4, 
     per family instead.
     """
     l, m, n = car.level(lam), car.level(mu), car.level(nu)
-    tally = Tally()
     inputs = lambda: ", ".join(car.format(x) for x in (lam, mu, nu))
 
     def pick(pairs):
@@ -205,18 +201,14 @@ def check_shifted_axioms(car, lam, mu, nu, axioms: Iterable[int] = (1, 2, 3, 4, 
                                   car.comp(car.face(k, lam), i, mu)),
                         f"d_{k}+m(x o_{i} y) == d_{k}(x) o_{i} y", inputs)
 
-    return tally.report("shifted-operad")
 
-
-def check_shifted_units(car, nu) -> CheckReport:
+def check_shifted_units(tally: Tally, car, nu):
     """one(0) is a two-sided unit for the compositions."""
     unit = car.one(0)
-    tally = Tally()
     inputs = lambda: car.format(nu)
     tally.check(car.equal(car.comp(unit, 0, nu), nu), "id o_0 z == z", inputs)
     for i in range(car.level(nu) + 1):
         tally.check(car.equal(car.comp(nu, i, unit), nu), f"z o_{i} id == z", inputs)
-    return tally.report("shifted-units")
 
 
 class _Star:
@@ -265,9 +257,8 @@ class UnshiftedView:
         return "*" if x is STAR else self.car.format(x)
 
 
-def check_unshifted_axioms(view: UnshiftedView, lam, mu, nu) -> CheckReport:
+def check_unshifted_axioms(tally: Tally, view: UnshiftedView, lam, mu, nu):
     """Classical 1-based axioms, with STAR allowed for mu and nu."""
-    tally = Tally()
     inputs = lambda: ", ".join(view.format(x) for x in (lam, mu, nu))
 
     unit = view.unit()
@@ -287,8 +278,6 @@ def check_unshifted_axioms(view: UnshiftedView, lam, mu, nu) -> CheckReport:
             tally.check(view.equal(view.comp(view.comp(lam, i, mu), k - 1 + ma, nu),
                                    view.comp(view.comp(lam, k, nu), i, mu)),
                         f"(x o_{i} y) o_{k}-1+m z == (x o_{k} z) o_{i} y", inputs)
-
-    return tally.report("unshifted-operad")
 
 
 # Candidate readings for the equivariance conditions.
@@ -359,11 +348,10 @@ def check_g_like_equivariance(car, mu, i: int, nu, beta_inner: CsgElement,
     return verdicts
 
 
-def check_circ_functorial(inst: CsgInstance, x: GroupoidArrow, y: GroupoidArrow,
-                          i: int, v: GroupoidArrow, w: GroupoidArrow) -> CheckReport:
+def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
+                          y: GroupoidArrow, i: int, v: GroupoidArrow, w: GroupoidArrow):
     """circ_gpd preserves identities, targets and composition; y must
     continue x and w must continue v."""
-    tally = Tally()
     inputs = lambda: ", ".join(format_arrow(inst, a) for a in (x, y, v, w))
 
     comp_outer = compose_arrows(inst, y, x)
@@ -381,4 +369,3 @@ def check_circ_functorial(inst: CsgInstance, x: GroupoidArrow, y: GroupoidArrow,
                    identity_arrow(inst, v.source))
     tally.check(arrows_equal(inst, ids, identity_arrow(inst, ids.source)),
                 "id o_i id == id", inputs)
-    return tally.report("circ-functorial")

@@ -65,11 +65,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def inversions(p: Perm) -> int:
-    """Number of pairs a < b with p(a) > p(b)."""
-    return sum(1 for a in range(len(p)) for b in range(a + 1, len(p)) if p[a] > p[b])
-
-
 def face_perm(i: int, p: Perm) -> Perm:
     """
     Delete the point with value i: the source position inverse(p)[i] and
@@ -191,7 +186,8 @@ def transport_holds(kind: str, p: Perm, i: int, j: int, q: Perm | None = None) -
         rhs = pinv[i] + 1 if pinv[j] < pinv[i] else pinv[i]
         return lhs == rhs
     if kind == "block":
-        assert q is not None
+        if q is None:
+            raise ValueError("the block kind needs an inner permutation q")
         lhs = inverse(block_substitute(p, i, q))[i + j]
         rhs = pinv[i] + inverse(q)[j]
         return lhs == rhs

@@ -138,10 +138,10 @@ def _index_pairs(rng, n):
 def _crossed_symm(inst, p, rng, tally):
     for n in range(p.max_level + 1):
         for g, h, i in product(inst.elements(n), inst.elements(n), range(n + 1)):
-            tally.add(core.check_crossed_identities(inst, g, h, i))
+            core.check_crossed_identities(tally, inst, g, h, i)
     for n in range(1, p.max_level + 1):
         for q, i in product(inst.elements(n), range(n + 1)):
-            tally.add(core.check_pure_homomorphism(inst, inst.one(n), q, i))
+            core.check_pure_homomorphism(tally, inst, inst.one(n), q, i)
 
 
 @suite("crossed", min_level=1,
@@ -152,16 +152,16 @@ def _crossed_braid(inst, p, rng, tally):
         g = inst.random_element(rng, n, p.word_len)
         h = inst.random_element(rng, n, p.word_len)
         i = rng.randint(0, n)
-        tally.add(core.check_crossed_identities(inst, g, h, i))
+        core.check_crossed_identities(tally, inst, g, h, i)
         q = inst.mul(g, inst.inv(inst.section(inst.underlying_perm(g))))
-        tally.add(core.check_pure_homomorphism(inst, q, h, i))
+        core.check_pure_homomorphism(tally, inst, q, h, i)
 
 
 @suite("simplicial", symm={"max_level": 3})
 def _simplicial_symm(inst, p, rng, tally):
     for n in range(p.max_level + 1):
         for g in inst.elements(n):
-            tally.add(core.check_simplicial_identities(inst, g))
+            core.check_simplicial_identities(tally, inst, g)
 
 
 @suite("simplicial", min_level=1,
@@ -170,14 +170,14 @@ def _simplicial_braid(inst, p, rng, tally):
     for _ in range(p.trials):
         n = rng.randint(1, p.max_level)
         g = inst.random_element(rng, n, p.word_len)
-        tally.add(core.check_simplicial_identities(inst, g, *_index_pairs(rng, n)))
+        core.check_simplicial_identities(tally, inst, g, *_index_pairs(rng, n))
 
 
 @suite("extra-degeneracy", symm={"max_level": 3})
 def _extra_degeneracy_symm(inst, p, rng, tally):
     for n in range(p.max_level + 1):
         for g in inst.elements(n):
-            tally.add(core.check_extra_degeneracy(inst, g))
+            core.check_extra_degeneracy(tally, inst, g)
 
 
 @suite("extra-degeneracy", min_level=1,
@@ -185,8 +185,8 @@ def _extra_degeneracy_symm(inst, p, rng, tally):
 def _extra_degeneracy_braid(inst, p, rng, tally):
     for _ in range(p.trials):
         n = rng.randint(1, p.max_level)
-        tally.add(core.check_extra_degeneracy(
-            inst, inst.random_element(rng, n, p.word_len)))
+        core.check_extra_degeneracy(
+            tally, inst, inst.random_element(rng, n, p.word_len))
 
 
 @suite("monoidal", symm={"max_level": 2})
@@ -194,7 +194,7 @@ def _monoidal_symm(inst, p, rng, tally):
     levels = range(p.max_level + 1)
     for n, m in product(levels, levels):
         for g, h in product(inst.elements(n), inst.elements(m)):
-            tally.add(core.check_monoidal(inst, g, h))
+            core.check_monoidal(tally, inst, g, h)
 
 
 @suite("monoidal", braid={"max_level": 3, "trials": 500, "seed": 0, "word_len": 6})
@@ -202,9 +202,9 @@ def _monoidal_braid(inst, p, rng, tally):
     for _ in range(p.trials):
         n = rng.randint(0, p.max_level)
         m = rng.randint(0, p.max_level)
-        tally.add(core.check_monoidal(inst,
-                                      inst.random_element(rng, n, p.word_len),
-                                      inst.random_element(rng, m, p.word_len)))
+        core.check_monoidal(tally, inst,
+                            inst.random_element(rng, n, p.word_len),
+                            inst.random_element(rng, m, p.word_len))
 
 
 @suite("operadic", symm={"max_level": 2})
@@ -212,7 +212,7 @@ def _operadic_symm(inst, p, rng, tally):
     levels = range(p.max_level + 1)
     for n, m in product(levels, levels):
         for g, h, i in product(inst.elements(n), inst.elements(m), range(n + 1)):
-            tally.add(core.check_operadic(inst, g, h, i))
+            core.check_operadic(tally, inst, g, h, i)
 
 
 @suite("operadic", min_level=1,
@@ -222,9 +222,9 @@ def _operadic_braid(inst, p, rng, tally):
         n = rng.randint(1, p.max_level)
         m = rng.randint(0, p.max_level)
         i = rng.randint(0, n)
-        tally.add(core.check_operadic(inst,
-                                      inst.random_element(rng, n, p.word_len),
-                                      inst.random_element(rng, m, p.word_len), i))
+        core.check_operadic(tally, inst,
+                            inst.random_element(rng, n, p.word_len),
+                            inst.random_element(rng, m, p.word_len), i)
 
 
 @suite("inverse-transport", symm={"max_level": 4, "block_level": 2})
@@ -257,7 +257,7 @@ def _groupoid_simplicial_symm(inst, p, rng, tally):
         arrows = [groupoid.GroupoidArrow(s, f) for s in sources for f in els]
         face_indices = range(n + 1) if n >= 1 else ()  # no faces at level 0
         for a in arrows:
-            tally.add(groupoid.check_arrow_simplicial(inst, a))
+            groupoid.check_arrow_simplicial(tally, inst, a)
             ida = groupoid.identity_arrow(inst, a.source)
             for i in face_indices:
                 lhs = groupoid.face_arrow(inst, i, ida)
@@ -265,9 +265,9 @@ def _groupoid_simplicial_symm(inst, p, rng, tally):
                 tally.check(groupoid.arrows_equal(inst, lhs, rhs), f"d_{i} preserves identities",
                             lambda: groupoid.format_arrow(inst, a))
             for fb in els:
-                tally.add(groupoid.check_arrow_functorial(inst, a, fb, range(n + 1)))
+                groupoid.check_arrow_functorial(tally, inst, a, fb, range(n + 1))
         for t, a, i in product(sources, arrows, range(n + 1)):
-            tally.add(groupoid.check_arrow_action(inst, t, a, i))
+            groupoid.check_arrow_action(tally, inst, t, a, i)
         for src, dst in product(sources, sources):
             arrow = groupoid.hom_arrow(inst, src, dst)
             tally.check(groupoid.target(inst, arrow) == dst,
@@ -281,11 +281,11 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
     for _ in range(p.trials):
         n = rng.randint(1, p.max_level)
         a = groupoid.random_arrow(inst, rng, n, p.word_len)
-        tally.add(groupoid.check_arrow_simplicial(inst, a, *_index_pairs(rng, n)))
-        tally.add(groupoid.check_arrow_functorial(
-            inst, a, inst.random_element(rng, n, p.word_len), [rng.randint(0, n)]))
-        tally.add(groupoid.check_arrow_action(
-            inst, perms.random_perm(rng, n), a, rng.randint(0, n)))
+        groupoid.check_arrow_simplicial(tally, inst, a, *_index_pairs(rng, n))
+        groupoid.check_arrow_functorial(
+            tally, inst, a, inst.random_element(rng, n, p.word_len), [rng.randint(0, n)])
+        groupoid.check_arrow_action(
+            tally, inst, perms.random_perm(rng, n), a, rng.randint(0, n))
         pure = inst.mul(a.f, inst.inv(inst.section(inst.underlying_perm(a.f))))
         auto = groupoid.GroupoidArrow(a.source, pure)
         face = groupoid.face_arrow(inst, rng.randint(0, n), auto)
@@ -310,18 +310,18 @@ def _shifted_operad_symm(inst, p, rng, tally):
     gpd_car = operad.GroupoidCarrier(inst)
     set_elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
     for nu in set_elements:
-        tally.add(operad.check_shifted_units(set_car, nu))
+        operad.check_shifted_units(tally, set_car, nu)
     for lam, mu, nu in product(set_elements, repeat=3):
-        tally.add(operad.check_shifted_axioms(set_car, lam, mu, nu))
+        operad.check_shifted_axioms(tally, set_car, lam, mu, nu)
     gpd_elements = _gpd_elements(inst, min(p.max_level, 1))
     for nu in gpd_elements:
-        tally.add(operad.check_shifted_units(gpd_car, nu))
+        operad.check_shifted_units(tally, gpd_car, nu)
     for lam, mu, nu in product(gpd_elements, repeat=3):
-        tally.add(operad.check_shifted_axioms(gpd_car, lam, mu, nu))
+        operad.check_shifted_axioms(tally, gpd_car, lam, mu, nu)
     for _ in range(200):
         lam, mu, nu = (gpd_car.random(rng, rng.randint(0, p.max_level), 8)
                        for _ in range(3))
-        tally.add(operad.check_shifted_axioms(gpd_car, lam, mu, nu, rng=rng))
+        operad.check_shifted_axioms(tally, gpd_car, lam, mu, nu, rng=rng)
 
 
 @suite("shifted-operad", min_level=1,
@@ -333,9 +333,9 @@ def _shifted_operad_braid(inst, p, rng, tally):
         for car in (set_car, gpd_car):
             lam, mu, nu = (car.random(rng, rng.randint(1, p.max_level), p.word_len)
                            for _ in range(3))
-            tally.add(operad.check_shifted_axioms(car, lam, mu, nu, rng=rng))
-        tally.add(operad.check_shifted_units(
-            set_car, set_car.random(rng, rng.randint(0, p.max_level), p.word_len)))
+            operad.check_shifted_axioms(tally, car, lam, mu, nu, rng=rng)
+        operad.check_shifted_units(
+            tally, set_car, set_car.random(rng, rng.randint(0, p.max_level), p.word_len))
 
 
 @suite("unshifted-operad", symm={"max_level": 2})
@@ -345,11 +345,11 @@ def _unshifted_operad_symm(inst, p, rng, tally):
     set_elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
     with_star = set_elements + [operad.STAR]
     for lam, mu, nu in product(set_elements, with_star, with_star):
-        tally.add(operad.check_unshifted_axioms(set_view, lam, mu, nu))
+        operad.check_unshifted_axioms(tally, set_view, lam, mu, nu)
     gpd_elements = _gpd_elements(inst, min(p.max_level, 1))
     with_star = gpd_elements + [operad.STAR]
     for lam, mu, nu in product(gpd_elements, with_star, with_star):
-        tally.add(operad.check_unshifted_axioms(gpd_view, lam, mu, nu))
+        operad.check_unshifted_axioms(tally, gpd_view, lam, mu, nu)
 
 
 @suite("unshifted-operad", min_level=1,
@@ -367,7 +367,7 @@ def _unshifted_operad_braid(inst, p, rng, tally):
             lam = rand(rng.randint(1, p.max_level))
             mu = operad.STAR if rng.random() < 0.25 else rand(rng.randint(0, p.max_level))
             nu = operad.STAR if rng.random() < 0.25 else rand(rng.randint(0, p.max_level))
-            tally.add(operad.check_unshifted_axioms(view, lam, mu, nu))
+            operad.check_unshifted_axioms(tally, view, lam, mu, nu)
 
 
 @suite("operadic-mult", symm={"max_level": 2})
@@ -377,7 +377,7 @@ def _operadic_mult_symm(inst, p, rng, tally):
         outer = list(inst.elements(n))
         inner = list(inst.elements(m))
         for a, a2, b, b2, i in product(outer, outer, inner, inner, range(n + 1)):
-            tally.add(operad.check_operadic_mult(inst, a, a2, i, b, b2))
+            operad.check_operadic_mult(tally, inst, a, a2, i, b, b2)
     for n, m in product(levels, levels):
         outer = [groupoid.GroupoidArrow(s, f)
                  for s in perms.all_perms(n) for f in inst.elements(n)]
@@ -387,7 +387,7 @@ def _operadic_mult_symm(inst, p, rng, tally):
             y = groupoid.GroupoidArrow(groupoid.target(inst, x), yf)
             w = groupoid.GroupoidArrow(groupoid.target(inst, v), wf)
             for i in range(n + 1):
-                tally.add(operad.check_circ_functorial(inst, x, y, i, v, w))
+                operad.check_circ_functorial(tally, inst, x, y, i, v, w)
 
 
 @suite("operadic-mult", min_level=1,
@@ -398,18 +398,18 @@ def _operadic_mult_braid(inst, p, rng, tally):
         n = rng.randint(1, p.max_level)
         m = rng.randint(0, p.max_level)
         i = rng.randint(0, n)
-        tally.add(operad.check_operadic_mult(
-            inst,
+        operad.check_operadic_mult(
+            tally, inst,
             inst.random_element(rng, n, wl), inst.random_element(rng, n, wl),
             i,
-            inst.random_element(rng, m, wl), inst.random_element(rng, m, wl)))
+            inst.random_element(rng, m, wl), inst.random_element(rng, m, wl))
         x = groupoid.random_arrow(inst, rng, n, wl)
         v = groupoid.random_arrow(inst, rng, m, wl)
         y = groupoid.GroupoidArrow(groupoid.target(inst, x),
                                    inst.random_element(rng, n, wl))
         w = groupoid.GroupoidArrow(groupoid.target(inst, v),
                                    inst.random_element(rng, m, wl))
-        tally.add(operad.check_circ_functorial(inst, x, y, i, v, w))
+        operad.check_circ_functorial(tally, inst, x, y, i, v, w)
 
 
 # Interpretation search for the two equivariance conditions on both
@@ -512,7 +512,7 @@ def _bar(inst, p, rng, tally):
     for monoid in barcx.standard_monoids():
         for n in range(p.max_level + 1):
             for t in monoid.tuples(n):
-                tally.add(barcx.check_bar_simplicial(monoid, t))
+                barcx.check_bar_simplicial(tally, monoid, t)
     noncomm = barcx.left_wins_monoid()
     conventions = barcx.calibrate_conventions(noncomm, SYMMETRIC, max_level=2)
     surviving = sorted(k for k, v in conventions.items() if v)
@@ -523,26 +523,25 @@ def _bar(inst, p, rng, tally):
     for n in range(1, 3):
         for g in SYMMETRIC.elements(n):
             for x, i in product(noncomm.tuples(n - 1), range(n + 1)):
-                tally.add(barcx.check_covariant_insert(noncomm, SYMMETRIC, g, x, i))
+                barcx.check_covariant_insert(tally, noncomm, SYMMETRIC, g, x, i)
             for x, j in product(noncomm.tuples(n + 1), range(n + 1)):
-                tally.add(barcx.check_covariant_merge(noncomm, SYMMETRIC, g, x, j))
+                barcx.check_covariant_merge(tally, noncomm, SYMMETRIC, g, x, j)
     # The multiplying faces stay compatible along rotations.
-    rotations_ok = True
+    before = len(tally.violations)
     for n in range(1, p.max_level + 1):
         for shift in range(n + 1):
             g = SYMMETRIC.element(barcx.rotation(n, shift))
             for t, i in product(noncomm.tuples(n), range(n + 1)):
-                rep = barcx.check_delta_g_object(noncomm, SYMMETRIC, g, t, i)
-                tally.add(rep)
-                rotations_ok = rotations_ok and rep.ok
+                barcx.check_delta_g_object(tally, noncomm, SYMMETRIC, g, t, i)
+    rotations_ok = len(tally.violations) == before
     big = barcx.left_wins4_monoid()
     for _ in range(p.trials):
         n = rng.randint(1, 3)
         g = BRAID.random_element(rng, n, p.word_len)
-        tally.add(barcx.check_covariant_insert(
-            big, BRAID, g, big.random_tuple(rng, n - 1), rng.randint(0, n)))
-        tally.add(barcx.check_covariant_merge(
-            big, BRAID, g, big.random_tuple(rng, n + 1), rng.randint(0, n)))
+        barcx.check_covariant_insert(
+            tally, big, BRAID, g, big.random_tuple(rng, n - 1), rng.randint(0, n))
+        barcx.check_covariant_merge(
+            tally, big, BRAID, g, big.random_tuple(rng, n + 1), rng.randint(0, n))
     return {"conventions": conventions, "surviving": surviving,
             "multiplying_faces_along_rotations": rotations_ok}
 
@@ -562,8 +561,7 @@ def _quotient(inst, p, rng, tally):
                 q = groupoid.quotient_map(s)
                 for t in translations:
                     moved = groupoid.nerve_n_action(t, s)
-                    same = all(SYMMETRIC.equal(a, b) for a, b in
-                               zip(groupoid.quotient_map(moved), q))
+                    same = groupoid.chains_equal(SYMMETRIC, groupoid.quotient_map(moved), q)
                     tally.check(same and len(q) == m, "quotient constant on orbits",
                                 lambda: f"{perms.format_perm(start)} m={m}")
     for _ in range(p.trials):
@@ -576,11 +574,11 @@ def _quotient(inst, p, rng, tally):
         moved = groupoid.nerve_n_action(t, s)
         tally.check(groupoid.orbit_equivalent(inst, s, moved),
                     "translates stay in one orbit", where)
-        tally.check(_tuples_equal(inst, groupoid.quotient_map(moved), q),
+        tally.check(groupoid.chains_equal(inst, groupoid.quotient_map(moved), q),
                     "quotient constant on orbits", where)
         if m >= 1:
             other = groupoid.random_simplex(inst, rng, n, m, p.word_len)
-            quot_equal = _tuples_equal(inst, q, groupoid.quotient_map(other))
+            quot_equal = groupoid.chains_equal(inst, q, groupoid.quotient_map(other))
             tally.check(
                 quot_equal == groupoid.orbit_equivalent(
                     inst, groupoid.NerveSimplex(s.start, s.chain),
@@ -589,19 +587,15 @@ def _quotient(inst, p, rng, tally):
         for i in range(m + 1):
             if m >= 1:
                 tally.check(
-                    _tuples_equal(inst, groupoid.quotient_map(
+                    groupoid.chains_equal(inst, groupoid.quotient_map(
                         groupoid.nerve_face(inst, i, s)),
                         groupoid.opposite_nerve_face(inst, i, q)),
                     f"quotient commutes with d_{i}", where)
             tally.check(
-                _tuples_equal(inst, groupoid.quotient_map(
+                groupoid.chains_equal(inst, groupoid.quotient_map(
                     groupoid.nerve_degeneracy(inst, i, s)),
                     groupoid.opposite_nerve_degeneracy(inst, i, q, n)),
                 f"quotient commutes with s_{i}", where)
-
-
-def _tuples_equal(inst, a, b) -> bool:
-    return len(a) == len(b) and all(inst.equal(x, y) for x, y in zip(a, b))
 
 
 # The public entry points: the driver bound to each suite's name.

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from csgroups import BRAID, SYMMETRIC
+from csgroups import BRAID, SYMMETRIC, Tally
 from csgroups import barcx
 from csgroups.barcx import (
     bar_action,
@@ -69,10 +69,12 @@ def test_bar_action():
 
 
 def test_bar_simplicial_identities_exhaustive():
+    tally = Tally()
     for monoid in standard_monoids():
         for n in range(4):
             for t in monoid.tuples(n):
-                assert barcx.check_bar_simplicial(monoid, t).ok
+                barcx.check_bar_simplicial(tally, monoid, t)
+    assert tally.ok, tally.violations[0]
 
 
 def test_calibration_isolates_covariant_inverse():
@@ -95,32 +97,37 @@ def test_commutative_monoids_cannot_separate_products():
 
 def test_multiplying_faces_work_along_rotations():
     m = left_wins_monoid()
+    tally = Tally()
     for n in range(1, 4):
         for shift in range(n + 1):
             g = SYMMETRIC.element(barcx.rotation(n, shift))
             for t in m.tuples(n):
                 for i in range(n + 1):
-                    assert barcx.check_delta_g_object(m, SYMMETRIC, g, t, i).ok
+                    barcx.check_delta_g_object(tally, m, SYMMETRIC, g, t, i)
+    assert tally.ok, tally.violations[0]
 
 
 def test_multiplying_faces_fail_off_rotations():
     m = left_wins_monoid()
     g = SYMMETRIC.element((0, 2, 1))
-    rep = barcx.check_delta_g_object(m, SYMMETRIC, g, ("e", "e", "x"), 1)
-    assert not rep.ok
+    tally = Tally()
+    barcx.check_delta_g_object(tally, m, SYMMETRIC, g, ("e", "e", "x"), 1)
+    assert not tally.ok
 
 
 def test_covariant_identities_through_both_instances():
     m = left_wins4_monoid()
     rng = random.Random(1)
+    tally = Tally()
     for inst in (SYMMETRIC, BRAID):
         for _ in range(60):
             n = rng.randint(1, 3)
             g = inst.random_element(rng, n, 8)
-            assert barcx.check_covariant_insert(
-                m, inst, g, m.random_tuple(rng, n - 1), rng.randint(0, n)).ok
-            assert barcx.check_covariant_merge(
-                m, inst, g, m.random_tuple(rng, n + 1), rng.randint(0, n)).ok
+            barcx.check_covariant_insert(
+                tally, m, inst, g, m.random_tuple(rng, n - 1), rng.randint(0, n))
+            barcx.check_covariant_merge(
+                tally, m, inst, g, m.random_tuple(rng, n + 1), rng.randint(0, n))
+    assert tally.ok, tally.violations[0]
 
 
 def test_insert_merge_bounds():

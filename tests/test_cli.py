@@ -1,11 +1,13 @@
 """The command-line surface: evaluation grammar, suites, nerve output,
 horn lifting, exit codes, and report determinism."""
 
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
-from csgroups import cli
+from csgroups import cli, perms, suites
 
 
 def run(capsys, *argv):
@@ -163,3 +165,54 @@ def test_kan_lift_rejects_non_object(tmp_path, capsys):
 def test_nerve_rejects_negative_level(capsys):
     code, out, err = run(capsys, "nerve", "--level", "-1")
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("horn", [
+    {"instance": "braid", "level": 2, "k": 1, "base": "[0,1,2]",
+     "faces": {"0": 5, "2": "1"}},
+    {"instance": "symm", "level": 2, "k": 1, "base": "[0,1,2]",
+     "faces": {"0": [0, 1], "2": "[0,1]"}},
+    {"instance": "braid", "level": 3000000, "k": 0, "base": "[0,1,2]", "faces": {}},
+    {"instance": "braid", "level": float("inf"), "k": 0, "base": "[0,1,2]", "faces": {}},
+])
+def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(horn))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "kan-lift", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("malformed horn:")
+    # The face set is checked against the level without enumerating it.
+    assert peak < 1_000_000
+
+
+def test_injected_fault_fails_crossed(monkeypatch, capsys):
+    """A degeneracy at the wrong index breaks only s_ identities; the
+    report counts every violation and keeps the first 50, sorted."""
+    right = perms.degeneracy_perm
+
+    def shifted(i, p):
+        return right((i + 1) % len(p), p)
+
+    expected = 0
+    for n in range(4):
+        for g, h in itertools.product(perms.all_perms(n), repeat=2):
+            for i in range(n + 1):
+                a = perms.inverse(g)[i]
+                expected += shifted(i, perms.compose(g, h)) != perms.compose(
+                    shifted(i, g), shifted(a, h))
+    monkeypatch.setattr(perms, "degeneracy_perm", shifted)
+    report = suites.run_suite("crossed", "symm", max_level=3)
+    assert report.outcome == "fail"
+    assert report.failures == expected > suites.MAX_RECORDED
+    ces = report.counterexamples
+    assert len(ces) == suites.MAX_RECORDED
+    assert ces == sorted(ces, key=lambda ce: (ce["identity"], ce["inputs"]))
+    assert all(ce["identity"].startswith("s_") for ce in ces)
+    code, out, _ = run(capsys, "check", "crossed", "--instance", "symm",
+                       "--max-level", "3")
+    assert code == 1 and out.startswith("suite crossed [symm] fail")

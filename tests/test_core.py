@@ -95,64 +95,75 @@ def test_pad_boxplus_frozen_values():
 
 
 def test_checkers_symm_exhaustive():
+    tally = core.Tally()
     for n in range(3):
         els = list(SYMMETRIC.elements(n))
         for g in els:
-            assert core.check_simplicial_identities(SYMMETRIC, g).ok
-            assert core.check_extra_degeneracy(SYMMETRIC, g).ok
+            core.check_simplicial_identities(tally, SYMMETRIC, g)
+            core.check_extra_degeneracy(tally, SYMMETRIC, g)
             for h in els:
                 for i in range(n + 1):
-                    assert core.check_crossed_identities(SYMMETRIC, g, h, i).ok
+                    core.check_crossed_identities(tally, SYMMETRIC, g, h, i)
+    assert tally.ok, tally.violations[0]
 
 
 def test_checkers_braid_random():
     rng = random.Random(3)
+    tally = core.Tally()
     for _ in range(80):
         n = rng.randint(1, 4)
         g = BRAID.random_element(rng, n, 8)
         h = BRAID.random_element(rng, n, 8)
         i = rng.randint(0, n)
-        assert core.check_crossed_identities(BRAID, g, h, i).ok
-        assert core.check_simplicial_identities(BRAID, g).ok
-        assert core.check_extra_degeneracy(BRAID, g).ok
+        core.check_crossed_identities(tally, BRAID, g, h, i)
+        core.check_simplicial_identities(tally, BRAID, g)
+        core.check_extra_degeneracy(tally, BRAID, g)
+    assert tally.ok, tally.violations[0]
 
 
 def test_monoidal_operadic_checkers():
     rng = random.Random(4)
+    tally = core.Tally()
     for _ in range(60):
         n = rng.randint(1, 2)
         m = rng.randint(0, 2)
         g = BRAID.random_element(rng, n, 5)
         h = BRAID.random_element(rng, m, 5)
-        assert core.check_monoidal(BRAID, g, h).ok
-        assert core.check_operadic(BRAID, g, h, rng.randint(0, n)).ok
+        core.check_monoidal(tally, BRAID, g, h)
+        core.check_operadic(tally, BRAID, g, h, rng.randint(0, n))
     for n in range(2):
         for m in range(2):
             for g in SYMMETRIC.elements(n):
                 for h in SYMMETRIC.elements(m):
-                    assert core.check_monoidal(SYMMETRIC, g, h).ok
+                    core.check_monoidal(tally, SYMMETRIC, g, h)
                     for i in range(n + 1):
-                        assert core.check_operadic(SYMMETRIC, g, h, i).ok
+                        core.check_operadic(tally, SYMMETRIC, g, h, i)
+    assert tally.ok, tally.violations[0]
 
 
 def test_pure_homomorphism_checker():
     rng = random.Random(5)
+    tally = core.Tally()
     for _ in range(40):
         n = rng.randint(1, 3)
         g = BRAID.random_element(rng, n, 8)
         p = BRAID.mul(g, BRAID.inv(BRAID.section(BRAID.underlying_perm(g))))
         assert BRAID.is_pure(p)
         q = BRAID.random_element(rng, n, 8)
-        assert core.check_pure_homomorphism(BRAID, p, q, rng.randint(0, n)).ok
+        core.check_pure_homomorphism(tally, BRAID, p, q, rng.randint(0, n))
+    assert tally.ok, tally.violations[0]
     with pytest.raises(ValueError):
         core.check_pure_homomorphism(
-            BRAID, BRAID.element(braids.generator(1, 0)), BRAID.one(1), 0)
+            tally, BRAID, BRAID.element(braids.generator(1, 0)), BRAID.one(1), 0)
 
 
 def test_report_shape():
-    rep = core.check_crossed_identities(
-        SYMMETRIC, SYMMETRIC.one(1), SYMMETRIC.one(1), 0)
-    assert rep.ok and rep.cases == 2 and rep.violations == ()
+    tally = core.Tally()
+    assert core.check_crossed_identities(
+        tally, SYMMETRIC, SYMMETRIC.one(1), SYMMETRIC.one(1), 0) is None
+    assert tally.ok and tally.cases == 2 and tally.violations == []
+    core.check_monoidal(tally, SYMMETRIC, SYMMETRIC.one(0), SYMMETRIC.one(1))
+    assert tally.ok and tally.cases == 3
 
 
 def test_tally_describes_only_failures():
@@ -164,12 +175,12 @@ def test_tally_describes_only_failures():
 
     tally = core.Tally()
     tally.check(True, "holds", describe)
+    assert tally.ok and not described
     tally.check(False, "breaks", describe)
-    tally.add(core.CheckReport("other", 3, (core.Violation("x", "y"),)))
-    rep = tally.report("combined")
+    tally.check(True, "holds", describe)
     assert len(described) == 1
-    assert rep.name == "combined" and rep.cases == 5 and not rep.ok
-    assert rep.violations == (core.Violation("breaks", "inputs"), core.Violation("x", "y"))
+    assert tally.cases == 3 and not tally.ok
+    assert tally.violations == [core.Violation("breaks", "inputs")]
 
 
 def test_section_and_parse():

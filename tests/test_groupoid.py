@@ -83,8 +83,9 @@ def test_arrow_simplicial_identities():
     for _ in range(25):
         n = rng.randint(1, 3)
         a = groupoid.random_arrow(BRAID, rng, n, 6)
-        rep = core.simplicial_report(a, n, face, deg, eq, repr)
-        assert rep.ok, rep.violations[0]
+        tally = core.Tally()
+        core.simplicial_report(tally, a, n, face, deg, eq, repr)
+        assert tally.ok, tally.violations[0]
 
 
 def test_n_action():

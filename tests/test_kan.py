@@ -40,6 +40,12 @@ def test_decompose_random_reconstruction():
         assert BRAID.equal(BRAID.mul(dec.p, dec.s), g)
 
 
+def test_decompose_rejects_a_section_off_the_projection():
+    g = BRAID.element(generator(2, 1))
+    with pytest.raises(ValueError, match="section"):
+        kan.decompose(BRAID, g, section=lambda p: BRAID.one(len(p) - 1))
+
+
 def test_moore_fill_trivial_and_from_filler():
     assert BRAID.equal(kan.moore_fill(BRAID, {0: BRAID.one(1), 2: BRAID.one(1)},
                                       2, 1), BRAID.one(2))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from csgroups import BRAID, SYMMETRIC
+from csgroups import BRAID, SYMMETRIC, Tally
 from csgroups import braids, groupoid, operad, perms
 from csgroups.groupoid import GroupoidArrow
 
@@ -46,21 +46,23 @@ def test_circ_braid_levels_and_projection():
 
 def test_operadic_mult_identity():
     rng = random.Random(1)
+    tally = Tally()
     for _ in range(60):
         n = rng.randint(1, 2)
         m = rng.randint(0, 2)
         i = rng.randint(0, n)
         a, a2 = (BRAID.random_element(rng, n, 5) for _ in range(2))
         b, b2 = (BRAID.random_element(rng, m, 5) for _ in range(2))
-        assert operad.check_operadic_mult(BRAID, a, a2, i, b, b2).ok
+        operad.check_operadic_mult(tally, BRAID, a, a2, i, b, b2)
     for n in range(2):
         for a in SYMMETRIC.elements(n):
             for a2 in SYMMETRIC.elements(n):
                 for b in SYMMETRIC.elements(1):
                     for b2 in SYMMETRIC.elements(1):
                         for i in range(n + 1):
-                            assert operad.check_operadic_mult(
-                                SYMMETRIC, a, a2, i, b, b2).ok
+                            operad.check_operadic_mult(
+                                tally, SYMMETRIC, a, a2, i, b, b2)
+    assert tally.ok, tally.violations[0]
 
 
 def test_circ_gpd_matches_components():
@@ -99,6 +101,7 @@ def test_circ_gpd_symm_consistency():
 
 def test_circ_gpd_functorial():
     rng = random.Random(3)
+    tally = Tally()
     for _ in range(40):
         n = rng.randint(1, 2)
         m = rng.randint(0, 2)
@@ -107,26 +110,30 @@ def test_circ_gpd_functorial():
         v = groupoid.random_arrow(BRAID, rng, m, 4)
         y = GroupoidArrow(groupoid.target(BRAID, x), BRAID.random_element(rng, n, 4))
         w = GroupoidArrow(groupoid.target(BRAID, v), BRAID.random_element(rng, m, 4))
-        assert operad.check_circ_functorial(BRAID, x, y, i, v, w).ok
+        operad.check_circ_functorial(tally, BRAID, x, y, i, v, w)
+    assert tally.ok, tally.violations[0]
 
 
 def test_shifted_axioms_exhaustive_small_symm():
     car = operad.SetCarrier(SYMMETRIC)
     els = [g for n in range(2) for g in SYMMETRIC.elements(n)]
+    tally = Tally()
     for lam in els:
-        assert operad.check_shifted_units(car, lam).ok
+        operad.check_shifted_units(tally, car, lam)
         for mu in els:
             for nu in els:
-                assert operad.check_shifted_axioms(car, lam, mu, nu).ok
+                operad.check_shifted_axioms(tally, car, lam, mu, nu)
+    assert tally.ok, tally.violations[0]
 
 
 def test_shifted_axioms_random_braid_both_carriers():
     rng = random.Random(4)
+    tally = Tally()
     for car in (operad.SetCarrier(BRAID), operad.GroupoidCarrier(BRAID)):
         for _ in range(25):
             lam, mu, nu = (car.random(rng, rng.randint(1, 2), 3) for _ in range(3))
-            rep = operad.check_shifted_axioms(car, lam, mu, nu)
-            assert rep.ok, rep.violations[0]
+            operad.check_shifted_axioms(tally, car, lam, mu, nu)
+    assert tally.ok, tally.violations[0]
 
 
 def test_unshifted_view():
@@ -152,20 +159,21 @@ def test_unshifted_view():
 def test_unshifted_axioms():
     rng = random.Random(5)
     view = operad.UnshiftedView(operad.SetCarrier(BRAID))
+    tally = Tally()
     for _ in range(30):
         lam = BRAID.random_element(rng, rng.randint(1, 2), 4)
         mu = operad.STAR if rng.random() < 0.3 else \
             BRAID.random_element(rng, rng.randint(0, 2), 4)
         nu = operad.STAR if rng.random() < 0.3 else \
             BRAID.random_element(rng, rng.randint(0, 2), 4)
-        rep = operad.check_unshifted_axioms(view, lam, mu, nu)
-        assert rep.ok, rep.violations[0]
+        operad.check_unshifted_axioms(tally, view, lam, mu, nu)
     sview = operad.UnshiftedView(operad.SetCarrier(SYMMETRIC))
     els = [g for n in range(3) for g in SYMMETRIC.elements(n)]
     for lam in els[:9]:
         for mu in els[:9] + [operad.STAR]:
             for nu in els[:9] + [operad.STAR]:
-                assert operad.check_unshifted_axioms(sview, lam, mu, nu).ok
+                operad.check_unshifted_axioms(tally, sview, lam, mu, nu)
+    assert tally.ok, tally.violations[0]
 
 
 def test_equivariance_literal_right_multiplication_fails():
