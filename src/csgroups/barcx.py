@@ -48,6 +48,7 @@ WRAPS = ("last-first", "first-last")
 TWISTS = ("inverse", "plain")
 DEFAULT_WRAP = "last-first"
 DEFAULT_TWIST = "inverse"
+CALIBRATION_LEVEL = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,12 +162,11 @@ def bar_action(inst: CsgInstance, g: CsgElement, t: BarTuple,
     return tuple(t[lookup[i]] for i in range(len(t)))
 
 
-def check_bar_simplicial(tally: Tally, monoid: FiniteMonoid, t: BarTuple,
-                         wrap: str = DEFAULT_WRAP):
-    """The plain simplicial identities on one tuple."""
+def check_bar_simplicial(tally: Tally, monoid: FiniteMonoid, t: BarTuple):
+    """The plain simplicial identities on one tuple (default wrap)."""
     simplicial_report(
         tally, t, len(t) - 1,
-        lambda i, x: bar_face(monoid, i, x, wrap),
+        lambda i, x: bar_face(monoid, i, x),
         lambda i, x: bar_degeneracy(monoid, i, x),
         lambda a, b: a == b,
         lambda x: f"{monoid.name}:{x}")
@@ -238,22 +238,22 @@ def check_delta_g_object(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
     tally.check(lhs == rhs, f"s_{i}(g t) == s_{i}(g) s_{a}(t)", inputs)
 
 
-def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance,
-                          max_level: int = 2) -> dict[str, bool]:
+def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance) -> dict[str, bool]:
     """
     Which candidate readings of the twisted-action identities hold on
-    the given monoid, exhaustively over the symmetric levels up to
-    max_level.  Keys are 'cyclic/<twist>/<wrap>' for the multiplying
-    faces and 'covariant/<twist>' for the insert/merge pair.
+    the given monoid, exhaustively over the levels of inst up to
+    CALIBRATION_LEVEL (inst must enumerate its levels).  Keys are
+    'cyclic/<twist>/<wrap>' for the multiplying faces and
+    'covariant/<twist>' for the insert/merge pair.
     """
     def cyclic(tally, twist, wrap):
-        for n in range(max_level + 1):
+        for n in range(CALIBRATION_LEVEL + 1):
             for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
                 check_delta_g_object(tally, monoid, inst, g, t, i, twist, wrap)
                 yield tally.ok
 
     def covariant(tally, twist):
-        for n in range(1, max_level + 1):
+        for n in range(1, CALIBRATION_LEVEL + 1):
             for g, x, i in product(inst.elements(n), monoid.tuples(n - 1), range(n + 1)):
                 check_covariant_insert(tally, monoid, inst, g, x, i, twist)
                 yield tally.ok

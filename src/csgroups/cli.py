@@ -8,7 +8,8 @@ Command-line front end.
     csgroups kan-lift horn.json
 
 Exit codes: 0 on success, 1 when a suite finds a counterexample or a
-horn cannot be lifted, 2 on usage or parse errors.
+horn cannot be lifted, 2 on usage or parse errors, among them any level
+above MAX_LEVEL, caught before anything that size is built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import sys
 from . import braids, groupoid, kan, operad, perms
 from .core import BRAID, INSTANCES, SYMMETRIC, CsgElement, CsgInstance
 from .suites import SUITES, run_suite
+
+# Far above any level in use (5 at most); an element's cost grows with it.
+MAX_LEVEL = 1000
 
 
 class ParseError(ValueError):
@@ -91,12 +95,20 @@ class _ExprParser:
             return self.call()
         raise ParseError(f"expected an expression, found {text!r}", pos)
 
+    def number(self, what: str) -> int:
+        """An integer token of at most MAX_LEVEL; a longer digit string
+        is rejected before it is converted."""
+        _, digits, pos = self.take("int")
+        if len(digits.lstrip("0")) > len(str(MAX_LEVEL)) or int(digits) > MAX_LEVEL:
+            raise ParseError(f"{what} is above the limit {MAX_LEVEL}", pos)
+        return int(digits)
+
     def perm_literal(self):
         _, _, pos = self.take("punct", "[")
-        values = [int(self.take("int")[1])]
+        values = [self.number("entry")]
         while self.peek()[1] == ",":
             self.take("punct", ",")
-            values.append(int(self.take("int")[1]))
+            values.append(self.number("entry"))
         self.take("punct", "]")
         word = tuple(values)
         if not perms.is_perm(word):
@@ -112,12 +124,12 @@ class _ExprParser:
             while self.peek()[0] == "braid":
                 tokens.append(self.take("braid")[1])
         self.take("punct", "@")
-        level = int(self.take("int")[1])
+        level = self.number("level")
         try:
             word = braids.parse_letters(" ".join(tokens) or "1", level)
         except ValueError as exc:
             raise ParseError(str(exc), pos) from None
-        return BRAID, CsgElement(level, word)
+        return BRAID, BRAID.element(word)
 
     def call(self):
         _, name, pos = self.take("name")
@@ -128,11 +140,15 @@ class _ExprParser:
             args.append(self.expr())
         self.take("punct", ")")
         try:
-            return self.apply(name, args, pos)
+            inst, value = self.apply(name, args, pos)
         except (ValueError, IndexError) as exc:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(f"{name}: {exc}", pos) from None
+        if value.level > MAX_LEVEL:
+            raise ParseError(f"{name}: level {value.level} is above the limit "
+                             f"{MAX_LEVEL}", pos)
+        return inst, value
 
     def apply(self, name, args, pos):
         def unary():
@@ -218,6 +234,9 @@ def cmd_nerve(args) -> int:
         if getattr(args, flag) < 0:
             print(f"--{flag.replace('_', '-')} must be at least 0", file=sys.stderr)
             return 2
+    if args.level > MAX_LEVEL:
+        print(f"--level must be at most {MAX_LEVEL}", file=sys.stderr)
+        return 2
     if args.format == "dot":
         try:
             sys.stdout.write(groupoid.skeleton_to_dot(inst, args.level))
@@ -239,13 +258,13 @@ def cmd_kan_lift(args) -> int:
     try:
         with open(args.horn) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, over-long number
         print(f"cannot read horn file: {exc}", file=sys.stderr)
         return 2
     if not isinstance(data, dict):
         print("malformed horn: expected a JSON object", file=sys.stderr)
         return 2
-    name = args.instance or data.get("instance", "braid")
+    name = data.get("instance", "braid")
     if not isinstance(name, str) or name not in INSTANCES:
         print(f"unknown instance {name!r}", file=sys.stderr)
         return 2
@@ -304,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kan = sub.add_parser("kan-lift", help="lift a horn described in JSON")
     p_kan.add_argument("horn")
-    p_kan.add_argument("--instance", choices=sorted(INSTANCES), default=None)
     p_kan.set_defaults(func=cmd_kan_lift)
 
     return parser

@@ -1,10 +1,13 @@
 """
-The crossed simplicial group interface and its two concrete families.
+The two crossed simplicial group families and their law checkers.
 
-An instance bundles the group operations of one family (symmetric or
-braid) at every level, together with the face and degeneracy maps, the
+SymmetricCsg and BraidCsg each bundle the group operations of one
+family at every level, together with the face and degeneracy maps, the
 two end insertions s_left and s_right, and the projection onto
-permutations.  Faces and degeneracies are not homomorphisms; instead
+permutations; only the symmetric family enumerates its levels.  Their
+common base CsgInstance names these primitives and holds the
+operations derived from them (purity, padding, the juxtaposition
+product).  Faces and degeneracies are not homomorphisms; instead
 they satisfy the crossed identities
 
     d_i(g h) = d_i(g) d_{a}(h),   s_i(g h) = s_i(g) s_{a}(h),
@@ -20,11 +23,9 @@ case into it, naming the failing identity and its inputs.
 from __future__ import annotations
 
 import dataclasses
-import random
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import braids, perms
-from .perms import Perm
 
 
 class LevelMismatch(ValueError):
@@ -67,60 +68,13 @@ class Tally:
 
 
 class CsgInstance:
-    """Operations of one crossed simplicial group family."""
-
-    name = "?"
-
-    # Family-specific primitives.
-
-    def one(self, n: int) -> CsgElement:
-        raise NotImplementedError
-
-    def element(self, payload) -> CsgElement:
-        raise NotImplementedError
-
-    def mul(self, g: CsgElement, h: CsgElement) -> CsgElement:
-        raise NotImplementedError
-
-    def inv(self, g: CsgElement) -> CsgElement:
-        raise NotImplementedError
-
-    def face(self, i: int, g: CsgElement) -> CsgElement:
-        raise NotImplementedError
-
-    def degeneracy(self, i: int, g: CsgElement) -> CsgElement:
-        raise NotImplementedError
-
-    def underlying_perm(self, g: CsgElement) -> Perm:
-        raise NotImplementedError
-
-    def s_left(self, g: CsgElement) -> CsgElement:
-        raise NotImplementedError
-
-    def s_right(self, g: CsgElement) -> CsgElement:
-        raise NotImplementedError
-
-    def equal(self, g: CsgElement, h: CsgElement) -> bool:
-        raise NotImplementedError
-
-    def section(self, p: Perm) -> CsgElement:
-        """A positive lift through the projection, compatible with faces
-        and degeneracies."""
-        raise NotImplementedError
-
-    def format(self, g: CsgElement) -> str:
-        raise NotImplementedError
-
-    def parse_at(self, text: str, level: int) -> CsgElement:
-        raise NotImplementedError
-
-    def random_element(self, rng: random.Random, n: int, max_len: int = 12) -> CsgElement:
-        raise NotImplementedError
-
-    def elements(self, n: int) -> Iterator[CsgElement]:
-        raise NotImplementedError(f"{self.name} levels are not enumerable")
-
-    # Derived operations, shared by all families.
+    """Operations of one crossed simplicial group family.  A family sets
+    `name` and defines one(n), element(payload), mul, inv, face(i, g),
+    degeneracy(i, g), underlying_perm, s_left, s_right, equal,
+    section(p) (a positive lift through the projection, compatible with
+    faces and degeneracies), format, parse_at(text, level) and
+    random_element(rng, n, max_len); an enumerable one also defines
+    elements(n).  The operations derived from these are shared."""
 
     def _require_same_level(self, g: CsgElement, h: CsgElement):
         if g.level != h.level:

@@ -59,10 +59,6 @@ def identity_arrow(inst: CsgInstance, p: Perm) -> GroupoidArrow:
     return GroupoidArrow(p, inst.one(len(p) - 1))
 
 
-def inverse_arrow(inst: CsgInstance, a: GroupoidArrow) -> GroupoidArrow:
-    return GroupoidArrow(target(inst, a), inst.inv(a.f))
-
-
 def arrows_equal(inst: CsgInstance, a: GroupoidArrow, b: GroupoidArrow) -> bool:
     return a.source == b.source and inst.equal(a.f, b.f)
 

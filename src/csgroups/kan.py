@@ -2,10 +2,10 @@
 Horn lifting along the projection onto permutations.
 
 Every element splits uniquely as p * s with p pure (trivial underlying
-permutation) and s the positive lift of the element's permutation; the
-pure elements at all levels form a genuine simplicial group, because
-the crossed twist in the face and degeneracy identities disappears on
-them.
+permutation) and s the positive lift of the element's permutation
+(decompose; the suites take pure elements from it); the pure elements
+at all levels form a genuine simplicial group, because the crossed
+twist in the face and degeneracy identities disappears on them.
 
 A horn consists of a level n, a missing index k, compatible faces y_r
 at level n - 1 for r != k, and a base permutation the lift must project
@@ -14,14 +14,15 @@ filling the resulting pure horn with the classical two-sweep degeneracy
 construction (moore_fill), and multiplying the filler back onto the
 lifted base.  The filler's face equations are re-verified after
 construction, so a convention slip or an incompatible input surfaces as
-an error rather than a wrong answer.
+an error rather than a wrong answer.  horn_from_json reads the horn
+file of `csgroups kan-lift`, strictly: a malformed horn is a ValueError.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from typing import Callable, Mapping
+import re
+from typing import Mapping
 
 from . import perms
 from .core import CsgElement, CsgInstance
@@ -104,10 +105,8 @@ class Decomposition:
     s: CsgElement
 
 
-def decompose(inst: CsgInstance, g: CsgElement,
-              section: Callable[[Perm], CsgElement] | None = None) -> Decomposition:
-    section = section or inst.section
-    s = section(inst.underlying_perm(g))
+def decompose(inst: CsgInstance, g: CsgElement) -> Decomposition:
+    s = inst.section(inst.underlying_perm(g))
     p = inst.mul(g, inst.inv(s))
     if not inst.is_pure(p):
         raise ValueError("the section does not lift the element's permutation")
@@ -142,8 +141,7 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
     return w
 
 
-def lift_horn(inst: CsgInstance, horn: Horn,
-              section: Callable[[Perm], CsgElement] | None = None) -> CsgElement:
+def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     """
     An element at level n whose faces restrict to the horn and whose
     underlying permutation is the base.
@@ -151,8 +149,7 @@ def lift_horn(inst: CsgInstance, horn: Horn,
     problems = validate_horn(inst, horn)
     if problems:
         raise IncompatibleHorn(problems[0])
-    section = section or inst.section
-    s = section(horn.base)
+    s = inst.section(horn.base)
     kernel_faces = {}
     for r, y in horn.face_items():
         p_r = inst.mul(y, inst.inv(inst.face(r, s)))
@@ -171,36 +168,24 @@ def lift_horn(inst: CsgInstance, horn: Horn,
     return phi
 
 
-# Serialization.
-
-def horn_to_json(inst: CsgInstance, horn: Horn) -> str:
-    payload = {
-        "instance": inst.name,
-        "level": horn.n,
-        "k": horn.k,
-        "base": perms.format_perm(horn.base),
-        "faces": {str(r): _strip_level(inst, y) for r, y in horn.face_items()},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _strip_level(inst: CsgInstance, g: CsgElement) -> str:
-    text = inst.format(g)
-    return text.rsplit("@", 1)[0] if inst.name == "braid" else text
-
-
 def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
+    """`level` and `k` must be JSON integers and each face key the plain
+    decimal text of an index; nothing is coerced."""
     try:
-        n = int(data["level"])
-        k = int(data["k"])
+        n, k = data["level"], data["k"]
+        for field, value in (("level", n), ("k", k)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{field} must be an integer, not {type(value).__name__}")
         base = perms.parse_perm(data["base"])
         raw = data["faces"]
         if not isinstance(raw, dict):
             raise TypeError("faces must be an object")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed horn description: {exc}") from None
     texts = {}
     for key, text in raw.items():
+        if not re.fullmatch(r"0|[1-9][0-9]*", key):
+            raise ValueError(f"face key {key!r} is not an index")
         if not isinstance(text, str):
             raise ValueError(f"face {key} must be a string, not {type(text).__name__}")
         texts[int(key)] = text

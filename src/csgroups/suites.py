@@ -23,7 +23,7 @@ import random
 import types
 from itertools import product
 
-from . import barcx, braids, core, groupoid, operad, perms
+from . import barcx, braids, core, groupoid, kan, operad, perms
 from .core import BRAID, INSTANCES, SYMMETRIC
 
 MAX_RECORDED = 50
@@ -121,6 +121,13 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
                         for v in bad[:MAX_RECORDED]], extra)
 
 
+def _arrows(inst, levels):
+    """Every arrow at the given levels: by level, then source, then
+    element."""
+    return [groupoid.GroupoidArrow(s, f) for n in levels
+            for s in perms.all_perms(n) for f in inst.elements(n)]
+
+
 def _index_pairs(rng, n):
     """One sampled (i, j) pair for each family of simplicial identities
     at level n; no face pair below level 2."""
@@ -153,8 +160,7 @@ def _crossed_braid(inst, p, rng, tally):
         h = inst.random_element(rng, n, p.word_len)
         i = rng.randint(0, n)
         core.check_crossed_identities(tally, inst, g, h, i)
-        q = inst.mul(g, inst.inv(inst.section(inst.underlying_perm(g))))
-        core.check_pure_homomorphism(tally, inst, q, h, i)
+        core.check_pure_homomorphism(tally, inst, kan.decompose(inst, g).p, h, i)
 
 
 @suite("simplicial", symm={"max_level": 3})
@@ -254,7 +260,7 @@ def _groupoid_simplicial_symm(inst, p, rng, tally):
     for n in range(p.max_level + 1):
         els = list(inst.elements(n))
         sources = list(perms.all_perms(n))
-        arrows = [groupoid.GroupoidArrow(s, f) for s in sources for f in els]
+        arrows = _arrows(inst, [n])
         face_indices = range(n + 1) if n >= 1 else ()  # no faces at level 0
         for a in arrows:
             groupoid.check_arrow_simplicial(tally, inst, a)
@@ -286,22 +292,13 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
             tally, inst, a, inst.random_element(rng, n, p.word_len), [rng.randint(0, n)])
         groupoid.check_arrow_action(
             tally, inst, perms.random_perm(rng, n), a, rng.randint(0, n))
-        pure = inst.mul(a.f, inst.inv(inst.section(inst.underlying_perm(a.f))))
-        auto = groupoid.GroupoidArrow(a.source, pure)
+        auto = groupoid.GroupoidArrow(a.source, kan.decompose(inst, a.f).p)
         face = groupoid.face_arrow(inst, rng.randint(0, n), auto)
         describe = lambda: groupoid.format_arrow(inst, auto)
         tally.check(groupoid.is_automorphism(inst, auto),
                     "pure parts give automorphisms", describe)
         tally.check(groupoid.is_automorphism(inst, face),
                     "faces preserve automorphisms", describe)
-
-
-def _gpd_elements(inst, lvl):
-    """Every arrow at the levels up to lvl."""
-    return [groupoid.GroupoidArrow(s, f)
-            for n in range(lvl + 1)
-            for s in perms.all_perms(n)
-            for f in inst.elements(n)]
 
 
 @suite("shifted-operad", symm={"max_level": 2, "seed": 0})
@@ -313,7 +310,7 @@ def _shifted_operad_symm(inst, p, rng, tally):
         operad.check_shifted_units(tally, set_car, nu)
     for lam, mu, nu in product(set_elements, repeat=3):
         operad.check_shifted_axioms(tally, set_car, lam, mu, nu)
-    gpd_elements = _gpd_elements(inst, min(p.max_level, 1))
+    gpd_elements = _arrows(inst, range(min(p.max_level, 1) + 1))
     for nu in gpd_elements:
         operad.check_shifted_units(tally, gpd_car, nu)
     for lam, mu, nu in product(gpd_elements, repeat=3):
@@ -346,7 +343,7 @@ def _unshifted_operad_symm(inst, p, rng, tally):
     with_star = set_elements + [operad.STAR]
     for lam, mu, nu in product(set_elements, with_star, with_star):
         operad.check_unshifted_axioms(tally, set_view, lam, mu, nu)
-    gpd_elements = _gpd_elements(inst, min(p.max_level, 1))
+    gpd_elements = _arrows(inst, range(min(p.max_level, 1) + 1))
     with_star = gpd_elements + [operad.STAR]
     for lam, mu, nu in product(gpd_elements, with_star, with_star):
         operad.check_unshifted_axioms(tally, gpd_view, lam, mu, nu)
@@ -379,11 +376,8 @@ def _operadic_mult_symm(inst, p, rng, tally):
         for a, a2, b, b2, i in product(outer, outer, inner, inner, range(n + 1)):
             operad.check_operadic_mult(tally, inst, a, a2, i, b, b2)
     for n, m in product(levels, levels):
-        outer = [groupoid.GroupoidArrow(s, f)
-                 for s in perms.all_perms(n) for f in inst.elements(n)]
-        inner = [groupoid.GroupoidArrow(s, f)
-                 for s in perms.all_perms(m) for f in inst.elements(m)]
-        for x, yf, v, wf in product(outer, inst.elements(n), inner, inst.elements(m)):
+        for x, yf, v, wf in product(_arrows(inst, [n]), inst.elements(n),
+                                    _arrows(inst, [m]), inst.elements(m)):
             y = groupoid.GroupoidArrow(groupoid.target(inst, x), yf)
             w = groupoid.GroupoidArrow(groupoid.target(inst, v), wf)
             for i in range(n + 1):
@@ -458,10 +452,8 @@ def _equivariance_symm(inst, p, rng, tally):
     for _ in range(150):
         m = rng.randint(0, p.max_level)
         n = rng.randint(0, p.max_level)
-        mu = groupoid.GroupoidArrow(perms.random_perm(rng, m),
-                                    inst.random_element(rng, m))
-        nu = groupoid.GroupoidArrow(perms.random_perm(rng, n),
-                                    inst.random_element(rng, n))
+        mu = groupoid.random_arrow(inst, rng, m)
+        nu = groupoid.random_arrow(inst, rng, n)
         _record_equivariance(tally, verdicts, gpd_car, mu, rng.randint(0, m), nu,
                              inst.random_element(rng, n), inst.random_element(rng, m))
     return _verdict_extra(verdicts)
@@ -514,7 +506,7 @@ def _bar(inst, p, rng, tally):
             for t in monoid.tuples(n):
                 barcx.check_bar_simplicial(tally, monoid, t)
     noncomm = barcx.left_wins_monoid()
-    conventions = barcx.calibrate_conventions(noncomm, SYMMETRIC, max_level=2)
+    conventions = barcx.calibrate_conventions(noncomm, SYMMETRIC)
     surviving = sorted(k for k, v in conventions.items() if v)
     tally.check(bool(surviving), "some action convention survives",
                 lambda: json.dumps(conventions, sort_keys=True))

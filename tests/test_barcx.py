@@ -78,7 +78,7 @@ def test_bar_simplicial_identities_exhaustive():
 
 
 def test_calibration_isolates_covariant_inverse():
-    conv = calibrate_conventions(left_wins_monoid(), SYMMETRIC, 2)
+    conv = calibrate_conventions(left_wins_monoid(), SYMMETRIC)
     assert conv["covariant/inverse"] is True
     assert conv["covariant/plain"] is False
     for twist in barcx.TWISTS:
@@ -90,7 +90,7 @@ def test_commutative_monoids_cannot_separate_products():
     """On a commutative monoid the cyclic conventions still fail for a
     positional reason, so even there the covariant reading is the one
     that survives."""
-    conv = calibrate_conventions(cyclic_monoid(2), SYMMETRIC, 2)
+    conv = calibrate_conventions(cyclic_monoid(2), SYMMETRIC)
     assert conv["covariant/inverse"] is True
     assert not conv["cyclic/inverse/last-first"]
 

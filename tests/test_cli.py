@@ -101,13 +101,17 @@ def test_nerve_dot(capsys):
 def test_kan_lift_cli(tmp_path, capsys):
     import random
 
-    from csgroups import BRAID, kan
+    from csgroups import BRAID, braids, kan
 
     rng = random.Random(9)
     g = BRAID.random_element(rng, 2, 4)
     horn = kan.horn_from_filler(BRAID, g, 1)
     path = tmp_path / "horn.json"
-    path.write_text(kan.horn_to_json(BRAID, horn))
+    path.write_text(json.dumps({
+        "instance": "braid", "level": horn.n, "k": horn.k,
+        "base": perms.format_perm(horn.base),
+        "faces": {str(r): braids.format_letters(y.payload)
+                  for r, y in horn.face_items()}}))
     code, out, _ = run(capsys, "kan-lift", str(path))
     assert code == 0
     assert "projection == base: ok" in out
@@ -167,6 +171,37 @@ def test_nerve_rejects_negative_level(capsys):
     assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "1@30000000"),
+    ("eval", "1@" + "9" * 5000),
+    ("eval", "[" + "9" * 5000 + "]"),
+    ("eval", "sL(1@1000)"),
+    ("nerve", "--level", "30000000", "--count", "1"),
+])
+def test_level_above_the_limit_is_rejected(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert str(cli.MAX_LEVEL) in err
+    # Rejected before anything the size of the level is built.
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("content", [
+    b'{"level": ' + b"9" * 5000 + b"}",
+    b"\xff\xfe{",
+], ids=["over-long-number", "not-utf-8"])
+def test_kan_lift_rejects_unreadable_json(tmp_path, capsys, content):
+    path = tmp_path / "horn.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "kan-lift", str(path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("horn", [
     {"instance": "braid", "level": 2, "k": 1, "base": "[0,1,2]",
      "faces": {"0": 5, "2": "1"}},
@@ -174,6 +209,13 @@ def test_nerve_rejects_negative_level(capsys):
      "faces": {"0": [0, 1], "2": "[0,1]"}},
     {"instance": "braid", "level": 3000000, "k": 0, "base": "[0,1,2]", "faces": {}},
     {"instance": "braid", "level": float("inf"), "k": 0, "base": "[0,1,2]", "faces": {}},
+    # Each of these was lifted as a level-2 horn missing face 1.
+    {"instance": "braid", "level": 2.7, "k": True, "base": "[0,1,2]",
+     "faces": {"0": "1", "2": "1"}},
+    {"instance": "braid", "level": "2", "k": "1", "base": "[0,1,2]",
+     "faces": {"0": "1", "2": "1"}},
+    {"instance": "braid", "level": 2, "k": 1, "base": "[0,1,2]",
+     "faces": {"0": "1", "02": "1"}},
 ])
 def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
     path = tmp_path / "horn.json"

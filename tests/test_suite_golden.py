@@ -4,8 +4,9 @@
 every suite on every instance it runs on, at three small scopes
 (symmetric operadic-mult and equivariance stay at level 1, where they
 run in well under a second).  `perfbench/golden.json` holds the digest
-of `to_json()` at the acceptance scopes and seed 0.  A change to any
-report byte, parameter or counterexample order shows up here.
+of `to_json()` at the acceptance scopes, which are the suite table's
+defaults, and seed 0.  A change to any report byte, parameter or
+counterexample order shows up here.
 """
 
 import hashlib
@@ -20,39 +21,6 @@ HERE = Path(__file__).resolve().parent
 SMALL = json.loads((HERE / "suite_golden.json").read_text())
 ACCEPTANCE_GOLDEN = json.loads((HERE.parent / "perfbench" / "golden.json").read_text())
 
-# The acceptance scopes of tests/test_acceptance.py, run at seed 0.
-ACCEPTANCE = {
-    "symm": (
-        ("crossed", {"max_level": 3}),
-        ("simplicial", {"max_level": 3}),
-        ("extra-degeneracy", {"max_level": 3}),
-        ("monoidal", {"max_level": 2}),
-        ("operadic", {"max_level": 2}),
-        ("shifted-operad", {"max_level": 2}),
-        ("unshifted-operad", {"max_level": 2}),
-        ("operadic-mult", {"max_level": 2}),
-        ("equivariance", {"max_level": 2}),
-        ("inverse-transport", {"max_level": 4}),
-        ("groupoid-simplicial", {"max_level": 3}),
-        ("quotient", {"trials": 200}),
-    ),
-    "braid": (
-        ("crossed", {"trials": 1000, "max_level": 5, "word_len": 12}),
-        ("simplicial", {"trials": 1000, "max_level": 5, "word_len": 12}),
-        ("extra-degeneracy", {"trials": 1000, "max_level": 5, "word_len": 12}),
-        ("monoidal", {"trials": 500}),
-        ("operadic", {"trials": 500}),
-        ("groupoid-simplicial", {"trials": 300}),
-        ("shifted-operad", {"trials": 300}),
-        ("unshifted-operad", {"trials": 300}),
-        ("operadic-mult", {"trials": 300}),
-        ("equivariance", {"trials": 200}),
-        ("section", {"trials": 200}),
-        ("quotient", {"trials": 200}),
-        ("bar", {"trials": 200}),
-    ),
-}
-
 # Every suite runs on both instances except these two.
 UNSUPPORTED = {("section", "symm"), ("inverse-transport", "braid")}
 
@@ -65,8 +33,8 @@ def test_goldens_cover_every_suite_and_instance():
     expected = {(name, inst) for name in suites.SUITES
                 for inst in ("symm", "braid")} - UNSUPPORTED
     assert {(e["suite"], e["instance"]) for e in SMALL} == expected
-    assert {(name, inst) for inst, table in ACCEPTANCE.items()
-            for name, _ in table} == expected - {("bar", "symm")}
+    assert {(name, inst) for inst, table in ACCEPTANCE_GOLDEN.items()
+            for name in table} == expected - {("bar", "symm")}
     for name, inst in UNSUPPORTED:
         with pytest.raises(ValueError, match="runs on"):
             suites.run_suite(name, instance=inst)
@@ -82,11 +50,13 @@ def test_small_scope_reports_match_digests():
 
 
 def test_acceptance_scope_reports_match_digests():
+    """The acceptance scopes are the suite table's defaults; a drifting
+    default changes the report's params, and with them the digest."""
     mismatched = []
-    for inst, table in ACCEPTANCE.items():
-        for name, kwargs in table:
-            report = suites.run_suite(name, instance=inst, seed=0, **kwargs)
-            if digest(report.to_json()) != ACCEPTANCE_GOLDEN[inst][name]:
+    for inst, table in ACCEPTANCE_GOLDEN.items():
+        for name, expected in table.items():
+            report = suites.run_suite(name, instance=inst, seed=0)
+            if digest(report.to_json()) != expected:
                 mismatched.append((name, inst))
     assert mismatched == []
 
