@@ -194,10 +194,10 @@ def check_covariant_insert(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance
     n = g.level
     if len(x) != n:
         raise ValueError(f"expected {n} entries, got {len(x)}")
-    a = perms.inverse(inst.underlying_perm(g))[i]
+    dg = inst.face(i, g)
+    a = inst.underlying_perm(g).index(i)
     lhs = bar_action(inst, g, bar_insert(monoid, a, x), twist)
-    rhs = bar_insert(monoid, i,
-                     bar_action(inst, inst.face(i, g), x, twist))
+    rhs = bar_insert(monoid, i, bar_action(inst, dg, x, twist))
     tally.check(lhs == rhs, f"g.insert_{a}(x) == insert_{i}(d_{i}(g).x)",
                 lambda: f"{inst.format(g)}, {x}")
 
@@ -224,7 +224,8 @@ def check_delta_g_object(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
     """The twisted face and degeneracy identities for the coordinate
     action on one input."""
     n = g.level
-    a = perms.inverse(inst.underlying_perm(g))[i]
+    sg = inst.degeneracy(i, g)
+    a = inst.underlying_perm(g).index(i)
     gt = bar_action(inst, g, t, twist)
     inputs = lambda: f"{inst.format(g)}, {t}"
     if n >= 1:
@@ -233,8 +234,7 @@ def check_delta_g_object(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
                          bar_face(monoid, a, t, wrap), twist)
         tally.check(lhs == rhs, f"d_{i}(g t) == d_{i}(g) d_{a}(t)", inputs)
     lhs = bar_degeneracy(monoid, i, gt)
-    rhs = bar_action(inst, inst.degeneracy(i, g),
-                     bar_degeneracy(monoid, a, t), twist)
+    rhs = bar_action(inst, sg, bar_degeneracy(monoid, a, t), twist)
     tally.check(lhs == rhs, f"s_{i}(g t) == s_{i}(g) s_{a}(t)", inputs)
 
 

@@ -132,9 +132,10 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
     return artin_act(a) == artin_act(b)
 
 
-def artin_fingerprint(b: BraidWord) -> str:
-    """Stable hash of the reduced generator images, for identity comparison."""
-    digest = hashlib.sha256(str(artin_act(b)).encode("ascii")).hexdigest()
+def artin_fingerprint(images: tuple[FreeWord, ...]) -> str:
+    """Stable hash of a word's reduced generator images (artin_act), for
+    identity comparison."""
+    digest = hashlib.sha256(str(images).encode("ascii")).hexdigest()
     return digest[:16]
 
 

@@ -199,10 +199,11 @@ def render_element(inst: CsgInstance, g: CsgElement) -> str:
         return perms.format_perm(g.payload)
     word = g.payload
     perm = braids.underlying_perm_word(word)
-    is_id = braids.braids_equal(word, braids.empty_word(g.level))
+    images = braids.artin_act(word)
+    is_id = images == braids.artin_act(braids.empty_word(g.level))
     return (f"{braids.format_letters(word)} @ {g.level}"
             f"  perm={perms.format_perm(perm)}"
-            f"  artin={braids.artin_fingerprint(word)}"
+            f"  artin={braids.artin_fingerprint(images)}"
             f"  identity={'true' if is_id else 'false'}")
 
 

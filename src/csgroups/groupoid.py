@@ -8,14 +8,15 @@ itself are exactly the pure elements.  Composition multiplies the group
 parts, [sigma f^-1, g] . [sigma, f] = [sigma, g f].
 
 Faces and degeneracies act on an arrow by applying the corresponding
-permutation operator to the source and a twisted, doubly inverted
-operator to the group part:
+permutation operator to the source, and to the group part at the index
+that the arrow's target tau sends to i:
 
-    d_i [sigma, f] = [d_i(sigma), d_{sigma^-1(i)}(f^-1)^-1]
+    d_i [sigma, f] = [d_i(sigma), d_{tau^-1(i)}(f)],   tau^-1 = pi(f) sigma^-1,
 
-and likewise for degeneracies.  The double inversion is what makes
-these maps functors even though faces and degeneracies are not group
-homomorphisms.  The permutation group of each level acts freely on the
+and likewise for degeneracies.  Faces and degeneracies are not group
+homomorphisms, but the crossed identity d_i(g f) = d_i(g) d_{g^-1(i)}(f)
+splits the face of a composite at exactly these indices, so the maps
+are functors.  The permutation group of each level acts freely on the
 left by translating sources.
 
 A nerve simplex of dimension m is a start object together with a chain
@@ -77,17 +78,15 @@ def hom_arrow(inst: CsgInstance, src: Perm, dst: Perm) -> GroupoidArrow:
 
 
 def face_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    s = a.source
-    j = perms.inverse(s)[i]
-    part = inst.inv(inst.face(j, inst.inv(a.f)))
-    return GroupoidArrow(perms.face_perm(i, s), part)
+    source = perms.face_perm(i, a.source)
+    k = inst.underlying_perm(a.f)[a.source.index(i)]
+    return GroupoidArrow(source, inst.face(k, a.f))
 
 
 def degeneracy_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    s = a.source
-    j = perms.inverse(s)[i]
-    part = inst.inv(inst.degeneracy(j, inst.inv(a.f)))
-    return GroupoidArrow(perms.degeneracy_perm(i, s), part)
+    source = perms.degeneracy_perm(i, a.source)
+    k = inst.underlying_perm(a.f)[a.source.index(i)]
+    return GroupoidArrow(source, inst.degeneracy(k, a.f))
 
 
 def n_action(t: Perm, a: GroupoidArrow) -> GroupoidArrow:
@@ -146,7 +145,8 @@ def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArro
     """d_i and s_i of a translate, against the translate by d_i(t) or
     s_i(t) of the face or degeneracy at t^-1(i)."""
     n = a.level
-    ti = perms.inverse(t)[i]
+    st = perms.degeneracy_perm(i, t)
+    ti = t.index(i)
     inputs = lambda: f"{perms.format_perm(t)}, {format_arrow(inst, a)}"
     if n >= 1:
         lhs = face_arrow(inst, i, n_action(t, a))
@@ -154,7 +154,7 @@ def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArro
         tally.check(arrows_equal(inst, lhs, rhs),
                     f"d_{i}(t.x) == d_{i}(t).d_t^-1({i})(x)", inputs)
     lhs = degeneracy_arrow(inst, i, n_action(t, a))
-    rhs = n_action(perms.degeneracy_perm(i, t), degeneracy_arrow(inst, ti, a))
+    rhs = n_action(st, degeneracy_arrow(inst, ti, a))
     tally.check(arrows_equal(inst, lhs, rhs),
                 f"s_{i}(t.x) == s_{i}(t).s_t^-1({i})(x)", inputs)
 

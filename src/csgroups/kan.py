@@ -176,7 +176,10 @@ def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
         for field, value in (("level", n), ("k", k)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{field} must be an integer, not {type(value).__name__}")
-        base = perms.parse_perm(data["base"])
+        base = data["base"]
+        if not isinstance(base, str):
+            raise TypeError(f"base must be a string, not {type(base).__name__}")
+        base = perms.parse_perm(base)
         raw = data["faces"]
         if not isinstance(raw, dict):
             raise TypeError("faces must be an object")

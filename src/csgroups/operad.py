@@ -14,11 +14,17 @@ arity(n) = level + 1 recovers the classical 1-based axioms (the
 UnshiftedView adapter below exposes that view, with a unique nullary
 element represented by STAR).
 
-On arrows the composition acts by block substitution on sources and by
-the doubly inverted set-level composition on group parts, at the slot
-transported through the source's inverse permutation.  The
-multiplicativity law check_operadic_mult is exactly what makes this a
-functor in both variables.
+On arrows the composition acts by block substitution on sources.  On
+group parts it pads the inner part into the slot j = sigma^-1(i) that
+the source sends to i, and multiplies it on the left by the outer
+part's iterated degeneracy at the index that the outer target tau sends
+to i:
+
+    [sigma, f] o_i [rho, g] = [sigma o_i rho, s_k^m(f) * pad(g, j, n - j)],
+    k = tau^-1(i) = pi(f)(j).
+
+The multiplicativity law check_operadic_mult is exactly what makes this
+a functor in both variables.
 
 Right G-actions are equivariance data for the compositions.  The
 literal right translation does not commute with the compositions at a
@@ -60,8 +66,9 @@ def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> G
     if not 0 <= i <= n:
         raise IndexError(f"slot {i} out of range at level {n}")
     src = perms.block_substitute(a.source, i, b.source)
-    j = perms.inverse(a.source)[i]
-    part = inst.inv(circ_set(inst, inst.inv(a.f), j, inst.inv(b.f)))
+    j = a.source.index(i)
+    k = inst.underlying_perm(a.f)[j]
+    part = inst.mul(inst.degeneracy_power(k, b.level, a.f), inst.pad(b.f, j, n - j))
     return GroupoidArrow(src, part)
 
 
@@ -70,8 +77,9 @@ def check_operadic_mult(tally: Tally, inst: CsgInstance, a: CsgElement,
     """(a o_i b) * (a2 o_{a^-1(i)} b2) == (a a2) o_i (b b2)."""
     inst._require_same_level(a, a2)
     inst._require_same_level(b, b2)
-    ai = perms.inverse(inst.underlying_perm(a))[i]
-    lhs = inst.mul(circ_set(inst, a, i, b), circ_set(inst, a2, ai, b2))
+    ab = circ_set(inst, a, i, b)
+    ai = inst.underlying_perm(a).index(i)
+    lhs = inst.mul(ab, circ_set(inst, a2, ai, b2))
     rhs = circ_set(inst, inst.mul(a, a2), i, inst.mul(b, b2))
     tally.check(inst.equal(lhs, rhs), f"(a o_{i} b)*(a2 o_{ai} b2) == a*a2 o_{i} b*b2",
                 lambda: ", ".join(inst.format(x) for x in (a, a2, b, b2)))
@@ -287,7 +295,7 @@ def _slot(rule: str, sigma: perms.Perm, i: int) -> int:
     if rule == "sigma":
         return sigma[i]
     if rule == "sigma-inv":
-        return perms.inverse(sigma)[i]
+        return sigma.index(i)
     raise ValueError(f"unknown slot rule {rule!r}")
 
 
@@ -313,11 +321,11 @@ def equivariance_condition2(car, action: str, slot_rule: str, placement: str,
     n = car.level(nu)
     if beta.level != car.level(mu):
         raise ValueError("beta must live at the outer element's level")
+    lhs = car.comp(car.act(mu, beta, action), i, nu)
     sigma = inst.underlying_perm(beta)
     j = _slot(slot_rule, sigma, i)
     idx = _slot(placement, sigma, i)
     inflated = inst.degeneracy_power(idx, n, beta)
-    lhs = car.comp(car.act(mu, beta, action), i, nu)
     rhs = car.act(car.comp(mu, j, nu), inflated, action)
     return car.equal(lhs, rhs)
 

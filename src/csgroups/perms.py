@@ -67,8 +67,8 @@ def inverse(p: Perm) -> Perm:
 
 def face_perm(i: int, p: Perm) -> Perm:
     """
-    Delete the point with value i: the source position inverse(p)[i] and
-    the value i are removed and both gaps are closed.
+    Delete the point with value i: drop the position p.index(i), which
+    holds it, then shift the values above i down by one.
 
     >>> face_perm(0, (1, 2, 0))
     (0, 1)
@@ -81,18 +81,14 @@ def face_perm(i: int, p: Perm) -> Perm:
     if not 0 <= i <= n:
         raise IndexError(f"face index {i} out of range at level {n}")
     a = p.index(i)
-    out = []
-    for j in range(n):
-        jj = j if j < a else j + 1
-        out.append(p[jj] - 1 if p[jj] > i else p[jj])
-    return tuple(out)
+    return tuple(v - 1 if v > i else v for v in p[:a] + p[a + 1:])
 
 
 def degeneracy_perm(i: int, p: Perm) -> Perm:
     """
-    Double the point with value i: source position a = inverse(p)[i]
-    becomes two positions a, a + 1 with values i, i + 1, and all other
-    values >= i + 1 shift up.
+    Double the point with value i: shift the values above i up by one,
+    then replace the position p.index(i) by two positions holding i and
+    i + 1.
 
     >>> degeneracy_perm(0, (1, 0))
     (2, 0, 1)
@@ -103,15 +99,8 @@ def degeneracy_perm(i: int, p: Perm) -> Perm:
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range at level {n}")
     a = p.index(i)
-    out = []
-    for j in range(n + 2):
-        if j < a:
-            out.append(p[j] + 1 if p[j] > i else p[j])
-        elif j in (a, a + 1):
-            out.append(i + (j - a))
-        else:
-            out.append(p[j - 1] + 1 if p[j - 1] > i else p[j - 1])
-    return tuple(out)
+    up = tuple(v + 1 if v > i else v for v in p)
+    return up[:a] + (i, i + 1) + up[a + 1:]
 
 
 def s_left_perm(p: Perm) -> Perm:
@@ -136,9 +125,9 @@ def s_right_perm(p: Perm) -> Perm:
 
 def block_substitute(p: Perm, i: int, q: Perm) -> Perm:
     """
-    Substitute q for the point i of p.  The source position a =
-    inverse(p)[i] grows into the block [a, a+m] and the value i into the
-    value block [i, i+m], with q acting inside the block.
+    Substitute q for the point i of p: shift the values above i up by
+    m, then replace the position p.index(i) by the block of m + 1
+    positions holding i + q(0), ..., i + q(m).
 
     >>> block_substitute((1, 0), 0, (1, 0))
     (2, 1, 0)
@@ -150,15 +139,8 @@ def block_substitute(p: Perm, i: int, q: Perm) -> Perm:
     if not 0 <= i <= n:
         raise IndexError(f"block index {i} out of range at level {n}")
     a = p.index(i)
-    out = []
-    for pos in range(n + m + 1):
-        if pos < a:
-            out.append(p[pos] + m if p[pos] > i else p[pos])
-        elif pos <= a + m:
-            out.append(i + q[pos - a])
-        else:
-            out.append(p[pos - m] + m if p[pos - m] > i else p[pos - m])
-    return tuple(out)
+    up = tuple(v + m if v > i else v for v in p)
+    return up[:a] + tuple(i + v for v in q) + up[a + 1:]
 
 
 # Case-split identities describing how inverse images transport through

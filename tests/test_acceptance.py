@@ -4,6 +4,10 @@ Each test runs one numbered criterion at the exact levels, trial counts
 and seeds it calls for, prints a single pass/fail line, and fails if a
 single counterexample shows up anywhere.  Everything is exact equality
 over discrete structures; there are no tolerances to tune.
+
+The suite reports come from the session's `run_suite` fixture, which
+builds each at the suite table's defaults and seed 0; every criterion
+asserts that its reports ran at exactly the scope it states.
 """
 
 import random
@@ -22,39 +26,54 @@ def _suite_ok(report):
     return report.outcome == "pass"
 
 
-def test_criterion_01_inverse_transport():
-    rep = suites.suite_inverse_transport(max_level=4)
+def _reports(run_suite, *scopes):
+    """The report of each (suite, instance, params) scope, asserted to
+    have run at exactly those params."""
+    reports = []
+    for name, instance, params in scopes:
+        report = run_suite(name, instance)
+        assert report.params == params, (name, instance, report.params)
+        reports.append(report)
+    return reports
+
+
+def test_criterion_01_inverse_transport(run_suite):
+    rep, = _reports(run_suite, ("inverse-transport", "symm",
+                                {"max_level": 4, "block_level": 2}))
     _criterion(1, _suite_ok(rep),
                f"inverse-transport identities, {rep.cases} cases "
                "(levels <= 4, block levels <= 2)")
 
 
-def test_criterion_02_identity_suites():
+def test_criterion_02_identity_suites(run_suite):
     reports = []
     for name in ("crossed", "simplicial", "extra-degeneracy"):
-        reports.append(suites.run_suite(name, instance="symm", max_level=3))
-        reports.append(suites.run_suite(name, instance="braid", trials=1000,
-                                        max_level=5, word_len=12, seed=0))
+        reports += _reports(
+            run_suite, (name, "symm", {"max_level": 3}),
+            (name, "braid", {"trials": 1000, "max_level": 5, "word_len": 12,
+                             "seed": 0}))
     ok = all(_suite_ok(r) for r in reports)
     cases = sum(r.cases for r in reports)
     _criterion(2, ok, f"crossed/simplicial/extra-degeneracy, {cases} cases "
                       "(symm exhaustive <= 3, braid 1000 trials each)")
 
 
-def test_criterion_03_monoidal_operadic():
-    reports = [
-        suites.suite_monoidal(instance="symm", max_level=2),
-        suites.suite_monoidal(instance="braid", trials=500, seed=0),
-        suites.suite_operadic(instance="symm", max_level=2),
-        suites.suite_operadic(instance="braid", trials=500, seed=0),
-    ]
+def test_criterion_03_monoidal_operadic(run_suite):
+    braid_scope = {"trials": 500, "seed": 0, "max_level": 3, "word_len": 6}
+    reports = _reports(
+        run_suite,
+        ("monoidal", "symm", {"max_level": 2}),
+        ("monoidal", "braid", braid_scope),
+        ("operadic", "symm", {"max_level": 2}),
+        ("operadic", "braid", braid_scope),
+    )
     ok = all(_suite_ok(r) for r in reports)
     cases = sum(r.cases for r in reports)
     _criterion(3, ok, f"monoidal and degeneracy-conjugation axioms, {cases} "
                       "cases (symm exhaustive <= 2, braid 500 trials each)")
 
 
-def test_criterion_04_set_operad():
+def test_criterion_04_set_operad(run_suite):
     oracle_ok = True
     oracle_cases = 0
     for n in range(4):
@@ -66,51 +85,61 @@ def test_criterion_04_set_operad():
                         got = operad.circ_set(SYMMETRIC, a, i, b).payload
                         if got != perms.block_substitute(a.payload, i, b.payload):
                             oracle_ok = False
-    reports = [
-        suites.suite_shifted_operad(instance="symm", max_level=2),
-        suites.suite_shifted_operad(instance="braid", trials=300, seed=0),
-    ]
+    reports = _reports(
+        run_suite,
+        ("shifted-operad", "symm", {"max_level": 2, "seed": 0}),
+        ("shifted-operad", "braid",
+         {"trials": 300, "seed": 0, "max_level": 2, "word_len": 4}),
+    )
     ok = oracle_ok and all(_suite_ok(r) for r in reports)
     cases = oracle_cases + sum(r.cases for r in reports)
     _criterion(4, ok, f"set operad: composition matches the block oracle and "
                       f"all five shifted axiom families, {cases} cases")
 
 
-def test_criterion_05_operadic_mult():
-    reports = [
-        suites.suite_operadic_mult(instance="symm", max_level=2),
-        suites.suite_operadic_mult(instance="braid", trials=300, seed=0),
-    ]
+def test_criterion_05_operadic_mult(run_suite):
+    reports = _reports(
+        run_suite,
+        ("operadic-mult", "symm", {"max_level": 2}),
+        ("operadic-mult", "braid",
+         {"trials": 300, "seed": 0, "max_level": 2, "word_len": 5}),
+    )
     ok = all(_suite_ok(r) for r in reports)
     cases = sum(r.cases for r in reports)
     _criterion(5, ok, f"multiplicativity and functoriality of the arrow "
                       f"composition, {cases} cases")
 
 
-def test_criterion_06_groupoid_simplicial():
-    reports = [
-        suites.suite_groupoid_simplicial(instance="symm", max_level=3),
-        suites.suite_groupoid_simplicial(instance="braid", trials=300, seed=0),
-    ]
+def test_criterion_06_groupoid_simplicial(run_suite):
+    reports = _reports(
+        run_suite,
+        ("groupoid-simplicial", "symm", {"max_level": 3}),
+        ("groupoid-simplicial", "braid",
+         {"trials": 300, "seed": 0, "max_level": 4, "word_len": 8}),
+    )
     ok = all(_suite_ok(r) for r in reports)
     cases = sum(r.cases for r in reports)
     _criterion(6, ok, f"groupoid simplicial structure and translation-action "
                       f"identities, {cases} cases")
 
 
-def test_criterion_07_quotient():
-    reports = [
-        suites.suite_quotient(instance="braid", trials=200, seed=0),
-        suites.suite_quotient(instance="symm", trials=200, seed=0),
-    ]
+def test_criterion_07_quotient(run_suite):
+    orbits = {"orbit_level": 2, "orbit_dim": 3, "word_len": 6}
+    reports = _reports(
+        run_suite,
+        ("quotient", "braid", {"trials": 200, "seed": 0, "max_level": 3, **orbits}),
+        ("quotient", "symm", {"trials": 200, "seed": 0, "max_level": 2, **orbits}),
+    )
     ok = all(_suite_ok(r) for r in reports)
     cases = sum(r.cases for r in reports)
     _criterion(7, ok, f"nerve quotient: orbit constancy, separation, operator "
                       f"commutation, {cases} cases")
 
 
-def test_criterion_08_section_and_lifting():
-    section_rep = suites.suite_section(trials=200, seed=0)
+def test_criterion_08_section_and_lifting(run_suite):
+    section_rep, = _reports(run_suite, (
+        "section", "braid",
+        {"trials": 200, "seed": 0, "max_level": 3, "random_levels": [4, 5]}))
     rng = random.Random(0)
     lift_ok = True
     ks_seen = set()
@@ -155,8 +184,9 @@ def test_criterion_09_word_problem_sanity():
                       "two products of distinct generators")
 
 
-def test_criterion_10_bar_construction():
-    rep = suites.suite_bar(max_level=3, trials=200, seed=0)
+def test_criterion_10_bar_construction(run_suite):
+    rep, = _reports(run_suite, ("bar", "symm", {"max_level": 3, "trials": 200,
+                                                "seed": 0, "word_len": 8}))
     surviving = rep.extra["surviving"]
     ok = (_suite_ok(rep) and surviving == ["covariant/inverse"]
           and rep.extra["multiplying_faces_along_rotations"])
@@ -166,9 +196,13 @@ def test_criterion_10_bar_construction():
                        f"calibrated convention {surviving}")
 
 
-def test_criterion_11_equivariance_verdict():
-    rep_symm = suites.suite_equivariance(instance="symm", max_level=2, seed=0)
-    rep_braid = suites.suite_equivariance(instance="braid", trials=200, seed=0)
+def test_criterion_11_equivariance_verdict(run_suite):
+    rep_symm, rep_braid = _reports(
+        run_suite,
+        ("equivariance", "symm", {"max_level": 2, "seed": 0}),
+        ("equivariance", "braid",
+         {"trials": 200, "seed": 0, "max_level": 2, "word_len": 4}),
+    )
     shared = sorted(set(rep_symm.extra["surviving"])
                     & set(rep_braid.extra["surviving"]))
     expected = [

@@ -162,9 +162,10 @@ def test_equality_is_congruence(u, v):
 def test_fingerprint_tracks_equality():
     rel1 = BraidWord(3, ((0, 1), (1, 1), (0, 1)))
     rel2 = BraidWord(3, ((1, 1), (0, 1), (1, 1)))
-    assert braids.artin_fingerprint(rel1) == braids.artin_fingerprint(rel2)
-    assert braids.artin_fingerprint(generator(1, 0)) != \
-        braids.artin_fingerprint(empty_word(1))
+    assert braids.artin_fingerprint(braids.artin_act(rel1)) == \
+        braids.artin_fingerprint(braids.artin_act(rel2))
+    assert braids.artin_fingerprint(braids.artin_act(generator(1, 0))) != \
+        braids.artin_fingerprint(braids.artin_act(empty_word(1)))
 
 
 def test_parse_format():

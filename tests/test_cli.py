@@ -36,6 +36,12 @@ def test_eval_braid_expressions(capsys):
     assert "perm=[2,1,0]" in out
     code, out, _ = run(capsys, "eval", "1@3")
     assert code == 0 and "identity=true" in out
+    # One whole line, artin= fingerprint included, pinned as it was first
+    # recorded.
+    code, out, _ = run(capsys, "eval", "mul(s1 s2^-1 s1@2, inv(s2 s1@2))")
+    assert code == 0 and out == (
+        "s1 s2^-1 s1 s1^-1 s2^-1 @ 2  perm=[1,0,2]  artin=cf4383fa8b23787c"
+        "  identity=false\n")
 
 
 def test_eval_error_positions(capsys):
@@ -216,6 +222,11 @@ def test_kan_lift_rejects_unreadable_json(tmp_path, capsys, content):
      "faces": {"0": "1", "2": "1"}},
     {"instance": "braid", "level": 2, "k": 1, "base": "[0,1,2]",
      "faces": {"0": "1", "02": "1"}},
+    # A base that is not a string died with an AttributeError traceback.
+    {"instance": "braid", "level": 2, "k": 1, "base": 5, "faces": {"0": "1", "2": "1"}},
+    {"instance": "braid", "level": 2, "k": 1, "base": None, "faces": {"0": "1", "2": "1"}},
+    {"instance": "braid", "level": 2, "k": 1, "base": [0, 1, 2],
+     "faces": {"0": "1", "2": "1"}},
 ])
 def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
     path = tmp_path / "horn.json"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from csgroups import BRAID, SYMMETRIC
-from csgroups import braids, core, groupoid, perms
+from csgroups import braids, core, groupoid, operad, perms
 from csgroups.groupoid import GroupoidArrow, NerveSimplex
 
 
@@ -47,24 +47,56 @@ def test_non_composable_raises():
         groupoid.compose_arrows(SYMMETRIC, b, a)
 
 
+# The doubly inverted definitions of the arrow operators, kept as the
+# reference oracle for the target-side forms in groupoid and operad:
+#   d_i [sigma, f] = [d_i(sigma), d_{sigma^-1(i)}(f^-1)^-1], likewise s_i,
+#   [sigma, f] o_i [rho, g] = [sigma o_i rho, circ(f^-1, sigma^-1(i), g^-1)^-1].
+
+def inverted_face(inst, i, a):
+    j = perms.inverse(a.source)[i]
+    return GroupoidArrow(perms.face_perm(i, a.source),
+                         inst.inv(inst.face(j, inst.inv(a.f))))
+
+
+def inverted_degeneracy(inst, i, a):
+    j = perms.inverse(a.source)[i]
+    return GroupoidArrow(perms.degeneracy_perm(i, a.source),
+                         inst.inv(inst.degeneracy(j, inst.inv(a.f))))
+
+
+def inverted_circ(inst, a, i, b):
+    j = perms.inverse(a.source)[i]
+    return GroupoidArrow(perms.block_substitute(a.source, i, b.source),
+                         inst.inv(operad.circ_set(inst, inst.inv(a.f), j, inst.inv(b.f))))
+
+
 def test_face_degeneracy_formulas():
+    """face_arrow, degeneracy_arrow and circ_gpd give the oracle's
+    arrows payload for payload: on every symmetric arrow to level 2, and
+    on random braid arrows letter for letter."""
     rng = random.Random(1)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        a = groupoid.random_arrow(BRAID, rng, n, 6)
-        for i in range(n + 1):
-            j = perms.inverse(a.source)[i]
-            fa = groupoid.face_arrow(BRAID, i, a)
-            assert fa.source == perms.face_perm(i, a.source)
-            assert BRAID.equal(
-                fa.f, BRAID.inv(BRAID.face(j, BRAID.inv(a.f))))
-            # faces of an arrow connect the faces of its endpoints
-            assert groupoid.target(BRAID, fa) == perms.face_perm(
-                i, groupoid.target(BRAID, a))
-            da = groupoid.degeneracy_arrow(BRAID, i, a)
-            assert da.source == perms.degeneracy_perm(i, a.source)
-            assert groupoid.target(BRAID, da) == perms.degeneracy_perm(
-                i, groupoid.target(BRAID, a))
+    samples = {
+        SYMMETRIC: [GroupoidArrow(s, f) for n in range(3)
+                    for s in perms.all_perms(n) for f in SYMMETRIC.elements(n)],
+        BRAID: [groupoid.random_arrow(BRAID, rng, rng.randint(0, 3), 6)
+                for _ in range(40)],
+    }
+    for inst, arrows in samples.items():
+        for a in arrows:
+            n = a.level
+            for i in range(n + 1):
+                if n >= 1:
+                    fa = groupoid.face_arrow(inst, i, a)
+                    assert fa == inverted_face(inst, i, a)
+                    # faces of an arrow connect the faces of its endpoints
+                    assert groupoid.target(inst, fa) == perms.face_perm(
+                        i, groupoid.target(inst, a))
+                da = groupoid.degeneracy_arrow(inst, i, a)
+                assert da == inverted_degeneracy(inst, i, a)
+                assert groupoid.target(inst, da) == perms.degeneracy_perm(
+                    i, groupoid.target(inst, a))
+                for b in arrows:
+                    assert operad.circ_gpd(inst, a, i, b) == inverted_circ(inst, a, i, b)
 
 
 def test_identity_arrow_face():

@@ -49,13 +49,14 @@ def test_small_scope_reports_match_digests():
     assert mismatched == []
 
 
-def test_acceptance_scope_reports_match_digests():
+def test_acceptance_scope_reports_match_digests(run_suite):
     """The acceptance scopes are the suite table's defaults; a drifting
-    default changes the report's params, and with them the digest."""
+    default changes the report's params, and with them the digest.  The
+    reports are the session's, shared with the acceptance gate."""
     mismatched = []
     for inst, table in ACCEPTANCE_GOLDEN.items():
         for name, expected in table.items():
-            report = suites.run_suite(name, instance=inst, seed=0)
+            report = run_suite(name, inst)
             if digest(report.to_json()) != expected:
                 mismatched.append((name, inst))
     assert mismatched == []
