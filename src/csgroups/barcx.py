@@ -101,28 +101,19 @@ def cyclic_monoid(k: int) -> FiniteMonoid:
     return FiniteMonoid(f"cyclic{k}", names, names[0], table)
 
 
-def left_wins_monoid() -> FiniteMonoid:
-    """Unit plus two idempotents where the left factor wins: x*y = x."""
-    return FiniteMonoid(
-        "left-wins3",
-        ("e", "x", "y"),
-        "e",
-        (("e", "x", "y"), ("x", "x", "x"), ("y", "y", "y")),
-    )
-
-
-def left_wins4_monoid() -> FiniteMonoid:
-    names = ("e", "x", "y", "z")
-    table = (("e", "x", "y", "z"),
-             ("x", "x", "x", "x"),
-             ("y", "y", "y", "y"),
-             ("z", "z", "z", "z"))
-    return FiniteMonoid("left-wins4", names, "e", table)
+def left_wins_monoid(k: int) -> FiniteMonoid:
+    """The unit e and k - 1 idempotents, among x, y and z, where the
+    left factor wins: a*b = a for a != e."""
+    if not 1 <= k <= 4:
+        raise ValueError(f"left-wins monoids have 1 to 4 elements, not {k}")
+    names = ("e", "x", "y", "z")[:k]
+    table = tuple(tuple(b if a == "e" else a for b in names) for a in names)
+    return FiniteMonoid(f"left-wins{k}", names, "e", table)
 
 
 def standard_monoids() -> tuple[FiniteMonoid, ...]:
-    return (trivial_monoid(), cyclic_monoid(2), left_wins_monoid(),
-            left_wins4_monoid())
+    return (trivial_monoid(), cyclic_monoid(2), left_wins_monoid(3),
+            left_wins_monoid(4))
 
 
 def bar_face(monoid: FiniteMonoid, i: int, t: BarTuple,

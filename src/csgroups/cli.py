@@ -9,7 +9,8 @@ Command-line front end.
 
 Exit codes: 0 on success, 1 when a suite finds a counterexample or a
 horn cannot be lifted, 2 on usage or parse errors, among them any level
-above MAX_LEVEL, caught before anything that size is built.
+above MAX_LEVEL, caught before anything that size is built, and calls
+nested more than MAX_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .suites import SUITES, run_suite
 
 # Far above any level in use (5 at most); an element's cost grows with it.
 MAX_LEVEL = 1000
+# Far above any nesting in use (2 at most); each nested call takes stack.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -85,14 +88,14 @@ class _ExprParser:
             raise ParseError(f"trailing input {text!r}", pos)
         return value
 
-    def expr(self):
+    def expr(self, depth=0):
         kind, text, pos = self.peek()
         if kind == "punct" and text == "[":
             return self.perm_literal()
         if kind == "braid" or (kind == "int" and text == "1"):
             return self.braid_literal()
         if kind == "name":
-            return self.call()
+            return self.call(depth + 1)
         raise ParseError(f"expected an expression, found {text!r}", pos)
 
     def number(self, what: str) -> int:
@@ -131,13 +134,15 @@ class _ExprParser:
             raise ParseError(str(exc), pos) from None
         return BRAID, BRAID.element(word)
 
-    def call(self):
+    def call(self, depth):
         _, name, pos = self.take("name")
+        if depth > MAX_DEPTH:
+            raise ParseError(f"calls nested more than {MAX_DEPTH} deep", pos)
         self.take("punct", "(")
-        args = [self.expr()]
+        args = [self.expr(depth)]
         while self.peek()[1] == ",":
             self.take("punct", ",")
-            args.append(self.expr())
+            args.append(self.expr(depth))
         self.take("punct", ")")
         try:
             inst, value = self.apply(name, args, pos)
@@ -259,7 +264,8 @@ def cmd_kan_lift(args) -> int:
     try:
         with open(args.horn) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON, bad UTF-8, over-long number
+    # Bad JSON, bad UTF-8, an over-long number, or arrays nested too deep.
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"cannot read horn file: {exc}", file=sys.stderr)
         return 2
     if not isinstance(data, dict):

@@ -177,7 +177,7 @@ def simplex_objects(inst: CsgInstance, s: NerveSimplex) -> tuple[Perm, ...]:
     """The start object followed by the targets along the chain."""
     objs = [s.start]
     for f in s.chain:
-        objs.append(perms.compose(objs[-1], perms.inverse(inst.underlying_perm(f))))
+        objs.append(target(inst, GroupoidArrow(objs[-1], f)))
     return tuple(objs)
 
 
@@ -215,8 +215,7 @@ def nerve_face(inst: CsgInstance, i: int, s: NerveSimplex) -> NerveSimplex:
     if i == 0:
         return NerveSimplex(s.start, s.chain[:-1])
     if i == m:
-        first = s.chain[0]
-        moved = perms.compose(s.start, perms.inverse(inst.underlying_perm(first)))
+        moved = target(inst, GroupoidArrow(s.start, s.chain[0]))
         return NerveSimplex(moved, s.chain[1:])
     j = m - i
     combined = inst.mul(s.chain[j], s.chain[j - 1])
@@ -322,9 +321,9 @@ def skeleton_to_dot(inst: CsgInstance, n: int) -> str:
         lines.append(f'  "{perms.format_perm(p)}";')
     for src in nodes:
         for dst in nodes:
-            f = perms.compose(perms.inverse(dst), src)
+            f = hom_arrow(inst, src, dst).f
             lines.append(
                 f'  "{perms.format_perm(src)}" -> "{perms.format_perm(dst)}"'
-                f' [label="{perms.format_perm(f)}"];')
+                f' [label="{inst.format(f)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ a functor in both variables.
 Right G-actions are equivariance data for the compositions.  The
 literal right translation does not commute with the compositions at a
 fixed padding slot (the slot drifts along the outer element's inverse
-permutation), so check_g_like_equivariance enumerates candidate
+permutation), so equivariance_verdicts enumerates candidate
 readings (which action, which slot index, where the degeneracies that
 inflate the acting element go) and reports which ones hold; see the
 ACTIONS / SLOT_RULES / PLACEMENTS triples.
@@ -99,9 +99,6 @@ class SetCarrier:
     def face(self, i, a):
         return self.inst.face(i, a)
 
-    def level(self, a) -> int:
-        return a.level
-
     def equal(self, a, b) -> bool:
         return self.inst.equal(a, b)
 
@@ -136,9 +133,6 @@ class GroupoidCarrier:
     def face(self, i, a):
         return face_arrow(self.inst, i, a)
 
-    def level(self, a) -> int:
-        return a.level
-
     def equal(self, a, b) -> bool:
         return arrows_equal(self.inst, a, b)
 
@@ -169,7 +163,7 @@ def check_shifted_axioms(tally: Tally, car, lam, mu, nu, rng=None):
     indices are enumerated; passing an rng samples one instantiation
     per family instead.
     """
-    l, m = car.level(lam), car.level(mu)
+    l, m = lam.level, mu.level
     inputs = lambda: ", ".join(car.format(x) for x in (lam, mu, nu))
 
     def pick(pairs):
@@ -209,7 +203,7 @@ def check_shifted_units(tally: Tally, car, nu):
     unit = car.one(0)
     inputs = lambda: car.format(nu)
     tally.check(car.equal(car.comp(unit, 0, nu), nu), "id o_0 z == z", inputs)
-    for i in range(car.level(nu) + 1):
+    for i in range(nu.level + 1):
         tally.check(car.equal(car.comp(nu, i, unit), nu), f"z o_{i} id == z", inputs)
 
 
@@ -234,7 +228,7 @@ class UnshiftedView:
         self.car = car
 
     def arity(self, x) -> int:
-        return 0 if x is STAR else self.car.level(x) + 1
+        return 0 if x is STAR else x.level + 1
 
     def comp(self, x, i, y):
         if x is STAR:
@@ -304,8 +298,8 @@ def equivariance_condition1(car, action: str, mu, i: int, nu,
     """mu o_i (nu acted by beta) == (mu o_i nu) acted by the padding of
     beta into slot i."""
     inst = car.inst
-    m = car.level(mu)
-    if beta.level != car.level(nu):
+    m = mu.level
+    if beta.level != nu.level:
         raise ValueError("beta must live at the inner element's level")
     lhs = car.comp(mu, i, car.act(nu, beta, action))
     padded = inst.pad(beta, i, m - i)
@@ -318,8 +312,8 @@ def equivariance_condition2(car, action: str, slot_rule: str, placement: str,
     """(mu acted by beta) o_i nu == (mu o_j nu) acted by the degeneracy
     inflation of beta, for the candidate slot j and inflation index."""
     inst = car.inst
-    n = car.level(nu)
-    if beta.level != car.level(mu):
+    n = nu.level
+    if beta.level != mu.level:
         raise ValueError("beta must live at the outer element's level")
     lhs = car.comp(car.act(mu, beta, action), i, nu)
     sigma = inst.underlying_perm(beta)
@@ -330,8 +324,8 @@ def equivariance_condition2(car, action: str, slot_rule: str, placement: str,
     return car.equal(lhs, rhs)
 
 
-def check_g_like_equivariance(car, mu, i: int, nu, beta_inner: CsgElement,
-                              beta_outer: CsgElement) -> dict[str, bool]:
+def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
+                          beta_outer: CsgElement) -> dict[str, bool]:
     """
     Verdicts for one input tuple: condition (1) under each action, and
     condition (2) under each (action, slot, placement) reading.
@@ -351,9 +345,11 @@ def check_g_like_equivariance(car, mu, i: int, nu, beta_inner: CsgElement,
 
 
 def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
-                          y: GroupoidArrow, i: int, v: GroupoidArrow, w: GroupoidArrow):
-    """circ_gpd preserves identities, targets and composition; y must
-    continue x and w must continue v."""
+                          yf: CsgElement, i: int, v: GroupoidArrow, wf: CsgElement):
+    """circ_gpd preserves identities, targets and composition on x, v and
+    the arrows y = [target(x), yf], w = [target(v), wf] continuing them."""
+    tx, tv = target(inst, x), target(inst, v)
+    y, w = GroupoidArrow(tx, yf), GroupoidArrow(tv, wf)
     inputs = lambda: ", ".join(format_arrow(inst, a) for a in (x, y, v, w))
 
     comp_outer = compose_arrows(inst, y, x)
@@ -361,8 +357,7 @@ def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
     xv = circ_gpd(inst, x, i, v)
     yw = circ_gpd(inst, y, i, w)
 
-    tally.check(target(inst, xv) == perms.block_substitute(
-                    target(inst, x), i, target(inst, v)),
+    tally.check(target(inst, xv) == perms.block_substitute(tx, i, tv),
                 "target(x o_i v) == target(x) o_i target(v)", inputs)
     tally.check(arrows_equal(inst, circ_gpd(inst, comp_outer, i, comp_inner),
                              compose_arrows(inst, yw, xv)),

@@ -1,7 +1,7 @@
 """
 Named verification suites with deterministic, seedable reports.
 
-A suite is a table entry: for each instance it supports, the default
+A suite is a SUITES entry: for each instance it supports, the default
 parameters its report shows and a body holding only its case loops.
 The symmetric bodies enumerate every element up to a level bound; the
 braid bodies sample seeded random words.  One driver, run_suite,
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import functools
 import json
 import random
 import types
@@ -44,17 +43,10 @@ class SuiteReport:
         return "pass" if self.failures == 0 else "fail"
 
     def to_dict(self) -> dict:
-        data = {
-            "suite": self.suite,
-            "instance": self.instance,
-            "params": self.params,
-            "cases": self.cases,
-            "failures": self.failures,
-            "outcome": self.outcome,
-            "counterexamples": self.counterexamples,
-        }
-        if self.extra is not None:
-            data["extra"] = self.extra
+        data = dataclasses.asdict(self)
+        data["outcome"] = self.outcome
+        if self.extra is None:
+            del data["extra"]
         return data
 
     def to_json(self) -> str:
@@ -74,7 +66,7 @@ class SuiteReport:
 
 # The suite table: name -> instance -> (default params, body, least
 # max_level).  The first instance registered for a name is its default.
-_TABLE: dict[str, dict[str, tuple]] = {}
+SUITES: dict[str, dict[str, tuple]] = {}
 
 
 def suite(name: str, min_level: int = 0, **defaults_by_instance):
@@ -86,7 +78,7 @@ def suite(name: str, min_level: int = 0, **defaults_by_instance):
     may return the report's extra."""
     def register(body):
         for instance, defaults in defaults_by_instance.items():
-            _TABLE.setdefault(name, {})[instance] = (defaults, body, min_level)
+            SUITES.setdefault(name, {})[instance] = (defaults, body, min_level)
         return body
     return register
 
@@ -94,10 +86,10 @@ def suite(name: str, min_level: int = 0, **defaults_by_instance):
 def run_suite(name: str, instance: str | None = None, max_level: int | None = None,
               trials: int | None = None, seed: int = 0,
               word_len: int | None = None) -> SuiteReport:
-    if name not in _TABLE:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
-                         + ", ".join(sorted(_TABLE)))
-    entries = _TABLE[name]
+                         + ", ".join(sorted(SUITES)))
+    entries = SUITES[name]
     instance = next(iter(entries)) if instance is None else instance
     if instance not in entries:
         raise ValueError(f"suite {name!r} runs on {' and '.join(entries)}, "
@@ -126,6 +118,11 @@ def _arrows(inst, levels):
     element."""
     return [groupoid.GroupoidArrow(s, f) for n in levels
             for s in perms.all_perms(n) for f in inst.elements(n)]
+
+
+def _elements(inst, levels):
+    """Every element at the given levels, by level."""
+    return [g for n in levels for g in inst.elements(n)]
 
 
 def _index_pairs(rng, n):
@@ -305,7 +302,7 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
 def _shifted_operad_symm(inst, p, rng, tally):
     set_car = operad.SetCarrier(inst)
     gpd_car = operad.GroupoidCarrier(inst)
-    set_elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
+    set_elements = _elements(inst, range(p.max_level + 1))
     for nu in set_elements:
         operad.check_shifted_units(tally, set_car, nu)
     for lam, mu, nu in product(set_elements, repeat=3):
@@ -339,7 +336,7 @@ def _shifted_operad_braid(inst, p, rng, tally):
 def _unshifted_operad_symm(inst, p, rng, tally):
     set_view = operad.UnshiftedView(operad.SetCarrier(inst))
     gpd_view = operad.UnshiftedView(operad.GroupoidCarrier(inst))
-    set_elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
+    set_elements = _elements(inst, range(p.max_level + 1))
     with_star = set_elements + [operad.STAR]
     for lam, mu, nu in product(set_elements, with_star, with_star):
         operad.check_unshifted_axioms(tally, set_view, lam, mu, nu)
@@ -378,10 +375,8 @@ def _operadic_mult_symm(inst, p, rng, tally):
     for n, m in product(levels, levels):
         for x, yf, v, wf in product(_arrows(inst, [n]), inst.elements(n),
                                     _arrows(inst, [m]), inst.elements(m)):
-            y = groupoid.GroupoidArrow(groupoid.target(inst, x), yf)
-            w = groupoid.GroupoidArrow(groupoid.target(inst, v), wf)
             for i in range(n + 1):
-                operad.check_circ_functorial(tally, inst, x, y, i, v, w)
+                operad.check_circ_functorial(tally, inst, x, yf, i, v, wf)
 
 
 @suite("operadic-mult", min_level=1,
@@ -399,11 +394,9 @@ def _operadic_mult_braid(inst, p, rng, tally):
             inst.random_element(rng, m, wl), inst.random_element(rng, m, wl))
         x = groupoid.random_arrow(inst, rng, n, wl)
         v = groupoid.random_arrow(inst, rng, m, wl)
-        y = groupoid.GroupoidArrow(groupoid.target(inst, x),
-                                   inst.random_element(rng, n, wl))
-        w = groupoid.GroupoidArrow(groupoid.target(inst, v),
-                                   inst.random_element(rng, m, wl))
-        operad.check_circ_functorial(tally, inst, x, y, i, v, w)
+        yf = inst.random_element(rng, n, wl)
+        wf = inst.random_element(rng, m, wl)
+        operad.check_circ_functorial(tally, inst, x, yf, i, v, wf)
 
 
 # Interpretation search for the two equivariance conditions on both
@@ -420,7 +413,7 @@ def _record_equivariance(tally, verdicts, car, mu, i, nu, beta_inner, beta_outer
     calibrated readings count as the suite's cases."""
     describe = lambda beta: (f"{car.format(mu)}, {car.format(nu)}, "
                              f"{car.inst.format(beta)}, i={i}")
-    for reading, ok in operad.check_g_like_equivariance(
+    for reading, ok in operad.equivariance_verdicts(
             car, mu, i, nu, beta_inner, beta_outer).items():
         key = f"{car.kind}/{reading}"
         verdicts[key] = verdicts.get(key, True) and ok
@@ -505,7 +498,7 @@ def _bar(inst, p, rng, tally):
         for n in range(p.max_level + 1):
             for t in monoid.tuples(n):
                 barcx.check_bar_simplicial(tally, monoid, t)
-    noncomm = barcx.left_wins_monoid()
+    noncomm = barcx.left_wins_monoid(3)
     conventions = barcx.calibrate_conventions(noncomm, SYMMETRIC)
     surviving = sorted(k for k, v in conventions.items() if v)
     tally.check(bool(surviving), "some action convention survives",
@@ -526,7 +519,7 @@ def _bar(inst, p, rng, tally):
             for t, i in product(noncomm.tuples(n), range(n + 1)):
                 barcx.check_delta_g_object(tally, noncomm, SYMMETRIC, g, t, i)
     rotations_ok = len(tally.violations) == before
-    big = barcx.left_wins4_monoid()
+    big = barcx.left_wins_monoid(4)
     for _ in range(p.trials):
         n = rng.randint(1, 3)
         g = BRAID.random_element(rng, n, p.word_len)
@@ -588,22 +581,3 @@ def _quotient(inst, p, rng, tally):
                     groupoid.nerve_degeneracy(inst, i, s)),
                     groupoid.opposite_nerve_degeneracy(inst, i, q, n)),
                 f"quotient commutes with s_{i}", where)
-
-
-# The public entry points: the driver bound to each suite's name.
-SUITES = {name: functools.partial(run_suite, name) for name in _TABLE}
-
-suite_crossed = SUITES["crossed"]
-suite_simplicial = SUITES["simplicial"]
-suite_extra_degeneracy = SUITES["extra-degeneracy"]
-suite_monoidal = SUITES["monoidal"]
-suite_operadic = SUITES["operadic"]
-suite_inverse_transport = SUITES["inverse-transport"]
-suite_groupoid_simplicial = SUITES["groupoid-simplicial"]
-suite_shifted_operad = SUITES["shifted-operad"]
-suite_unshifted_operad = SUITES["unshifted-operad"]
-suite_operadic_mult = SUITES["operadic-mult"]
-suite_equivariance = SUITES["equivariance"]
-suite_section = SUITES["section"]
-suite_bar = SUITES["bar"]
-suite_quotient = SUITES["quotient"]

@@ -16,14 +16,13 @@ from csgroups.barcx import (
     calibrate_conventions,
     cyclic_monoid,
     left_wins_monoid,
-    left_wins4_monoid,
     standard_monoids,
     trivial_monoid,
 )
 
 
 def test_monoid_validation():
-    m = left_wins_monoid()
+    m = left_wins_monoid(3)
     assert m.mult("x", "y") == "x"
     assert m.mult("y", "x") == "y"
     assert m.mult("e", "x") == "x"
@@ -39,8 +38,21 @@ def test_monoid_validation():
             (("e", "x", "y"), ("x", "e", "x"), ("y", "y", "e")))
 
 
+def test_left_wins_tables():
+    """Both left-wins monoids, against their tables as first written out."""
+    assert left_wins_monoid(3) == barcx.FiniteMonoid(
+        "left-wins3", ("e", "x", "y"), "e",
+        (("e", "x", "y"), ("x", "x", "x"), ("y", "y", "y")))
+    assert left_wins_monoid(4) == barcx.FiniteMonoid(
+        "left-wins4", ("e", "x", "y", "z"), "e",
+        (("e", "x", "y", "z"), ("x", "x", "x", "x"), ("y", "y", "y", "y"),
+         ("z", "z", "z", "z")))
+    with pytest.raises(ValueError):
+        left_wins_monoid(5)
+
+
 def test_bar_ops_frozen_values():
-    m = left_wins_monoid()
+    m = left_wins_monoid(3)
     assert bar_face(m, 0, ("e", "x")) == ("x",)
     assert bar_face(m, 1, ("e", "x", "y")) == ("e", "x")
     assert bar_face(m, 2, ("x", "y", "e")) == ("x", "y")
@@ -54,7 +66,7 @@ def test_bar_ops_frozen_values():
 
 
 def test_bar_action():
-    m = left_wins_monoid()
+    m = left_wins_monoid(3)
     g = SYMMETRIC.element((1, 0))
     assert bar_action(SYMMETRIC, g, ("x", "y")) == ("y", "x")
     assert bar_action(SYMMETRIC, SYMMETRIC.one(1), ("x", "y")) == ("x", "y")
@@ -78,7 +90,7 @@ def test_bar_simplicial_identities_exhaustive():
 
 
 def test_calibration_isolates_covariant_inverse():
-    conv = calibrate_conventions(left_wins_monoid(), SYMMETRIC)
+    conv = calibrate_conventions(left_wins_monoid(3), SYMMETRIC)
     assert conv["covariant/inverse"] is True
     assert conv["covariant/plain"] is False
     for twist in barcx.TWISTS:
@@ -96,7 +108,7 @@ def test_commutative_monoids_cannot_separate_products():
 
 
 def test_multiplying_faces_work_along_rotations():
-    m = left_wins_monoid()
+    m = left_wins_monoid(3)
     tally = Tally()
     for n in range(1, 4):
         for shift in range(n + 1):
@@ -108,7 +120,7 @@ def test_multiplying_faces_work_along_rotations():
 
 
 def test_multiplying_faces_fail_off_rotations():
-    m = left_wins_monoid()
+    m = left_wins_monoid(3)
     g = SYMMETRIC.element((0, 2, 1))
     tally = Tally()
     barcx.check_delta_g_object(tally, m, SYMMETRIC, g, ("e", "e", "x"), 1)
@@ -116,7 +128,7 @@ def test_multiplying_faces_fail_off_rotations():
 
 
 def test_covariant_identities_through_both_instances():
-    m = left_wins4_monoid()
+    m = left_wins_monoid(4)
     rng = random.Random(1)
     tally = Tally()
     for inst in (SYMMETRIC, BRAID):

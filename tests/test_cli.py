@@ -1,6 +1,7 @@
 """The command-line surface: evaluation grammar, suites, nerve output,
 horn lifting, exit codes, and report determinism."""
 
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -94,6 +95,22 @@ def test_nerve_json(capsys):
         assert entry["level"] == 2
         assert len(entry["chain"]) == entry["dimension"]
         assert len(entry["quotient"]) == entry["dimension"]
+
+
+# SHA-256 of stdout, as first recorded; pins every object, face and
+# edge label, which the structural checks above do not.
+@pytest.mark.parametrize("argv,digest", [
+    (("--instance", "braid", "--level", "3", "--dimension", "3", "--count", "5",
+      "--seed", "4"), "e14bd956b103a200faa4a5533fa049c0bd7c20142bf4942c2c4a2be58f625a31"),
+    (("--instance", "symm", "--level", "2", "--dimension", "3", "--count", "5",
+      "--seed", "2"), "1ba8c0158d74f22c773c913011a80154f63622b2811b4c040f6dfcdd9eac3a8e"),
+    (("--format", "dot", "--level", "2"),
+     "031d26cd4c928e7c0e55225dbf277d108a7e4f65514f677200e8a111554b0541"),
+])
+def test_nerve_output_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "nerve", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_nerve_dot(capsys):
@@ -197,10 +214,23 @@ def test_level_above_the_limit_is_rejected(capsys, argv):
     assert peak < 1_000_000
 
 
+def test_eval_nesting_limit(capsys):
+    nest = lambda depth: "inv(" * depth + "[1,0]" + ")" * depth
+    code, out, _ = run(capsys, "eval", nest(cli.MAX_DEPTH))
+    assert code == 0 and out == "[1,0]\n"
+    # 500 and 1000 nested calls overflowed the interpreter stack.
+    for depth in (cli.MAX_DEPTH + 1, 500, 1000):
+        code, out, err = run(capsys, "eval", nest(depth))
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert f"position {4 * cli.MAX_DEPTH}" in err
+
+
 @pytest.mark.parametrize("content", [
     b'{"level": ' + b"9" * 5000 + b"}",
     b"\xff\xfe{",
-], ids=["over-long-number", "not-utf-8"])
+    # Overflowed the interpreter stack in the JSON decoder.
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["over-long-number", "not-utf-8", "deep-array"])
 def test_kan_lift_rejects_unreadable_json(tmp_path, capsys, content):
     path = tmp_path / "horn.json"
     path.write_bytes(content)

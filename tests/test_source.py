@@ -60,9 +60,8 @@ def _references(tree, line=None):
 def test_every_public_name_has_a_program_caller():
     """A public top-level name of the package must be used somewhere in
     the package or the benchmark, outside its own definition and the
-    package's re-export; code that only tests reach is not needed.  The
-    `suite_<name>` entry points, which the acceptance gate calls, are the
-    one exemption."""
+    package's re-export; code that only tests reach is not needed.
+    There is no exemption: tests run suites through `run_suite`."""
     program = [p for p in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
                if not p.name.startswith("test_")]
     trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in program}
@@ -71,9 +70,36 @@ def test_every_public_name_has_a_program_caller():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, (first, last) in _top_level_names(trees[path]):
-            if name.startswith("suite_"):
-                continue
             if not any(ref == name and not (p == path and first <= line <= last)
                        for p, found in refs.items() for ref, line in found):
                 unused.append(f"{path.stem}.{name}")
     assert unused == [], unused
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, without those of the functions
+    and lambdas nested in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_checkers_record_into_the_callers_tally():
+    """`core.Tally` is the one accumulator: a top-level `check_*`
+    function takes the caller's tally first, records into it and
+    returns nothing, so no verdict bypasses the tally."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("check_")):
+                continue
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            returns = any(isinstance(n, (ast.Yield, ast.YieldFrom))
+                          or isinstance(n, ast.Return) and n.value is not None
+                          for n in _own_nodes(node))
+            if params[:1] != ["tally"] or returns:
+                found.append(f"{path.stem}.{node.name}")
+    assert found == [], found

@@ -63,12 +63,12 @@ def test_acceptance_scope_reports_match_digests(run_suite):
 
 
 def test_default_instance_is_the_first_declared():
-    assert suites.suite_quotient(trials=5).instance == "symm"
-    assert suites.suite_section(trials=5).instance == "braid"
-    assert suites.suite_bar(trials=5).instance == "symm"
+    assert suites.run_suite("quotient", trials=5).instance == "symm"
+    assert suites.run_suite("section", trials=5).instance == "braid"
+    assert suites.run_suite("bar", trials=5).instance == "symm"
     assert suites.run_suite("crossed", max_level=1).instance == "symm"
 
 
 def test_reports_do_not_share_the_table_defaults():
-    suites.suite_section(trials=1).params["random_levels"].append(9)
-    assert suites.suite_section(trials=1).params["random_levels"] == [4, 5]
+    suites.run_suite("section", trials=1).params["random_levels"].append(9)
+    assert suites.run_suite("section", trials=1).params["random_levels"] == [4, 5]
