@@ -237,28 +237,22 @@ def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance) -> dict[str, 
     'cyclic/<twist>/<wrap>' for the multiplying faces and
     'covariant/<twist>' for the insert/merge pair.
     """
-    def cyclic(tally, twist, wrap):
-        for n in range(CALIBRATION_LEVEL + 1):
-            for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
-                check_delta_g_object(tally, monoid, inst, g, t, i, twist, wrap)
-                yield tally.ok
-
-    def covariant(tally, twist):
-        for n in range(1, CALIBRATION_LEVEL + 1):
-            for g, x, i in product(inst.elements(n), monoid.tuples(n - 1), range(n + 1)):
-                check_covariant_insert(tally, monoid, inst, g, x, i, twist)
-                yield tally.ok
-            for g, x, j in product(inst.elements(n), monoid.tuples(n + 1), range(n + 1)):
-                check_covariant_merge(tally, monoid, inst, g, x, j, twist)
-                yield tally.ok
-
-    # One tally per reading; all() stops a reading at its first failing case.
     verdicts: dict[str, bool] = {}
     for twist in TWISTS:
         for wrap in WRAPS:
-            verdicts[f"cyclic/{twist}/{wrap}"] = all(cyclic(Tally(), twist, wrap))
+            tally = Tally()
+            for n in range(CALIBRATION_LEVEL + 1):
+                for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
+                    check_delta_g_object(tally, monoid, inst, g, t, i, twist, wrap)
+            verdicts[f"cyclic/{twist}/{wrap}"] = tally.ok
     for twist in TWISTS:
-        verdicts[f"covariant/{twist}"] = all(covariant(Tally(), twist))
+        tally = Tally()
+        for n in range(1, CALIBRATION_LEVEL + 1):
+            for g, x, i in product(inst.elements(n), monoid.tuples(n - 1), range(n + 1)):
+                check_covariant_insert(tally, monoid, inst, g, x, i, twist)
+            for g, x, j in product(inst.elements(n), monoid.tuples(n + 1), range(n + 1)):
+                check_covariant_merge(tally, monoid, inst, g, x, j, twist)
+        verdicts[f"covariant/{twist}"] = tally.ok
     return verdicts
 
 

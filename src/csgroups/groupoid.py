@@ -71,6 +71,14 @@ def compose_arrows(inst: CsgInstance, b: GroupoidArrow, a: GroupoidArrow) -> Gro
     return GroupoidArrow(a.source, inst.mul(b.f, a.f))
 
 
+def composite_equals(inst: CsgInstance, c: GroupoidArrow, b: GroupoidArrow,
+                     a: GroupoidArrow) -> bool:
+    """Whether b . a is defined and equals c.  The checkers ask this of
+    arrows whose composability is a target law under test, so a broken
+    law reads as a failed identity, not as an error."""
+    return target(inst, a) == b.source and arrows_equal(inst, c, compose_arrows(inst, b, a))
+
+
 def hom_arrow(inst: CsgInstance, src: Perm, dst: Perm) -> GroupoidArrow:
     """Some arrow src -> dst; witnesses that every level is connected."""
     ratio = perms.compose(perms.inverse(dst), src)
@@ -131,13 +139,15 @@ def check_arrow_functorial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
     inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
     n = a.level
     for i in indices:
-        if n >= 1 and i <= n:
+        if n >= 1:
             lhs = face_arrow(inst, i, comp)
-            rhs = compose_arrows(inst, face_arrow(inst, i, b), face_arrow(inst, i, a))
-            tally.check(arrows_equal(inst, lhs, rhs), f"d_{i} is a functor", inputs)
+            tally.check(composite_equals(inst, lhs, face_arrow(inst, i, b),
+                                         face_arrow(inst, i, a)),
+                        f"d_{i} is a functor", inputs)
         lhs = degeneracy_arrow(inst, i, comp)
-        rhs = compose_arrows(inst, degeneracy_arrow(inst, i, b), degeneracy_arrow(inst, i, a))
-        tally.check(arrows_equal(inst, lhs, rhs), f"s_{i} is a functor", inputs)
+        tally.check(composite_equals(inst, lhs, degeneracy_arrow(inst, i, b),
+                                     degeneracy_arrow(inst, i, a)),
+                    f"s_{i} is a functor", inputs)
 
 
 def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArrow,
@@ -192,18 +202,11 @@ def chains_equal(inst: CsgInstance, a: tuple[CsgElement, ...],
     return len(a) == len(b) and all(inst.equal(x, y) for x, y in zip(a, b))
 
 
-def simplices_equal(inst: CsgInstance, a: NerveSimplex, b: NerveSimplex) -> bool:
-    return a.start == b.start and chains_equal(inst, a.chain, b.chain)
-
-
 def orbit_equivalent(inst: CsgInstance, a: NerveSimplex, b: NerveSimplex) -> bool:
     """Whether some source translation carries a to b.  The translation
-    is forced to be b.start relative to a.start, so only the chains
-    need comparing."""
-    if a.level != b.level or len(a.chain) != len(b.chain):
-        return False
-    t = perms.compose(b.start, perms.inverse(a.start))
-    return simplices_equal(inst, nerve_n_action(t, a), b)
+    is forced to be b.start relative to a.start, and it leaves the
+    chain alone, so only the levels and the chains need comparing."""
+    return a.level == b.level and chains_equal(inst, a.chain, b.chain)
 
 
 def nerve_face(inst: CsgInstance, i: int, s: NerveSimplex) -> NerveSimplex:

@@ -31,8 +31,7 @@ literal right translation does not commute with the compositions at a
 fixed padding slot (the slot drifts along the outer element's inverse
 permutation), so equivariance_verdicts enumerates candidate
 readings (which action, which slot index, where the degeneracies that
-inflate the acting element go) and reports which ones hold; see the
-ACTIONS / SLOT_RULES / PLACEMENTS triples.
+inflate the acting element go) and reports which ones hold.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .groupoid import (
     GroupoidArrow,
     arrows_equal,
     compose_arrows,
+    composite_equals,
     face_arrow,
     format_arrow,
     identity_arrow,
@@ -279,68 +279,49 @@ def check_unshifted_axioms(tally: Tally, view: UnshiftedView, lam, mu, nu):
 # Candidate readings for the equivariance conditions.
 
 ACTIONS = ("right-mul", "left-inv")
-SLOT_RULES = ("literal", "sigma", "sigma-inv")
-PLACEMENTS = ("literal", "sigma", "sigma-inv")
-
-
-def _slot(rule: str, sigma: perms.Perm, i: int) -> int:
-    if rule == "literal":
-        return i
-    if rule == "sigma":
-        return sigma[i]
-    if rule == "sigma-inv":
-        return sigma.index(i)
-    raise ValueError(f"unknown slot rule {rule!r}")
-
-
-def equivariance_condition1(car, action: str, mu, i: int, nu,
-                            beta: CsgElement) -> bool:
-    """mu o_i (nu acted by beta) == (mu o_i nu) acted by the padding of
-    beta into slot i."""
-    inst = car.inst
-    m = mu.level
-    if beta.level != nu.level:
-        raise ValueError("beta must live at the inner element's level")
-    lhs = car.comp(mu, i, car.act(nu, beta, action))
-    padded = inst.pad(beta, i, m - i)
-    rhs = car.act(car.comp(mu, i, nu), padded, action)
-    return car.equal(lhs, rhs)
-
-
-def equivariance_condition2(car, action: str, slot_rule: str, placement: str,
-                            mu, i: int, nu, beta: CsgElement) -> bool:
-    """(mu acted by beta) o_i nu == (mu o_j nu) acted by the degeneracy
-    inflation of beta, for the candidate slot j and inflation index."""
-    inst = car.inst
-    n = nu.level
-    if beta.level != mu.level:
-        raise ValueError("beta must live at the outer element's level")
-    lhs = car.comp(car.act(mu, beta, action), i, nu)
-    sigma = inst.underlying_perm(beta)
-    j = _slot(slot_rule, sigma, i)
-    idx = _slot(placement, sigma, i)
-    inflated = inst.degeneracy_power(idx, n, beta)
-    rhs = car.act(car.comp(mu, j, nu), inflated, action)
-    return car.equal(lhs, rhs)
 
 
 def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
                           beta_outer: CsgElement) -> dict[str, bool]:
     """
-    Verdicts for one input tuple: condition (1) under each action, and
-    condition (2) under each (action, slot, placement) reading.
+    Verdicts for one input tuple under every candidate reading.
     beta_inner acts at nu's level, beta_outer at mu's level.
+
+    Condition (1), under each action: mu o_i (nu acted by beta_inner)
+    == (mu o_i nu) acted by the padding of beta_inner into slot i.
+
+    Condition (2), under each (action, slot, placement) reading:
+    (mu acted by beta_outer) o_i nu == (mu o_j nu) acted by the
+    degeneracy inflation s_k^n(beta_outer), where the slot j and the
+    inflation index k are each i itself, sigma(i) or sigma^-1(i) for
+    sigma = pi(beta_outer).
     """
+    inst = car.inst
+    m, n = mu.level, nu.level
+    if beta_inner.level != n:
+        raise ValueError("beta must live at the inner element's level")
+    if beta_outer.level != m:
+        raise ValueError("beta must live at the outer element's level")
+    sigma = inst.underlying_perm(beta_outer)
+    slots = {"literal": i, "sigma": sigma[i], "sigma-inv": sigma.index(i)}
+    # Every side that several readings share is built once.
+    composites = {rule: car.comp(mu, j, nu) for rule, j in slots.items()}
+    inflated = {rule: inst.degeneracy_power(k, n, beta_outer)
+                for rule, k in slots.items()}
+    padded = inst.pad(beta_inner, i, m - i)
+
     verdicts: dict[str, bool] = {}
     for action in ACTIONS:
-        verdicts[f"cond1/{action}"] = equivariance_condition1(
-            car, action, mu, i, nu, beta_inner)
+        lhs = car.comp(mu, i, car.act(nu, beta_inner, action))
+        verdicts[f"cond1/{action}"] = car.equal(
+            lhs, car.act(composites["literal"], padded, action))
     for action in ACTIONS:
-        for slot_rule in SLOT_RULES:
-            for placement in PLACEMENTS:
+        lhs = car.comp(car.act(mu, beta_outer, action), i, nu)
+        for slot_rule in slots:
+            for placement in slots:
                 key = f"cond2/{action}/slot={slot_rule}/deg={placement}"
-                verdicts[key] = equivariance_condition2(
-                    car, action, slot_rule, placement, mu, i, nu, beta_outer)
+                verdicts[key] = car.equal(
+                    lhs, car.act(composites[slot_rule], inflated[placement], action))
     return verdicts
 
 
@@ -359,8 +340,7 @@ def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
 
     tally.check(target(inst, xv) == perms.block_substitute(tx, i, tv),
                 "target(x o_i v) == target(x) o_i target(v)", inputs)
-    tally.check(arrows_equal(inst, circ_gpd(inst, comp_outer, i, comp_inner),
-                             compose_arrows(inst, yw, xv)),
+    tally.check(composite_equals(inst, circ_gpd(inst, comp_outer, i, comp_inner), yw, xv),
                 "(y.x) o_i (w.v) == (y o_i w).(x o_i v)", inputs)
     ids = circ_gpd(inst, identity_arrow(inst, x.source), i,
                    identity_arrow(inst, v.source))

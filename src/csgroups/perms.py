@@ -149,35 +149,27 @@ def block_substitute(p: Perm, i: int, q: Perm) -> Perm:
 #   face-above        d_i(s)^-1(j-1) in terms of s^-1(j), for i < j
 #   face-below        d_j(s)^-1(i) in terms of s^-1(i), for i < j
 #   degeneracy-below  s_j(s)^-1(i) in terms of s^-1(i), for i < j
-#   block             (p o_i q)^-1(i+j) = p^-1(i) + q^-1(j)
 #   degeneracy-above  s_i(s)^-1(j+1) in terms of s^-1(j), for i < j
+#   block             (p o_i q)^-1(i+j) = p^-1(i) + q^-1(j)
 
-def transport_holds(kind: str, p: Perm, i: int, j: int, q: Perm | None = None) -> bool:
-    """Check one inverse-transport identity for the given inputs."""
+def transport_verdicts(p: Perm, i: int, j: int) -> dict[str, bool]:
+    """Check the four face and degeneracy transport identities at i < j."""
     pinv = inverse(p)
-    if kind == "face-above":
-        lhs = inverse(face_perm(i, p))[j - 1]
-        rhs = pinv[j] - 1 if pinv[i] < pinv[j] else pinv[j]
-        return lhs == rhs
-    if kind == "face-below":
-        lhs = inverse(face_perm(j, p))[i]
-        rhs = pinv[i] - 1 if pinv[j] < pinv[i] else pinv[i]
-        return lhs == rhs
-    if kind == "degeneracy-below":
-        lhs = inverse(degeneracy_perm(j, p))[i]
-        rhs = pinv[i] + 1 if pinv[j] < pinv[i] else pinv[i]
-        return lhs == rhs
-    if kind == "block":
-        if q is None:
-            raise ValueError("the block kind needs an inner permutation q")
-        lhs = inverse(block_substitute(p, i, q))[i + j]
-        rhs = pinv[i] + inverse(q)[j]
-        return lhs == rhs
-    if kind == "degeneracy-above":
-        lhs = inverse(degeneracy_perm(i, p))[j + 1]
-        rhs = pinv[j] if pinv[j] < pinv[i] else pinv[j] + 1
-        return lhs == rhs
-    raise ValueError(f"unknown transport kind {kind!r}")
+    return {
+        "face-above": inverse(face_perm(i, p))[j - 1]
+            == (pinv[j] - 1 if pinv[i] < pinv[j] else pinv[j]),
+        "face-below": inverse(face_perm(j, p))[i]
+            == (pinv[i] - 1 if pinv[j] < pinv[i] else pinv[i]),
+        "degeneracy-below": inverse(degeneracy_perm(j, p))[i]
+            == (pinv[i] + 1 if pinv[j] < pinv[i] else pinv[i]),
+        "degeneracy-above": inverse(degeneracy_perm(i, p))[j + 1]
+            == (pinv[j] if pinv[j] < pinv[i] else pinv[j] + 1),
+    }
+
+
+def block_transport_holds(p: Perm, i: int, q: Perm, j: int) -> bool:
+    """Check the block transport identity for p o_i q at the inner point j."""
+    return inverse(block_substitute(p, i, q))[i + j] == inverse(p)[i] + inverse(q)[j]
 
 
 def all_perms(n: int) -> Iterator[Perm]:

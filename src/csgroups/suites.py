@@ -238,16 +238,14 @@ def _inverse_transport(inst, p, rng, tally):
         for q in perms.all_perms(n):
             for j in range(1, n + 1):
                 for i in range(j):
-                    for kind in ("face-above", "face-below",
-                                 "degeneracy-below", "degeneracy-above"):
-                        tally.check(perms.transport_holds(kind, q, i, j),
-                                    f"transport {kind} i={i} j={j}",
+                    for kind, ok in perms.transport_verdicts(q, i, j).items():
+                        tally.check(ok, f"transport {kind} i={i} j={j}",
                                     lambda: perms.format_perm(q))
     levels = range(p.block_level + 1)
     for n, m in product(levels, levels):
         for a, b, i, j in product(perms.all_perms(n), perms.all_perms(m),
                                   range(n + 1), range(m + 1)):
-            tally.check(perms.transport_holds("block", a, i, j, b),
+            tally.check(perms.block_transport_holds(a, i, b, j),
                         f"transport block i={i} j={j}",
                         lambda: f"{perms.format_perm(a)}, {perms.format_perm(b)}")
 

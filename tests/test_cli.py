@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from csgroups import cli, perms, suites
+from csgroups import cli, groupoid, operad, perms, suites
+from csgroups.groupoid import GroupoidArrow
 
 
 def run(capsys, *argv):
@@ -299,3 +300,45 @@ def test_injected_fault_fails_crossed(monkeypatch, capsys):
     code, out, _ = run(capsys, "check", "crossed", "--instance", "symm",
                        "--max-level", "3")
     assert code == 1 and out.startswith("suite crossed [symm] fail")
+
+
+def _circ_gpd_padding_at_slot(inst, a, i, b):
+    """circ_gpd with the inner part padded into slot i instead of
+    j = a.source^-1(i)."""
+    n = a.level
+    src = perms.block_substitute(a.source, i, b.source)
+    k = inst.underlying_perm(a.f)[a.source.index(i)]
+    part = inst.mul(inst.degeneracy_power(k, b.level, a.f), inst.pad(b.f, i, n - i))
+    return GroupoidArrow(src, part)
+
+
+def _face_arrow_at_source_index(inst, i, a):
+    """face_arrow taking the group part's face at a.source^-1(i) instead
+    of at tau^-1(i)."""
+    return GroupoidArrow(perms.face_perm(i, a.source),
+                         inst.face(a.source.index(i), a.f))
+
+
+# A broken target law makes the arrows a functoriality identity
+# composes non-composable; that is a failing report (exit 1), not an
+# error.
+CIRC_FAULT = (operad, "circ_gpd", _circ_gpd_padding_at_slot, "operadic-mult",
+              "(y.x) o_i (w.v) == (y o_i w).(x o_i v)")
+FACE_FAULT = (groupoid, "face_arrow", _face_arrow_at_source_index,
+              "groupoid-simplicial", "d_0 is a functor")
+
+
+@pytest.mark.parametrize("module, name, fault, suite, identity, scope", [
+    (*CIRC_FAULT, ["--instance", "symm", "--max-level", "1"]),
+    (*CIRC_FAULT, ["--instance", "braid", "--trials", "20"]),
+    (*FACE_FAULT, ["--instance", "symm", "--max-level", "2"]),
+    (*FACE_FAULT, ["--instance", "braid", "--trials", "20"]),
+], ids=["circ-symm", "circ-braid", "face-symm", "face-braid"])
+def test_injected_target_fault_fails(monkeypatch, capsys, module, name, fault,
+                                     suite, identity, scope):
+    monkeypatch.setattr(module, name, fault)
+    code, out, err = run(capsys, "check", suite, *scope, "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and err == ""
+    assert report["outcome"] == "fail"
+    assert identity in {ce["identity"] for ce in report["counterexamples"]}

@@ -11,6 +11,10 @@ from csgroups import braids, core, groupoid, operad, perms
 from csgroups.groupoid import GroupoidArrow, NerveSimplex
 
 
+def _simplices_equal(inst, a, b):
+    return a.start == b.start and groupoid.chains_equal(inst, a.chain, b.chain)
+
+
 def arrow_ops(inst):
     return (lambda i, x: groupoid.face_arrow(inst, i, x),
             lambda i, x: groupoid.degeneracy_arrow(inst, i, x),
@@ -177,13 +181,13 @@ def test_nerve_simplicial_identities():
         s = groupoid.random_simplex(BRAID, rng, n, m, 4)
         for j in range(1, m + 1):
             for i in range(j):
-                assert groupoid.simplices_equal(
+                assert _simplices_equal(
                     BRAID,
                     groupoid.nerve_face(BRAID, i, groupoid.nerve_face(BRAID, j, s)),
                     groupoid.nerve_face(BRAID, j - 1, groupoid.nerve_face(BRAID, i, s)))
         for j in range(m + 1):
             for i in range(j + 1):
-                assert groupoid.simplices_equal(
+                assert _simplices_equal(
                     BRAID,
                     groupoid.nerve_degeneracy(
                         BRAID, i, groupoid.nerve_degeneracy(BRAID, j, s)),
@@ -193,15 +197,15 @@ def test_nerve_simplicial_identities():
             sj = groupoid.nerve_degeneracy(BRAID, j, s)
             for i in range(m + 2):
                 if i in (j, j + 1):
-                    assert groupoid.simplices_equal(
+                    assert _simplices_equal(
                         BRAID, groupoid.nerve_face(BRAID, i, sj), s)
                 elif i < j:
-                    assert groupoid.simplices_equal(
+                    assert _simplices_equal(
                         BRAID, groupoid.nerve_face(BRAID, i, sj),
                         groupoid.nerve_degeneracy(
                             BRAID, j - 1, groupoid.nerve_face(BRAID, i, s)))
                 else:
-                    assert groupoid.simplices_equal(
+                    assert _simplices_equal(
                         BRAID, groupoid.nerve_face(BRAID, i, sj),
                         groupoid.nerve_degeneracy(
                             BRAID, j, groupoid.nerve_face(BRAID, i - 1, s)))

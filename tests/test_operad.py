@@ -183,27 +183,89 @@ def test_equivariance_literal_right_multiplication_fails():
     mu = SYMMETRIC.element((1, 0))
     nu = SYMMETRIC.one(1)
     beta = SYMMETRIC.element((1, 0))
-    assert not operad.equivariance_condition1(car, "right-mul", mu, 0, nu, beta)
-    assert operad.equivariance_condition1(car, "left-inv", mu, 0, nu, beta)
+    verdicts = operad.equivariance_verdicts(car, mu, 0, nu, beta, SYMMETRIC.one(1))
+    assert verdicts["cond1/right-mul"] is False
+    assert verdicts["cond1/left-inv"] is True
+
+
+def _random_equivariance_inputs(rng, car):
+    m = rng.randint(0, 2)
+    n = rng.randint(0, 2)
+    return (car.random(rng, m, 4), rng.randint(0, m), car.random(rng, n, 4),
+            car.inst.random_element(rng, n, 4), car.inst.random_element(rng, m, 4))
+
+
+CARRIERS = [operad.SetCarrier(BRAID), operad.GroupoidCarrier(BRAID),
+            operad.SetCarrier(SYMMETRIC), operad.GroupoidCarrier(SYMMETRIC)]
 
 
 def test_equivariance_calibrated_readings():
     rng = random.Random(6)
-    for car in (operad.SetCarrier(BRAID), operad.GroupoidCarrier(BRAID),
-                operad.SetCarrier(SYMMETRIC), operad.GroupoidCarrier(SYMMETRIC)):
-        inst = car.inst
+    for car in CARRIERS:
         for _ in range(25):
-            m = rng.randint(0, 2)
-            n = rng.randint(0, 2)
-            i = rng.randint(0, m)
-            mu = car.random(rng, m, 4)
-            nu = car.random(rng, n, 4)
-            beta_inner = inst.random_element(rng, n, 4)
-            beta_outer = inst.random_element(rng, m, 4)
-            assert operad.equivariance_condition1(
-                car, "left-inv", mu, i, nu, beta_inner)
-            assert operad.equivariance_condition2(
-                car, "left-inv", "sigma", "sigma", mu, i, nu, beta_outer)
+            verdicts = operad.equivariance_verdicts(car, *_random_equivariance_inputs(rng, car))
+            assert verdicts["cond1/left-inv"]
+            assert verdicts["cond2/left-inv/slot=sigma/deg=sigma"]
+
+
+# Each reading on its own, as separate definitions: the oracle the
+# one-pass verdict table is checked against.
+
+def _slot_oracle(rule, sigma, i):
+    return {"literal": i, "sigma": sigma[i], "sigma-inv": sigma.index(i)}[rule]
+
+
+def _condition1_oracle(car, action, mu, i, nu, beta):
+    lhs = car.comp(mu, i, car.act(nu, beta, action))
+    padded = car.inst.pad(beta, i, mu.level - i)
+    return car.equal(lhs, car.act(car.comp(mu, i, nu), padded, action))
+
+
+def _condition2_oracle(car, action, slot_rule, placement, mu, i, nu, beta):
+    lhs = car.comp(car.act(mu, beta, action), i, nu)
+    sigma = car.inst.underlying_perm(beta)
+    j = _slot_oracle(slot_rule, sigma, i)
+    inflated = car.inst.degeneracy_power(_slot_oracle(placement, sigma, i), nu.level, beta)
+    return car.equal(lhs, car.act(car.comp(mu, j, nu), inflated, action))
+
+
+def _verdicts_oracle(car, mu, i, nu, beta_inner, beta_outer):
+    rules = ("literal", "sigma", "sigma-inv")
+    verdicts = {f"cond1/{action}": _condition1_oracle(car, action, mu, i, nu, beta_inner)
+                for action in operad.ACTIONS}
+    for action in operad.ACTIONS:
+        for slot_rule in rules:
+            for placement in rules:
+                verdicts[f"cond2/{action}/slot={slot_rule}/deg={placement}"] = \
+                    _condition2_oracle(car, action, slot_rule, placement,
+                                       mu, i, nu, beta_outer)
+    return verdicts
+
+
+def test_equivariance_verdicts_match_per_reading_oracle():
+    """All 20 verdicts, keys in order, against each reading evaluated on
+    its own; both carriers on both families, and some readings of each
+    kind fail somewhere, so the comparison is not vacuous."""
+    rng = random.Random(11)
+    for car in CARRIERS:
+        seen = set()
+        for _ in range(40):
+            args = _random_equivariance_inputs(rng, car)
+            verdicts = operad.equivariance_verdicts(car, *args)
+            assert list(verdicts.items()) == list(_verdicts_oracle(car, *args).items())
+            seen |= {k for k, ok in verdicts.items() if not ok}
+        assert len(verdicts) == 20
+        assert any(k.startswith("cond1/") for k in seen)
+        assert any(k.startswith("cond2/") for k in seen)
+
+
+def test_equivariance_verdicts_reject_betas_at_the_wrong_level():
+    car = operad.SetCarrier(SYMMETRIC)
+    one0, one1 = SYMMETRIC.one(0), SYMMETRIC.one(1)
+    with pytest.raises(ValueError, match="inner element's level"):
+        operad.equivariance_verdicts(car, one1, 0, one0, one1, one1)
+    with pytest.raises(ValueError, match="outer element's level"):
+        operad.equivariance_verdicts(car, one1, 0, one0, one0, one0)
 
 
 def test_g_like_combined_report():

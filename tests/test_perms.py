@@ -116,9 +116,10 @@ def test_transport_identities_exhaustive():
         for p in perms.all_perms(n):
             for j in range(1, n + 1):
                 for i in range(j):
-                    for kind in ("face-above", "face-below",
-                                 "degeneracy-below", "degeneracy-above"):
-                        assert perms.transport_holds(kind, p, i, j), (kind, p, i, j)
+                    verdicts = perms.transport_verdicts(p, i, j)
+                    assert list(verdicts) == ["face-above", "face-below",
+                                              "degeneracy-below", "degeneracy-above"]
+                    assert all(verdicts.values()), (verdicts, p, i, j)
 
 
 def test_transport_block_exhaustive():
@@ -128,12 +129,7 @@ def test_transport_block_exhaustive():
                 for q in perms.all_perms(m):
                     for i in range(n + 1):
                         for j in range(m + 1):
-                            assert perms.transport_holds("block", p, i, j, q)
-
-
-def test_transport_block_needs_inner_perm():
-    with pytest.raises(ValueError, match="inner permutation"):
-        perms.transport_holds("block", (1, 0), 0, 0)
+                            assert perms.block_transport_holds(p, i, q, j)
 
 
 def test_parse_format_roundtrip():
