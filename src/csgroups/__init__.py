@@ -13,7 +13,6 @@ from .core import (
     BraidCsg,
     CsgElement,
     CsgInstance,
-    LevelMismatch,
     SymmetricCsg,
     Tally,
     Violation,
@@ -26,7 +25,6 @@ __all__ = [
     "BraidCsg",
     "CsgElement",
     "CsgInstance",
-    "LevelMismatch",
     "SymmetricCsg",
     "Tally",
     "Violation",

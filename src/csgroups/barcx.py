@@ -127,9 +127,7 @@ def bar_face(monoid: FiniteMonoid, i: int, t: BarTuple,
         return t[:i] + (monoid.mult(t[i], t[i + 1]),) + t[i + 2:]
     if wrap == "last-first":
         return (monoid.mult(t[n], t[0]),) + t[1:n]
-    if wrap == "first-last":
-        return (monoid.mult(t[0], t[n]),) + t[1:n]
-    raise ValueError(f"unknown wrap {wrap!r}")
+    return (monoid.mult(t[0], t[n]),) + t[1:n]  # "first-last"
 
 
 def bar_degeneracy(monoid: FiniteMonoid, i: int, t: BarTuple) -> BarTuple:
@@ -144,12 +142,7 @@ def bar_action(inst: CsgInstance, g: CsgElement, t: BarTuple,
     if g.level != len(t) - 1:
         raise ValueError(f"levels {g.level} and {len(t) - 1} differ")
     sigma = inst.underlying_perm(g)
-    if twist == "inverse":
-        lookup = perms.inverse(sigma)
-    elif twist == "plain":
-        lookup = sigma
-    else:
-        raise ValueError(f"unknown twist {twist!r}")
+    lookup = perms.inverse(sigma) if twist == "inverse" else sigma  # else "plain"
     return tuple(t[lookup[i]] for i in range(len(t)))
 
 
@@ -182,9 +175,6 @@ def check_covariant_insert(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance
                            twist: str = DEFAULT_TWIST):
     """g . insert_{g^-1(i)}(x) == insert_i(d_i(g) . x); x has g.level
     entries."""
-    n = g.level
-    if len(x) != n:
-        raise ValueError(f"expected {n} entries, got {len(x)}")
     dg = inst.face(i, g)
     a = inst.underlying_perm(g).index(i)
     lhs = bar_action(inst, g, bar_insert(monoid, a, x), twist)
@@ -198,9 +188,6 @@ def check_covariant_merge(tally: Tally, monoid: FiniteMonoid, inst: CsgInstance,
                           twist: str = DEFAULT_TWIST):
     """g . merge_j(x) == merge_{g(j)}(s_{g(j)}(g) . x); x has
     g.level + 2 entries."""
-    n = g.level
-    if len(x) != n + 2:
-        raise ValueError(f"expected {n + 2} entries, got {len(x)}")
     k = inst.underlying_perm(g)[j]
     lhs = bar_action(inst, g, bar_merge(monoid, j, x), twist)
     rhs = bar_merge(monoid, k,
@@ -235,7 +222,8 @@ def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance) -> dict[str, 
     the given monoid, exhaustively over the levels of inst up to
     CALIBRATION_LEVEL (inst must enumerate its levels).  Keys are
     'cyclic/<twist>/<wrap>' for the multiplying faces and
-    'covariant/<twist>' for the insert/merge pair.
+    'covariant/<twist>' for the insert/merge pair.  Only whether a
+    reading holds is kept, so each stops at its first failing case.
     """
     verdicts: dict[str, bool] = {}
     for twist in TWISTS:
@@ -244,14 +232,24 @@ def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance) -> dict[str, 
             for n in range(CALIBRATION_LEVEL + 1):
                 for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
                     check_delta_g_object(tally, monoid, inst, g, t, i, twist, wrap)
+                    if not tally.ok:
+                        break
+                if not tally.ok:
+                    break
             verdicts[f"cyclic/{twist}/{wrap}"] = tally.ok
     for twist in TWISTS:
         tally = Tally()
         for n in range(1, CALIBRATION_LEVEL + 1):
             for g, x, i in product(inst.elements(n), monoid.tuples(n - 1), range(n + 1)):
                 check_covariant_insert(tally, monoid, inst, g, x, i, twist)
+                if not tally.ok:
+                    break
             for g, x, j in product(inst.elements(n), monoid.tuples(n + 1), range(n + 1)):
+                if not tally.ok:
+                    break
                 check_covariant_merge(tally, monoid, inst, g, x, j, twist)
+            if not tally.ok:
+                break
         verdicts[f"covariant/{twist}"] = tally.ok
     return verdicts
 

@@ -69,7 +69,7 @@ def generator(level: int, k: int, sign: int = 1) -> BraidWord:
 
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     if a.strands != b.strands:
-        raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
+        raise ValueError(f"levels {a.level} and {b.level} differ")
     return BraidWord(a.strands, a.letters + b.letters)
 
 
@@ -128,7 +128,7 @@ def artin_act(b: BraidWord) -> tuple[FreeWord, ...]:
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
     if a.strands != b.strands:
-        raise ValueError(f"strand mismatch: {a.strands} vs {b.strands}")
+        raise ValueError(f"levels {a.level} and {b.level} differ")
     return artin_act(a) == artin_act(b)
 
 
@@ -254,7 +254,7 @@ def random_word(rng: random.Random, level: int, max_len: int = 12) -> BraidWord:
     return BraidWord(level + 1, letters)
 
 
-_TOKEN = re.compile(r"^s(\d+)(\^-1)?$")
+_TOKEN = re.compile(r"^s([0-9]+)(\^-1)?$")
 
 
 def format_letters(b: BraidWord) -> str:

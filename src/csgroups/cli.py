@@ -39,9 +39,9 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<braid>s\d+(?:\^-1)?)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z]+(?:_\d+)?)"
+    r"|(?P<braid>s[0-9]+(?:\^-1)?)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<name>[A-Za-z]+(?:_[0-9]+)?)"
     r"|(?P<punct>[()\[\],@])"
 )
 

@@ -28,10 +28,6 @@ from typing import Callable
 from . import braids, perms
 
 
-class LevelMismatch(ValueError):
-    pass
-
-
 @dataclasses.dataclass(frozen=True)
 class CsgElement:
     """A level-tagged element; the payload type is fixed by the instance."""
@@ -74,11 +70,8 @@ class CsgInstance:
     section(p) (a positive lift through the projection, compatible with
     faces and degeneracies), format, parse_at(text, level) and
     random_element(rng, n, max_len); an enumerable one also defines
-    elements(n).  The operations derived from these are shared."""
-
-    def _require_same_level(self, g: CsgElement, h: CsgElement):
-        if g.level != h.level:
-            raise LevelMismatch(f"levels {g.level} and {h.level} differ")
+    elements(n).  mul and equal raise ValueError on levels that differ.
+    The operations derived from these are shared."""
 
     def is_pure(self, g: CsgElement) -> bool:
         return self.underlying_perm(g) == perms.identity(g.level)
@@ -119,7 +112,6 @@ class SymmetricCsg(CsgInstance):
         return CsgElement(len(word) - 1, word)
 
     def mul(self, g, h):
-        self._require_same_level(g, h)
         return CsgElement(g.level, perms.compose(g.payload, h.payload))
 
     def inv(self, g):
@@ -141,7 +133,8 @@ class SymmetricCsg(CsgInstance):
         return CsgElement(g.level + 1, perms.s_right_perm(g.payload))
 
     def equal(self, g, h):
-        self._require_same_level(g, h)
+        if g.level != h.level:
+            raise ValueError(f"levels {g.level} and {h.level} differ")
         return g.payload == h.payload
 
     def section(self, p):
@@ -177,7 +170,6 @@ class BraidCsg(CsgInstance):
         return CsgElement(payload.level, payload)
 
     def mul(self, g, h):
-        self._require_same_level(g, h)
         return CsgElement(g.level, braids.concat(g.payload, h.payload))
 
     def inv(self, g):
@@ -199,7 +191,6 @@ class BraidCsg(CsgInstance):
         return CsgElement(g.level + 1, braids.s_right_word(g.payload))
 
     def equal(self, g, h):
-        self._require_same_level(g, h)
         return braids.braids_equal(g.payload, h.payload)
 
     def section(self, p):
@@ -228,7 +219,6 @@ def _inputs(inst: CsgInstance, *gs) -> str:
 def check_crossed_identities(tally: Tally, inst: CsgInstance, g: CsgElement,
                              h: CsgElement, i: int):
     """d_i and s_i applied to a product, against the twisted-index form."""
-    inst._require_same_level(g, h)
     n = g.level
     sg = inst.degeneracy(i, g)
     a = inst.underlying_perm(g).index(i)
@@ -243,33 +233,36 @@ def check_crossed_identities(tally: Tally, inst: CsgInstance, g: CsgElement,
 
 
 def simplicial_report(tally: Tally, x, n: int, face, degeneracy, equal, describe,
-                      face_pairs=None, deg_pairs=None,
-                      mixed_pairs=None):
+                      rng=None):
     """
     The five families of simplicial identities on one object, for any
-    carrier supplying face(i, x), degeneracy(i, x) and equality.  The
-    pair arguments optionally restrict each family to the given (i, j)
-    index pairs, which must be in range for it; there are no face pairs
-    below level 2.
+    carrier supplying face(i, x), degeneracy(i, x) and equality.  With
+    rng=None every index pair is checked, else one pair is drawn per
+    family: the face pair (none below level 2), then the degeneracy
+    pair, then the mixed pair.
     """
     inputs = lambda: describe(x)
 
-    if face_pairs is None:
-        face_pairs = [(i, j) for j in range(n + 1) for i in range(j)] if n >= 2 else []
-    for i, j in face_pairs:
+    if rng is None:
+        faces = [(i, j) for j in range(n + 1) for i in range(j)] if n >= 2 else []
+        degeneracies = [(i, j) for j in range(n + 1) for i in range(j + 1)]
+        mixed = [(i, j) for j in range(n + 1) for i in range(n + 2)]
+    else:
+        faces = []
+        if n >= 2:
+            j = rng.randint(1, n)
+            faces = [(rng.randrange(j), j)]
+        j = rng.randint(0, n)
+        degeneracies = [(rng.randint(0, j), j)]
+        mixed = [(rng.randint(0, n + 1), rng.randint(0, n))]
+    for i, j in faces:
         tally.check(equal(face(i, face(j, x)), face(j - 1, face(i, x))),
                     f"d_{i} d_{j} == d_{j}-1 d_{i}", inputs)
-
-    if deg_pairs is None:
-        deg_pairs = [(i, j) for j in range(n + 1) for i in range(j + 1)]
-    for i, j in deg_pairs:
+    for i, j in degeneracies:
         tally.check(equal(degeneracy(i, degeneracy(j, x)),
                           degeneracy(j + 1, degeneracy(i, x))),
                     f"s_{i} s_{j} == s_{j}+1 s_{i}", inputs)
-
-    if mixed_pairs is None:
-        mixed_pairs = [(i, j) for j in range(n + 1) for i in range(n + 2)]
-    for i, j in mixed_pairs:
+    for i, j in mixed:
         sj = degeneracy(j, x)
         if i < j:
             tally.check(equal(face(i, sj), degeneracy(j - 1, face(i, x))),
@@ -282,11 +275,9 @@ def simplicial_report(tally: Tally, x, n: int, face, degeneracy, equal, describe
 
 
 def check_simplicial_identities(tally: Tally, inst: CsgInstance, g: CsgElement,
-                                face_pairs=None, deg_pairs=None,
-                                mixed_pairs=None):
+                                rng=None):
     simplicial_report(
-        tally, g, g.level, inst.face, inst.degeneracy, inst.equal, inst.format,
-        face_pairs, deg_pairs, mixed_pairs)
+        tally, g, g.level, inst.face, inst.degeneracy, inst.equal, inst.format, rng)
 
 
 def check_extra_degeneracy(tally: Tally, inst: CsgInstance, g: CsgElement):

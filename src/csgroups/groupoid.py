@@ -99,8 +99,6 @@ def degeneracy_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArr
 
 def n_action(t: Perm, a: GroupoidArrow) -> GroupoidArrow:
     """Left translation of the source by a permutation of the same level."""
-    if len(t) != len(a.source):
-        raise ValueError(f"levels {len(t) - 1} and {a.level} differ")
     return GroupoidArrow(perms.compose(t, a.source), a.f)
 
 
@@ -121,24 +119,23 @@ def format_arrow(inst: CsgInstance, a: GroupoidArrow) -> str:
 # Checkers for the simplicial structure of the groupoid.
 
 def check_arrow_simplicial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
-                           face_pairs=None, deg_pairs=None, mixed_pairs=None):
+                           rng=None):
     """The simplicial identities on one arrow; see core.simplicial_report."""
     simplicial_report(
         tally, a, a.level, lambda i, x: face_arrow(inst, i, x),
         lambda i, x: degeneracy_arrow(inst, i, x),
-        lambda x, y: arrows_equal(inst, x, y), lambda x: format_arrow(inst, x),
-        face_pairs, deg_pairs, mixed_pairs)
+        lambda x, y: arrows_equal(inst, x, y), lambda x: format_arrow(inst, x), rng)
 
 
 def check_arrow_functorial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
-                           fb: CsgElement, indices):
+                           fb: CsgElement, rng=None):
     """d_i and s_i preserve the composite of a with the arrow that
-    continues it by fb, at each of the given indices."""
+    continues it by fb, at every index, or at one drawn from rng."""
     b = GroupoidArrow(target(inst, a), fb)
     comp = compose_arrows(inst, b, a)
     inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
     n = a.level
-    for i in indices:
+    for i in range(n + 1) if rng is None else [rng.randint(0, n)]:
         if n >= 1:
             lhs = face_arrow(inst, i, comp)
             tally.check(composite_equals(inst, lhs, face_arrow(inst, i, b),

@@ -50,7 +50,7 @@ def compose(g: Perm, h: Perm) -> Perm:
     (2, 1, 0)
     """
     if len(g) != len(h):
-        raise ValueError(f"cannot compose permutations on {len(g)} and {len(h)} points")
+        raise ValueError(f"levels {len(g) - 1} and {len(h) - 1} differ")
     return tuple(g[x] for x in h)
 
 
@@ -201,8 +201,12 @@ def parse_perm(text: str) -> Perm:
     inner = body[1:-1].strip()
     if not inner:
         raise ValueError("empty permutation literal; the smallest level is [0]")
+    parts = [part.strip() for part in inner.split(",")]
     try:
-        word = tuple(int(part) for part in inner.split(","))
+        # int() alone also takes signs, underscores and non-ASCII digits.
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError
+        word = tuple(int(part) for part in parts)
     except ValueError:
         raise ValueError(f"bad permutation literal {text!r}") from None
     if not is_perm(word):

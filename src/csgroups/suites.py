@@ -125,19 +125,6 @@ def _elements(inst, levels):
     return [g for n in levels for g in inst.elements(n)]
 
 
-def _index_pairs(rng, n):
-    """One sampled (i, j) pair for each family of simplicial identities
-    at level n; no face pair below level 2."""
-    face_pairs = []
-    if n >= 2:
-        j = rng.randint(1, n)
-        face_pairs = [(rng.randrange(j), j)]
-    j = rng.randint(0, n)
-    deg_pairs = [(rng.randint(0, j), j)]
-    mixed_pairs = [(rng.randint(0, n + 1), rng.randint(0, n))]
-    return face_pairs, deg_pairs, mixed_pairs
-
-
 @suite("crossed", symm={"max_level": 3})
 def _crossed_symm(inst, p, rng, tally):
     for n in range(p.max_level + 1):
@@ -173,7 +160,7 @@ def _simplicial_braid(inst, p, rng, tally):
     for _ in range(p.trials):
         n = rng.randint(1, p.max_level)
         g = inst.random_element(rng, n, p.word_len)
-        core.check_simplicial_identities(tally, inst, g, *_index_pairs(rng, n))
+        core.check_simplicial_identities(tally, inst, g, rng)
 
 
 @suite("extra-degeneracy", symm={"max_level": 3})
@@ -266,7 +253,7 @@ def _groupoid_simplicial_symm(inst, p, rng, tally):
                 tally.check(groupoid.arrows_equal(inst, lhs, rhs), f"d_{i} preserves identities",
                             lambda: groupoid.format_arrow(inst, a))
             for fb in els:
-                groupoid.check_arrow_functorial(tally, inst, a, fb, range(n + 1))
+                groupoid.check_arrow_functorial(tally, inst, a, fb)
         for t, a, i in product(sources, arrows, range(n + 1)):
             groupoid.check_arrow_action(tally, inst, t, a, i)
         for src, dst in product(sources, sources):
@@ -282,9 +269,9 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
     for _ in range(p.trials):
         n = rng.randint(1, p.max_level)
         a = groupoid.random_arrow(inst, rng, n, p.word_len)
-        groupoid.check_arrow_simplicial(tally, inst, a, *_index_pairs(rng, n))
+        groupoid.check_arrow_simplicial(tally, inst, a, rng)
         groupoid.check_arrow_functorial(
-            tally, inst, a, inst.random_element(rng, n, p.word_len), [rng.randint(0, n)])
+            tally, inst, a, inst.random_element(rng, n, p.word_len), rng)
         groupoid.check_arrow_action(
             tally, inst, perms.random_perm(rng, n), a, rng.randint(0, n))
         auto = groupoid.GroupoidArrow(a.source, kan.decompose(inst, a.f).p)

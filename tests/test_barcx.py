@@ -142,6 +142,47 @@ def test_covariant_identities_through_both_instances():
     assert tally.ok, tally.violations[0]
 
 
+@pytest.mark.parametrize("inst", [SYMMETRIC, BRAID], ids=["symm", "braid"])
+@pytest.mark.parametrize("checker,length", [
+    (barcx.check_covariant_insert, 1),
+    (barcx.check_covariant_insert, 3),
+    (barcx.check_covariant_merge, 3),
+    (barcx.check_covariant_merge, 5),
+])
+def test_covariant_checkers_reject_wrong_length(inst, checker, length):
+    """bar_insert, bar_merge and bar_action own the length checks: at
+    level 2, insert takes 2 entries and merge takes 4."""
+    g = inst.random_element(random.Random(0), 2, 6)
+    tally = Tally()
+    for i in range(3):
+        with pytest.raises((ValueError, IndexError)):
+            checker(tally, trivial_monoid(), inst, g, ("e",) * length, i)
+    assert tally.cases == 0
+
+
+def test_calibration_stops_each_reading_at_its_first_failure(monkeypatch):
+    """Only whether a reading holds is read, so a failing reading
+    records one violation and describes no later case."""
+    tallies = []
+
+    class Recording(Tally):
+        def __init__(self):
+            super().__init__()
+            tallies.append(self)
+
+    monkeypatch.setattr(barcx, "Tally", Recording)
+    for monoid in standard_monoids():
+        tallies.clear()
+        conv = calibrate_conventions(monoid, SYMMETRIC)
+        assert len(tallies) == len(conv) == 6
+        assert [len(t.violations) for t in tallies] == [0 if ok else 1
+                                                        for ok in conv.values()]
+    assert conv == {
+        "cyclic/inverse/last-first": False, "cyclic/inverse/first-last": False,
+        "cyclic/plain/last-first": False, "cyclic/plain/first-last": False,
+        "covariant/inverse": True, "covariant/plain": False}
+
+
 def test_insert_merge_bounds():
     m = trivial_monoid()
     with pytest.raises(IndexError):

@@ -173,11 +173,18 @@ def test_parse_format():
     assert w.letters == ((0, 1), (1, -1))
     assert braids.format_letters(w) == "s1 s2^-1"
     assert braids.parse_letters("1", 3).letters == ()
+    assert braids.parse_letters("s01", 1).letters == ((0, 1),)
     assert braids.format_letters(empty_word(3)) == "1"
     with pytest.raises(ValueError):
         braids.parse_letters("s3", 2)
     with pytest.raises(ValueError):
         braids.parse_letters("x1", 2)
+
+
+@pytest.mark.parametrize("text", ["s\u0661", "s\U0001d7cf", "s+1", "s1_0"])
+def test_parse_letters_reads_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="bad braid token"):
+        braids.parse_letters(text, 1)
 
 
 def test_validation():

@@ -59,6 +59,22 @@ def test_eval_error_positions(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expression", ["mul([1,0],[0,1,2])", "mul(s1@1, s1 s2@2)"])
+def test_eval_cross_level_product(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
+    assert code == 2 and out == ""
+    assert err == "parse error at position 0: mul: levels 1 and 2 differ\n"
+
+
+# Each of these was read as if its digits were ASCII.
+@pytest.mark.parametrize("expression", ["[\u0661,\u0660]", "s\u0661@1", "1@\u0661",
+                                        "d_\u0660([1,0])"])
+def test_eval_reads_only_ascii_digits(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "unexpected character" in err
+
+
 def test_check_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "check", "crossed", "--instance", "symm",
                        "--max-level", "0")
@@ -258,6 +274,10 @@ def test_kan_lift_rejects_unreadable_json(tmp_path, capsys, content):
     {"instance": "braid", "level": 2, "k": 1, "base": None, "faces": {"0": "1", "2": "1"}},
     {"instance": "braid", "level": 2, "k": 1, "base": [0, 1, 2],
      "faces": {"0": "1", "2": "1"}},
+    # Each of these was lifted: int() took the sign, and \d the Arabic-Indic digit.
+    {"instance": "braid", "level": 1, "k": 1, "base": "[+1,0]", "faces": {"0": "1"}},
+    {"instance": "braid", "level": 2, "k": 1, "base": "[0,2,1]",
+     "faces": {"0": "s\u0661", "2": "1"}},
 ])
 def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
     path = tmp_path / "horn.json"

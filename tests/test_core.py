@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from csgroups import BRAID, SYMMETRIC, LevelMismatch
+from csgroups import BRAID, SYMMETRIC
 from csgroups import braids, core, perms
 
 
@@ -40,8 +40,17 @@ def test_mul_examples():
     assert SYMMETRIC.mul(SYMMETRIC.element((1, 0, 2)),
                          SYMMETRIC.element((2, 0, 1))).payload == (2, 1, 0)
     assert SYMMETRIC.inv(SYMMETRIC.element((1, 2, 0))).payload == (2, 0, 1)
-    with pytest.raises(LevelMismatch):
+    with pytest.raises(ValueError, match="levels 1 and 2 differ"):
         SYMMETRIC.mul(SYMMETRIC.one(1), SYMMETRIC.one(2))
+
+
+@pytest.mark.parametrize("inst", [SYMMETRIC, BRAID], ids=["symm", "braid"])
+@pytest.mark.parametrize("op", ["mul", "equal"])
+def test_cross_level_operations_raise(inst, op):
+    """perms.compose, braids.concat, braids.braids_equal and
+    SymmetricCsg.equal own the level check."""
+    with pytest.raises(ValueError, match="^levels 1 and 2 differ$"):
+        getattr(inst, op)(inst.one(1), inst.one(2))
 
 
 def test_projection_is_homomorphism():

@@ -140,6 +140,13 @@ def test_n_action():
             groupoid.n_action(perms.compose(t1, t2), a))
 
 
+def test_n_action_rejects_another_level():
+    """perms.compose owns the level check."""
+    a = groupoid.random_arrow(BRAID, random.Random(4), 1, 6)
+    with pytest.raises(ValueError, match="levels 2 and 1 differ"):
+        groupoid.n_action(perms.identity(2), a)
+
+
 def test_is_automorphism():
     g0 = BRAID.element(braids.generator(1, 0))
     assert not groupoid.is_automorphism(BRAID, GroupoidArrow((0, 1), g0))

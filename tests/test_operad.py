@@ -82,6 +82,13 @@ def test_circ_gpd_matches_components():
         assert out.level == n + m
 
 
+def test_circ_gpd_rejects_slot_past_the_level():
+    """perms.block_substitute owns the slot check."""
+    x = GroupoidArrow((1, 0), SYMMETRIC.element((1, 0)))
+    with pytest.raises(IndexError):
+        operad.circ_gpd(SYMMETRIC, x, 2, x)
+
+
 def test_circ_gpd_symm_consistency():
     for n in range(2):
         for m in range(2):

@@ -134,11 +134,18 @@ def test_transport_block_exhaustive():
 
 def test_parse_format_roundtrip():
     assert perms.parse_perm("[1, 0, 2]") == (1, 0, 2)
+    assert perms.parse_perm("[ 01 ,\t00 ]") == (1, 0)
     assert perms.format_perm((1, 0, 2)) == "[1,0,2]"
     with pytest.raises(ValueError):
         perms.parse_perm("[0, 0]")
     with pytest.raises(ValueError):
         perms.parse_perm("1,0")
+
+
+@pytest.mark.parametrize("text", ["[+1,0]", "[1,0_0]", "[\u0661,\u0660]", "[1,-0]"])
+def test_parse_perm_reads_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="bad permutation literal"):
+        perms.parse_perm(text)
 
 
 def test_index_errors():

@@ -1,6 +1,7 @@
 """Guards over the library source itself."""
 
 import ast
+import builtins
 import pathlib
 
 import csgroups
@@ -103,3 +104,37 @@ def test_checkers_record_into_the_callers_tally():
             if params[:1] != ["tally"] or returns:
                 found.append(f"{path.stem}.{node.name}")
     assert found == [], found
+
+
+def _caught_names(tree):
+    """Each exception name an `except` clause in a module catches."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for t in types:
+                if isinstance(t, ast.Name):
+                    yield t.id
+                elif isinstance(t, ast.Attribute):
+                    yield t.attr
+
+
+def test_every_exception_class_is_caught_by_the_program():
+    """An exception class defined in the package must be caught by name
+    somewhere in the package or the benchmark; a class that only tests
+    catch is a concept no caller uses."""
+    exceptions = {name for name in dir(builtins)
+                  if isinstance(getattr(builtins, name), type)
+                  and issubclass(getattr(builtins, name), BaseException)}
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id in exceptions for b in node.bases):
+                exceptions.add(node.name)
+                defined.append((path.stem, node.name))
+    program = [p for p in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+               if not p.name.startswith("test_")]
+    caught = {name for p in program
+              for name in _caught_names(ast.parse(p.read_text(), filename=str(p)))}
+    assert defined, "no exception class found"
+    assert [f"{stem}.{name}" for stem, name in defined if name not in caught] == []
