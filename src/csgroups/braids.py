@@ -280,8 +280,10 @@ def parse_letters(text: str, level: int) -> BraidWord:
         m = _TOKEN.match(tok)
         if m is None:
             raise ValueError(f"bad braid token {tok!r}")
-        k = int(m.group(1)) - 1
-        if not 0 <= k <= level - 1:
+        digits = m.group(1)
+        # A digit string longer than the level's cannot be in range, and
+        # int() refuses one of more than 4300 digits.
+        if len(digits.lstrip("0")) > len(str(level)) or not 1 <= int(digits) <= level:
             raise ValueError(f"generator {tok!r} out of range at level {level}")
-        letters.append((k, -1 if m.group(2) else 1))
+        letters.append((int(digits) - 1, -1 if m.group(2) else 1))
     return BraidWord(level + 1, tuple(letters))

@@ -16,25 +16,65 @@ block_substitute expands the point i of the outer permutation into a
 block of m + 1 consecutive points carrying an inner permutation; it is
 the direct, table-level form of partial composition and serves as the
 oracle the structural formula is checked against.
+
+Each kernel below that builds a permutation keeps a table of its own
+results, keyed by its arguments and filled on first use.  A result is
+kept only if it has at most 5 points: level 4 is the highest level any
+symmetric acceptance scope reaches, so those scopes repeat a few
+thousand distinct calls millions of times, while larger levels (an
+`eval` at level 1000, a braid on 6 strands) would only grow the tables.
+A miss runs the kernel's body, so every error still raises and nothing
+that raised is kept; results are tuples of ints, so sharing them is safe.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
+_TABLE_POINTS = 5
+# One shared tuple per kept permutation: the 153 permutations on at most
+# 5 points fill thousands of table entries.
+_KEPT: dict[Perm, Perm] = {}
+
+
+def _tabled(kernel):
+    """Keep kernel's results on at most _TABLE_POINTS points, keyed by
+    its positional arguments.  A result with a non-int entry (a bool
+    argument can put one there) is never kept, because True == 1 would
+    hand it to int callers with an equal key.  The untabled body stays
+    reachable as `body`; the wrapper takes no `__wrapped__`, which marks
+    a wrapper installed from outside the library."""
+    table = {}
+
+    def tabled(*args):
+        result = table.get(args)
+        if result is None:
+            result = kernel(*args)
+            if len(result) <= _TABLE_POINTS and all(type(v) is int for v in result):
+                result = table[args] = _KEPT.setdefault(result, result)
+        return result
+    for attr in functools.WRAPPER_ASSIGNMENTS:
+        setattr(tabled, attr, getattr(kernel, attr))
+    tabled.table, tabled.body = table, kernel
+    return tabled
+
 
 def is_perm(word: Sequence[int]) -> bool:
     """
-    >>> [is_perm(w) for w in [(0,), (1, 0), (0, 2), (0, 0)]]
-    [True, True, False, False]
+    Whether word lists 0..len(word) - 1 once each, as ints (not bools).
+
+    >>> [is_perm(w) for w in [(0,), (1, 0), (0, 2), (0, 0), (True, False)]]
+    [True, True, False, False, False]
     """
-    return sorted(word) == list(range(len(word)))
+    return all(type(v) is int for v in word) and sorted(word) == list(range(len(word)))
 
 
+@_tabled
 def identity(n: int) -> Perm:
     """The identity at level n (on n + 1 points)."""
     if n < 0:
@@ -42,6 +82,7 @@ def identity(n: int) -> Perm:
     return tuple(range(n + 1))
 
 
+@_tabled
 def compose(g: Perm, h: Perm) -> Perm:
     """
     compose(g, h)(x) = g(h(x)): h acts first.
@@ -54,6 +95,7 @@ def compose(g: Perm, h: Perm) -> Perm:
     return tuple(g[x] for x in h)
 
 
+@_tabled
 def inverse(p: Perm) -> Perm:
     """
     >>> inverse((1, 2, 0))
@@ -65,6 +107,7 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+@_tabled
 def face_perm(i: int, p: Perm) -> Perm:
     """
     Delete the point with value i: drop the position p.index(i), which
@@ -84,6 +127,7 @@ def face_perm(i: int, p: Perm) -> Perm:
     return tuple(v - 1 if v > i else v for v in p[:a] + p[a + 1:])
 
 
+@_tabled
 def degeneracy_perm(i: int, p: Perm) -> Perm:
     """
     Double the point with value i: shift the values above i up by one,
@@ -103,6 +147,7 @@ def degeneracy_perm(i: int, p: Perm) -> Perm:
     return up[:a] + (i, i + 1) + up[a + 1:]
 
 
+@_tabled
 def s_left_perm(p: Perm) -> Perm:
     """
     Add a fixed point at the left end: (0, p(0)+1, ..., p(n)+1).
@@ -113,6 +158,7 @@ def s_left_perm(p: Perm) -> Perm:
     return (0,) + tuple(v + 1 for v in p)
 
 
+@_tabled
 def s_right_perm(p: Perm) -> Perm:
     """
     Add a fixed point at the right end: (p(0), ..., p(n), n+1).
@@ -123,6 +169,7 @@ def s_right_perm(p: Perm) -> Perm:
     return p + (len(p),)
 
 
+@_tabled
 def block_substitute(p: Perm, i: int, q: Perm) -> Perm:
     """
     Substitute q for the point i of p: shift the values above i up by

@@ -294,6 +294,21 @@ def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
     assert peak < 1_000_000
 
 
+def test_overlong_generator_number_is_out_of_range(tmp_path, capsys):
+    """A generator number longer than int()'s 4300-digit limit is out of
+    range, in an eval word and in a horn face alike."""
+    token = "s" + "9" * 5000
+    code, out, err = run(capsys, "eval", f"{token}@2")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert "out of range at level 2" in err and "4300" not in err
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps({"instance": "braid", "level": 2, "k": 1, "base": "[0,1,2]",
+                                "faces": {"0": token, "2": "1"}}))
+    code, out, err = run(capsys, "kan-lift", str(path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("malformed horn:") and "out of range at level 1" in err
+
+
 def test_injected_fault_fails_crossed(monkeypatch, capsys):
     """A degeneracy at the wrong index breaks only s_ identities; the
     report counts every violation and keeps the first 50, sorted."""

@@ -53,6 +53,12 @@ def test_cross_level_operations_raise(inst, op):
         getattr(inst, op)(inst.one(1), inst.one(2))
 
 
+@pytest.mark.parametrize("payload", [[True, False], (1.0, 0.0), (0, True)])
+def test_symmetric_elements_take_only_int_entries(payload):
+    with pytest.raises(ValueError, match="is not a permutation"):
+        SYMMETRIC.element(payload)
+
+
 def test_projection_is_homomorphism():
     rng = random.Random(1)
     for inst in (SYMMETRIC, BRAID):

@@ -1,6 +1,8 @@
 """Permutation operations against independent table-level oracles."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,3 +157,135 @@ def test_index_errors():
         perms.face_perm(3, (1, 0, 2))
     with pytest.raises(IndexError):
         perms.degeneracy_perm(4, (1, 0, 2))
+
+
+# The tables each kernel keeps of its own results.
+
+KERNELS = ("identity", "compose", "inverse", "face_perm", "degeneracy_perm",
+           "s_left_perm", "s_right_perm", "block_substitute")
+
+
+def _clear_tables():
+    for name in KERNELS:
+        getattr(perms, name).table.clear()
+
+
+def _table_sizes():
+    return {name: len(getattr(perms, name).table) for name in KERNELS}
+
+
+def _calls(top):
+    """(kernel name, arguments) for every valid call on permutations up
+    to level top, with every index and every pair."""
+    levels = [list(perms.all_perms(n)) for n in range(top + 1)]
+    for n, level in enumerate(levels):
+        yield "identity", (n,)
+        for p in level:
+            yield "inverse", (p,)
+            yield "s_left_perm", (p,)
+            yield "s_right_perm", (p,)
+            for q in level:
+                yield "compose", (p, q)
+            for i in range(n + 1):
+                if n >= 1:
+                    yield "face_perm", (i, p)
+                yield "degeneracy_perm", (i, p)
+                for q in itertools.chain.from_iterable(levels):
+                    yield "block_substitute", (p, i, q)
+
+
+def test_tables_agree_with_the_kernel_bodies():
+    """A miss and then a hit both return what the untabled body computes."""
+    _clear_tables()
+    for name, args in _calls(3):
+        kernel = getattr(perms, name)
+        expected = kernel.body(*args)
+        first, second = kernel(*args), kernel(*args)
+        assert first == second == expected, (name, args)
+        assert all(type(v) is int for v in second)
+        assert (second is first) == (len(expected) <= 5), (name, args)
+
+
+def test_errors_still_raise_next_to_table_entries():
+    _clear_tables()
+    for name, args in _calls(3):
+        getattr(perms, name)(*args)
+    sizes = _table_sizes()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="levels 1 and 2 differ"):
+            perms.compose((1, 0), (0, 1, 2))
+        with pytest.raises(ValueError, match="level 0"):
+            perms.face_perm(0, (0,))
+        with pytest.raises(ValueError):
+            perms.identity(-1)
+        for i in (-1, 3):
+            with pytest.raises(IndexError, match="face index"):
+                perms.face_perm(i, (1, 0, 2))
+            with pytest.raises(IndexError, match="degeneracy index"):
+                perms.degeneracy_perm(i, (1, 0, 2))
+            with pytest.raises(IndexError, match="block index"):
+                perms.block_substitute((1, 0, 2), i, (1, 0))
+    assert _table_sizes() == sizes
+
+
+def test_larger_permutations_are_not_kept():
+    for _ in range(2):
+        sizes = _table_sizes()
+        p6, p7 = (5, 3, 1, 0, 2, 4), (6, 5, 3, 1, 0, 2, 4)
+        perms.identity(5)
+        perms.compose(p6, p6)
+        perms.inverse(p6)
+        perms.face_perm(2, p7)
+        perms.degeneracy_perm(2, p6)
+        perms.s_left_perm(p6)
+        perms.s_right_perm(p6)
+        perms.block_substitute(p6, 1, (1, 0))
+        perms.block_substitute((1, 0), 1, p6)
+        assert _table_sizes() == sizes
+
+
+def test_bool_arguments_leave_no_bool_in_a_table():
+    """True == 1 and (True, False) == (1, 0) as keys, so a result built
+    from bools must not be handed to int callers."""
+    calls = [("identity", (1,)), ("compose", ((1, 0), (0, 1))), ("inverse", ((1, 0),)),
+             ("face_perm", (1, (1, 0, 2))), ("degeneracy_perm", (1, (0, 1))),
+             ("s_left_perm", ((1, 0),)), ("s_right_perm", ((1, 0),)),
+             ("block_substitute", ((1, 0), 1, (1, 0)))]
+
+    def as_bools(value):
+        if isinstance(value, tuple):
+            return tuple(as_bools(v) for v in value)
+        return bool(value) if value in (0, 1) else value
+
+    _clear_tables()
+    for name, args in calls:
+        try:
+            getattr(perms, name)(*as_bools(args))
+        except (TypeError, ValueError, IndexError):
+            pass
+    for name, args in calls:
+        result = getattr(perms, name)(*args)
+        assert result == getattr(perms, name).body(*args)
+        assert all(type(v) is int for v in result), (name, result)
+
+
+def test_full_tables_stay_small():
+    """Every call a table can keep, kept: results on at most 5 points,
+    in under 4 MB."""
+    _clear_tables()
+    tracemalloc.start()
+    try:
+        for name, args in _calls(4):
+            getattr(perms, name)(*args)
+        for p in perms.all_perms(5):
+            for i in range(6):
+                perms.face_perm(i, p)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tables = {name: getattr(perms, name).table for name in KERNELS}
+    assert all(len(v) <= 5 for table in tables.values() for v in table.values())
+    # compose: sum of (n+1)!^2 for n <= 4; face_perm: (n+1)!(n+1) for 1 <= n <= 5.
+    assert len(tables["compose"]) == 1 + 4 + 36 + 576 + 14400
+    assert len(tables["face_perm"]) == 4 + 18 + 96 + 600 + 4320
+    assert size < 4_000_000, size
