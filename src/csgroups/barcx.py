@@ -82,10 +82,8 @@ class FiniteMonoid:
         return self.table[self.elements.index(a)][self.elements.index(b)]
 
     def tuples(self, n: int):
-        """All bar tuples at level n."""
-        if n == 0:
-            return ((e,) for e in self.elements)
-        return (prev + (e,) for prev in self.tuples(n - 1) for e in self.elements)
+        """All bar tuples at level n, the last entry varying fastest."""
+        return product(self.elements, repeat=n + 1)
 
     def random_tuple(self, rng: random.Random, n: int) -> BarTuple:
         return tuple(rng.choice(self.elements) for _ in range(n + 1))
@@ -225,32 +223,29 @@ def calibrate_conventions(monoid: FiniteMonoid, inst: CsgInstance) -> dict[str, 
     'covariant/<twist>' for the insert/merge pair.  Only whether a
     reading holds is kept, so each stops at its first failing case.
     """
-    verdicts: dict[str, bool] = {}
-    for twist in TWISTS:
-        for wrap in WRAPS:
-            tally = Tally()
-            for n in range(CALIBRATION_LEVEL + 1):
-                for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
-                    check_delta_g_object(tally, monoid, inst, g, t, i, twist, wrap)
-                    if not tally.ok:
-                        break
-                if not tally.ok:
-                    break
-            verdicts[f"cyclic/{twist}/{wrap}"] = tally.ok
-    for twist in TWISTS:
-        tally = Tally()
+    def cyclic(twist, wrap):
+        for n in range(CALIBRATION_LEVEL + 1):
+            for g, t, i in product(inst.elements(n), monoid.tuples(n), range(n + 1)):
+                yield check_delta_g_object, (monoid, inst, g, t, i, twist, wrap)
+
+    def covariant(twist):
         for n in range(1, CALIBRATION_LEVEL + 1):
             for g, x, i in product(inst.elements(n), monoid.tuples(n - 1), range(n + 1)):
-                check_covariant_insert(tally, monoid, inst, g, x, i, twist)
-                if not tally.ok:
-                    break
+                yield check_covariant_insert, (monoid, inst, g, x, i, twist)
             for g, x, j in product(inst.elements(n), monoid.tuples(n + 1), range(n + 1)):
-                if not tally.ok:
-                    break
-                check_covariant_merge(tally, monoid, inst, g, x, j, twist)
+                yield check_covariant_merge, (monoid, inst, g, x, j, twist)
+
+    def holds(cases):
+        tally = Tally()
+        for check, args in cases:
+            check(tally, *args)
             if not tally.ok:
                 break
-        verdicts[f"covariant/{twist}"] = tally.ok
+        return tally.ok
+
+    verdicts = {f"cyclic/{twist}/{wrap}": holds(cyclic(twist, wrap))
+                for twist in TWISTS for wrap in WRAPS}
+    verdicts.update({f"covariant/{twist}": holds(covariant(twist)) for twist in TWISTS})
     return verdicts
 
 

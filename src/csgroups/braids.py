@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 import random
 import re
 
@@ -145,6 +146,7 @@ def face_word(i: int, b: BraidWord) -> BraidWord:
     the word downward; letters touching the tracked strand vanish and
     letters to its right shift down by one.
     """
+    i = operator.index(i)
     n = b.level
     if n < 1:
         raise ValueError("cannot take a face at level 0")
@@ -171,6 +173,7 @@ def degeneracy_word(i: int, b: BraidWord) -> BraidWord:
     neighbour across both cable strands; the cable strands never cross
     each other.
     """
+    i = operator.index(i)
     n = b.level
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range at level {n}")

@@ -8,9 +8,10 @@ Command-line front end.
     csgroups kan-lift horn.json
 
 Exit codes: 0 on success, 1 when a suite finds a counterexample or a
-horn cannot be lifted, 2 on usage or parse errors, among them any level
-above MAX_LEVEL, caught before anything that size is built, and calls
-nested more than MAX_DEPTH deep.
+horn cannot be lifted, 2 on usage or parse errors, among them calls
+nested more than MAX_DEPTH deep and any level or index above MAX_LEVEL,
+caught before anything that size is built (for a horn, once its faces
+are read).
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ class _ExprParser:
             return self.call(depth + 1)
         raise ParseError(f"expected an expression, found {text!r}", pos)
 
-    def number(self, what: str) -> int:
-        """An integer token of at most MAX_LEVEL; a longer digit string
-        is rejected before it is converted."""
-        _, digits, pos = self.take("int")
+    def number(self, what: str, token=None) -> int:
+        """An integer token, the next one by default, of at most
+        MAX_LEVEL; a longer digit string is rejected before it is
+        converted."""
+        _, digits, pos = token or self.take("int")
         if len(digits.lstrip("0")) > len(str(MAX_LEVEL)) or int(digits) > MAX_LEVEL:
             raise ParseError(f"{what} is above the limit {MAX_LEVEL}", pos)
         return int(digits)
@@ -156,47 +158,33 @@ class _ExprParser:
         return inst, value
 
     def apply(self, name, args, pos):
-        def unary():
-            if len(args) != 1:
-                raise ParseError(f"{name} takes one argument", pos)
-            return args[0]
+        op, mark, digits = name.partition("_")
+        arity, operation = _OPERATORS.get(op + mark, (None, None))
+        if operation is None:
+            raise ParseError(f"unknown operator {name!r}", pos)
+        if len(args) != arity:
+            count = "one argument" if arity == 1 else "two arguments"
+            raise ParseError(f"{name} takes {count}", pos)
+        inst = args[0][0]
+        if any(other is not inst for other, _ in args):
+            raise ParseError("mixed permutation and braid operands", pos)
+        index = self.number("index", ("int", digits, pos)) if mark else None
+        return inst, operation(inst, index, *(value for _, value in args))
 
-        def binary():
-            if len(args) != 2:
-                raise ParseError(f"{name} takes two arguments", pos)
-            (ia, a), (ib, b) = args
-            if ia is not ib:
-                raise ParseError("mixed permutation and braid operands", pos)
-            return ia, a, b
 
-        if name == "mul":
-            inst, a, b = binary()
-            return inst, inst.mul(a, b)
-        if name == "boxplus":
-            inst, a, b = binary()
-            return inst, inst.boxplus(a, b)
-        if name == "inv":
-            inst, a = unary()
-            return inst, inst.inv(a)
-        if name == "sL":
-            inst, a = unary()
-            return inst, inst.s_left(a)
-        if name == "sR":
-            inst, a = unary()
-            return inst, inst.s_right(a)
-        m = re.fullmatch(r"d_(\d+)", name)
-        if m:
-            inst, a = unary()
-            return inst, inst.face(int(m.group(1)), a)
-        m = re.fullmatch(r"s_(\d+)", name)
-        if m:
-            inst, a = unary()
-            return inst, inst.degeneracy(int(m.group(1)), a)
-        m = re.fullmatch(r"circ_(\d+)", name)
-        if m:
-            inst, a, b = binary()
-            return inst, operad.circ_set(inst, a, int(m.group(1)), b)
-        raise ParseError(f"unknown operator {name!r}", pos)
+# Operator name -> (arity, operation(inst, index, *operands)); only a
+# name ending in "_" has an index.  An operation looks its method up when
+# called, so it reaches a wrapper installed on that method after import.
+_OPERATORS = {
+    "mul": (2, lambda inst, _, a, b: inst.mul(a, b)),
+    "boxplus": (2, lambda inst, _, a, b: inst.boxplus(a, b)),
+    "inv": (1, lambda inst, _, a: inst.inv(a)),
+    "sL": (1, lambda inst, _, a: inst.s_left(a)),
+    "sR": (1, lambda inst, _, a: inst.s_right(a)),
+    "d_": (1, lambda inst, i, a: inst.face(i, a)),
+    "s_": (1, lambda inst, i, a: inst.degeneracy(i, a)),
+    "circ_": (2, lambda inst, i, a, b: operad.circ_set(inst, a, i, b)),
+}
 
 
 def render_element(inst: CsgInstance, g: CsgElement) -> str:
@@ -280,6 +268,9 @@ def cmd_kan_lift(args) -> int:
         horn = kan.horn_from_json(inst, data)
     except (ValueError, IndexError) as exc:
         print(f"malformed horn: {exc}", file=sys.stderr)
+        return 2
+    if horn.n > MAX_LEVEL:
+        print(f"malformed horn: level is above the limit {MAX_LEVEL}", file=sys.stderr)
         return 2
     try:
         lift = kan.lift_horn(inst, horn)

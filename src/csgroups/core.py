@@ -286,26 +286,22 @@ def check_extra_degeneracy(tally: Tally, inst: CsgInstance, g: CsgElement):
     n = g.level
     describe = lambda: _inputs(inst, g)
     equal = inst.equal
-
-    left, right = inst.s_left(g), inst.s_right(g)
-    tally.check(equal(inst.face(0, left), g), "d_0 sL == id", describe)
-    tally.check(equal(inst.face(n + 1, right), g), f"d_{n + 1} sR == id", describe)
-    for i in range(n + 1):
-        tally.check(equal(inst.degeneracy(i + 1, left), inst.s_left(inst.degeneracy(i, g))),
-                    f"s_{i + 1} sL == sL s_{i}", describe)
-        tally.check(equal(inst.degeneracy(i, right), inst.s_right(inst.degeneracy(i, g))),
-                    f"s_{i} sR == sR s_{i}", describe)
-    if n >= 1:
+    # (name, insertion, its permutation form, the index shift it puts on
+    # the faces and degeneracies it passes, the face that undoes it)
+    ends = (("sL", inst.s_left, perms.s_left_perm, 1, 0),
+            ("sR", inst.s_right, perms.s_right_perm, 0, n + 1))
+    for name, insert, insert_perm, shift, undo in ends:
+        lifted = insert(g)
+        tally.check(equal(inst.face(undo, lifted), g), f"d_{undo} {name} == id", describe)
         for i in range(n + 1):
-            tally.check(equal(inst.face(i + 1, left), inst.s_left(inst.face(i, g))),
-                        f"d_{i + 1} sL == sL d_{i}", describe)
-            tally.check(equal(inst.face(i, right), inst.s_right(inst.face(i, g))),
-                        f"d_{i} sR == sR d_{i}", describe)
-
-    tally.check(inst.underlying_perm(left) == perms.s_left_perm(inst.underlying_perm(g)),
-                "perm(sL g) == sL(perm g)", describe)
-    tally.check(inst.underlying_perm(right) == perms.s_right_perm(inst.underlying_perm(g)),
-                "perm(sR g) == sR(perm g)", describe)
+            tally.check(equal(inst.degeneracy(i + shift, lifted),
+                              insert(inst.degeneracy(i, g))),
+                        f"s_{i + shift} {name} == {name} s_{i}", describe)
+        for i in range(n + 1) if n >= 1 else ():
+            tally.check(equal(inst.face(i + shift, lifted), insert(inst.face(i, g))),
+                        f"d_{i + shift} {name} == {name} d_{i}", describe)
+        tally.check(inst.underlying_perm(lifted) == insert_perm(inst.underlying_perm(g)),
+                    f"perm({name} g) == {name}(perm g)", describe)
 
 
 def check_monoidal(tally: Tally, inst: CsgInstance, g: CsgElement, h: CsgElement):

@@ -64,19 +64,18 @@ def arrows_equal(inst: CsgInstance, a: GroupoidArrow, b: GroupoidArrow) -> bool:
     return a.source == b.source and inst.equal(a.f, b.f)
 
 
-def compose_arrows(inst: CsgInstance, b: GroupoidArrow, a: GroupoidArrow) -> GroupoidArrow:
-    """The composite b . a, with a applied first."""
-    if target(inst, a) != b.source:
-        raise ValueError("arrows are not composable: target(a) != source(b)")
-    return GroupoidArrow(a.source, inst.mul(b.f, a.f))
+def continue_arrow(inst: CsgInstance, a: GroupoidArrow,
+                   g: CsgElement) -> tuple[GroupoidArrow, GroupoidArrow]:
+    """The arrow [target(a), g] that continues a, and the composite
+    [source(a), g a.f] of the two, with a applied first."""
+    return GroupoidArrow(target(inst, a), g), GroupoidArrow(a.source, inst.mul(g, a.f))
 
 
 def composite_equals(inst: CsgInstance, c: GroupoidArrow, b: GroupoidArrow,
                      a: GroupoidArrow) -> bool:
     """Whether b . a is defined and equals c.  The checkers ask this of
     arrows whose composability is a target law under test, so a broken
-    law reads as a failed identity, not as an error.  The target of a
-    is computed once, here, rather than again in compose_arrows."""
+    law reads as a failed identity, not as an error."""
     return (target(inst, a) == b.source and c.source == a.source
             and inst.equal(c.f, inst.mul(b.f, a.f)))
 
@@ -133,8 +132,7 @@ def check_arrow_functorial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
                            fb: CsgElement, rng=None):
     """d_i and s_i preserve the composite of a with the arrow that
     continues it by fb, at every index, or at one drawn from rng."""
-    b = GroupoidArrow(target(inst, a), fb)
-    comp = compose_arrows(inst, b, a)
+    b, comp = continue_arrow(inst, a, fb)
     inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
     n = a.level
     for i in range(n + 1) if rng is None else [rng.randint(0, n)]:
@@ -188,11 +186,6 @@ def simplex_objects(inst: CsgInstance, s: NerveSimplex) -> tuple[Perm, ...]:
     for f in s.chain:
         objs.append(target(inst, GroupoidArrow(objs[-1], f)))
     return tuple(objs)
-
-
-def simplex_arrows(inst: CsgInstance, s: NerveSimplex) -> tuple[GroupoidArrow, ...]:
-    objs = simplex_objects(inst, s)
-    return tuple(GroupoidArrow(objs[j], f) for j, f in enumerate(s.chain))
 
 
 def chains_equal(inst: CsgInstance, a: tuple[CsgElement, ...],
@@ -271,22 +264,17 @@ def random_simplex(inst: CsgInstance, rng: random.Random, n: int, dim: int,
 
 # Serialization.
 
-def arrow_to_json(inst: CsgInstance, a: GroupoidArrow) -> dict:
-    return {
-        "source": perms.format_perm(a.source),
-        "word": inst.format(a.f),
-        "target": perms.format_perm(target(inst, a)),
-    }
-
-
 def simplex_to_json(inst: CsgInstance, s: NerveSimplex) -> dict:
+    """Each arrow of the chain runs between consecutive objects."""
+    objs = [perms.format_perm(p) for p in simplex_objects(inst, s)]
     return {
         "level": s.level,
         "dimension": s.dimension,
-        "start": perms.format_perm(s.start),
+        "start": objs[0],
         "chain": [inst.format(f) for f in s.chain],
-        "arrows": [arrow_to_json(inst, a) for a in simplex_arrows(inst, s)],
-        "objects": [perms.format_perm(p) for p in simplex_objects(inst, s)],
+        "arrows": [{"source": src, "word": inst.format(f), "target": dst}
+                   for src, f, dst in zip(objs, s.chain, objs[1:])],
+        "objects": objs,
         "quotient": [inst.format(f) for f in quotient_map(s)],
     }
 

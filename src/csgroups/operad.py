@@ -41,8 +41,8 @@ from .core import CsgElement, CsgInstance, Tally
 from .groupoid import (
     GroupoidArrow,
     arrows_equal,
-    compose_arrows,
     composite_equals,
+    continue_arrow,
     face_arrow,
     format_arrow,
     identity_arrow,
@@ -321,16 +321,14 @@ def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
                           yf: CsgElement, i: int, v: GroupoidArrow, wf: CsgElement):
     """circ_gpd preserves identities, targets and composition on x, v and
     the arrows y = [target(x), yf], w = [target(v), wf] continuing them."""
-    tx, tv = target(inst, x), target(inst, v)
-    y, w = GroupoidArrow(tx, yf), GroupoidArrow(tv, wf)
+    y, comp_outer = continue_arrow(inst, x, yf)
+    w, comp_inner = continue_arrow(inst, v, wf)
     inputs = lambda: ", ".join(format_arrow(inst, a) for a in (x, y, v, w))
 
-    comp_outer = compose_arrows(inst, y, x)
-    comp_inner = compose_arrows(inst, w, v)
     xv = circ_gpd(inst, x, i, v)
     yw = circ_gpd(inst, y, i, w)
 
-    tally.check(target(inst, xv) == perms.block_substitute(tx, i, tv),
+    tally.check(target(inst, xv) == perms.block_substitute(y.source, i, w.source),
                 "target(x o_i v) == target(x) o_i target(v)", inputs)
     tally.check(composite_equals(inst, circ_gpd(inst, comp_outer, i, comp_inner), yw, xv),
                 "(y.x) o_i (w.v) == (y o_i w).(x o_i v)", inputs)

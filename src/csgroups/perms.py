@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from typing import Iterator, Sequence
 
@@ -118,6 +119,7 @@ def face_perm(i: int, p: Perm) -> Perm:
     >>> face_perm(2, (1, 2, 0))
     (1, 0)
     """
+    i = operator.index(i)
     n = len(p) - 1
     if n < 1:
         raise ValueError("cannot take a face at level 0")
@@ -139,6 +141,7 @@ def degeneracy_perm(i: int, p: Perm) -> Perm:
     >>> degeneracy_perm(1, (1, 0))
     (1, 2, 0)
     """
+    i = operator.index(i)
     n = len(p) - 1
     if not 0 <= i <= n:
         raise IndexError(f"degeneracy index {i} out of range at level {n}")
@@ -181,6 +184,7 @@ def block_substitute(p: Perm, i: int, q: Perm) -> Perm:
     >>> block_substitute((0, 1), 0, (1, 0))
     (1, 0, 2)
     """
+    i = operator.index(i)
     n = len(p) - 1
     m = len(q) - 1
     if not 0 <= i <= n:

@@ -183,6 +183,53 @@ def test_calibration_stops_each_reading_at_its_first_failure(monkeypatch):
         "covariant/inverse": True, "covariant/plain": False}
 
 
+ALL_HOLD = (True,) * 6
+ONLY_COVARIANT_INVERSE = (False, False, False, False, True, False)
+
+
+# Verdicts, in key order, and the checker calls that reach them, as the
+# two loop nests that one case loop replaced gave them.
+@pytest.mark.parametrize("monoid, verdicts, calls", [
+    (trivial_monoid(), ALL_HOLD, (92, 44, 44)),
+    (cyclic_monoid(2), ONLY_COVARIANT_INVERSE, (120, 88, 339)),
+    (cyclic_monoid(3), ONLY_COVARIANT_INVERSE, (298, 186, 1623)),
+    (left_wins_monoid(3), ONLY_COVARIANT_INVERSE, (205, 186, 1623)),
+    (left_wins_monoid(4), ONLY_COVARIANT_INVERSE, (392, 320, 4995)),
+], ids=lambda value: getattr(value, "name", None))
+def test_calibration_verdicts_and_checker_calls(monkeypatch, monoid, verdicts, calls):
+    counts = dict.fromkeys(["check_delta_g_object", "check_covariant_insert",
+                            "check_covariant_merge"], 0)
+
+    def counted(name, checker):
+        def call(*args):
+            counts[name] += 1
+            checker(*args)
+        return call
+    for name in counts:
+        monkeypatch.setattr(barcx, name, counted(name, getattr(barcx, name)))
+    conv = calibrate_conventions(monoid, SYMMETRIC)
+    assert list(conv) == ["cyclic/inverse/last-first", "cyclic/inverse/first-last",
+                          "cyclic/plain/last-first", "cyclic/plain/first-last",
+                          "covariant/inverse", "covariant/plain"]
+    assert tuple(conv.values()) == verdicts
+    assert tuple(counts.values()) == calls
+
+
+def _recursive_tuples(monoid, n):
+    """The tuples at level n as first defined: those at level n - 1, each
+    extended by every element in turn."""
+    if n == 0:
+        return [(e,) for e in monoid.elements]
+    return [prev + (e,) for prev in _recursive_tuples(monoid, n - 1)
+            for e in monoid.elements]
+
+
+@pytest.mark.parametrize("monoid", standard_monoids(), ids=lambda m: m.name)
+def test_tuples_match_the_recursive_definition(monoid):
+    for n in range(4):
+        assert list(monoid.tuples(n)) == _recursive_tuples(monoid, n)
+
+
 def test_insert_merge_bounds():
     m = trivial_monoid()
     with pytest.raises(IndexError):

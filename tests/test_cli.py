@@ -4,11 +4,13 @@ horn lifting, exit codes, and report determinism."""
 import hashlib
 import itertools
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from csgroups import cli, groupoid, operad, perms, suites
+from csgroups.core import SymmetricCsg
 from csgroups.groupoid import GroupoidArrow
 
 
@@ -64,6 +66,101 @@ def test_eval_cross_level_product(capsys, expression):
     code, out, err = run(capsys, "eval", expression)
     assert code == 2 and out == ""
     assert err == "parse error at position 0: mul: levels 1 and 2 differ\n"
+
+
+# Pinned as the operator-by-operator parser printed them, before the
+# operator table.
+@pytest.mark.parametrize("expression, out", [
+    ('boxplus([1,0],[0])', '[1,0,2]\n'),
+    ('boxplus(s1@1, 1@0)', 's1 @ 2  perm=[1,0,2]  artin=2af86d33913bb459  identity=false\n'),
+    ('circ_0(s1@1, s1@1)', 's1 s2 s1 @ 2  perm=[2,1,0]  artin=ee4983cf64bfbead  identity=false\n'),
+    ('circ_1([1,0],[1,0])', '[2,1,0]\n'),
+    ('d_0([1,2,0])', '[0,1]\n'),
+    ('d_1(s1 s2@2)', 's1 @ 1  perm=[1,0]  artin=bd51884bf306b156  identity=false\n'),
+    ('inv([1,2,0])', '[2,0,1]\n'),
+    ('inv(s1 s2@2)', 's2^-1 s1^-1 @ 2  perm=[2,0,1]  artin=cd58395ec91c6f53  identity=false\n'),
+    ('mul([1,0],[1,0])', '[0,1]\n'),
+    ('mul(s1@2, s2@2)', 's1 s2 @ 2  perm=[1,2,0]  artin=ceeb93720c9c576d  identity=false\n'),
+    ('sL([1,0])', '[0,2,1]\n'),
+    ('sL(s1@1)', 's2 @ 2  perm=[0,2,1]  artin=9eceedcccc783e0d  identity=false\n'),
+    ('sR([1,0])', '[1,0,2]\n'),
+    ('sR(s1@1)', 's1 @ 2  perm=[1,0,2]  artin=2af86d33913bb459  identity=false\n'),
+    ('s_0(s1@1)', 's2 s1 @ 2  perm=[2,0,1]  artin=28ab373c6a460eef  identity=false\n'),
+    ('s_00000000001([1,0])', '[1,2,0]\n'),
+    ('s_1([1,0])', '[1,2,0]\n'),
+])
+def test_eval_operator_lines(capsys, expression, out):
+    assert run(capsys, "eval", expression) == (0, out, "")
+
+
+# Unknown operators first (among them an index where none belongs, or
+# none where one does), then a wrong argument count, then mixed operands.
+@pytest.mark.parametrize("expression, err", [
+    ('boxplus(1@1, [0])', 'parse error at position 0: mixed permutation and braid operands\n'),
+    ('boxplus([0])', 'parse error at position 0: boxplus takes two arguments\n'),
+    ('boxplus_1([0],[0])', "parse error at position 0: unknown operator 'boxplus_1'\n"),
+    ('circ([1,0],[1,0])', "parse error at position 0: unknown operator 'circ'\n"),
+    ('circ_0([1,0])', 'parse error at position 0: circ_0 takes two arguments\n'),
+    ('circ_0([1,0], s1@1)', 'parse error at position 0: mixed permutation and braid operands\n'),
+    ('circ_0(s1@1, [1,0])', 'parse error at position 0: mixed permutation and braid operands\n'),
+    ('circ_0(s1@1, s1@1, s1@1)', 'parse error at position 0: circ_0 takes two arguments\n'),
+    ('circ_5([1,0],[1,0])', 'parse error at position 0: circ_5: slot 5 out of range at level 1\n'),
+    ('d([1,0])', "parse error at position 0: unknown operator 'd'\n"),
+    ('d(s1@1, [1,0])', "parse error at position 0: unknown operator 'd'\n"),
+    ('d_0([0])', 'parse error at position 0: d_0: cannot take a face at level 0\n'),
+    ('d_0([1,0],[0,1])', 'parse error at position 0: d_0 takes one argument\n'),
+    ('d_0([1,0],[0,1], s1@1)', 'parse error at position 0: d_0 takes one argument\n'),
+    ('d_05([1,2,0])', 'parse error at position 0: d_05: face index 5 out of range at level 2\n'),
+    ('d_1000([1,0])',
+     'parse error at position 0: d_1000: face index 1000 out of range at level 1\n'),
+    ('d_5([1,0])', 'parse error at position 0: d_5: face index 5 out of range at level 1\n'),
+    ('frob([1,0])', "parse error at position 0: unknown operator 'frob'\n"),
+    ('frob_2([1,0],[0,1])', "parse error at position 0: unknown operator 'frob_2'\n"),
+    ('inv([1,0],[1,0])', 'parse error at position 0: inv takes one argument\n'),
+    ('inv(mul([1,0]))', 'parse error at position 4: mul takes two arguments\n'),
+    ('inv_0([1,0])', "parse error at position 0: unknown operator 'inv_0'\n"),
+    ('mul([1,0])', 'parse error at position 0: mul takes two arguments\n'),
+    ('mul([1,0], s1@1)', 'parse error at position 0: mixed permutation and braid operands\n'),
+    ('mul([1,0],[1,0],[0,1])', 'parse error at position 0: mul takes two arguments\n'),
+    ('mul(d_0([1,0]), [1,0])', 'parse error at position 0: mul: levels 0 and 1 differ\n'),
+    ('mul(s1@1, [1,0], [0,1])', 'parse error at position 0: mul takes two arguments\n'),
+    ('mul_3([1,0])', "parse error at position 0: unknown operator 'mul_3'\n"),
+    ('mul_3([1,0],[1,0])', "parse error at position 0: unknown operator 'mul_3'\n"),
+    ('s([1,0])', "parse error at position 0: unknown operator 's'\n"),
+    ('sL([1,0],[0,1])', 'parse error at position 0: sL takes one argument\n'),
+    ('sL_2([1,0])', "parse error at position 0: unknown operator 'sL_2'\n"),
+    ('sR(s1@1, s1@1)', 'parse error at position 0: sR takes one argument\n'),
+    ('s_0(s1@1, s1@1)', 'parse error at position 0: s_0 takes one argument\n'),
+    ('s_5([1,0])', 'parse error at position 0: s_5: degeneracy index 5 out of range at level 1\n'),
+])
+def test_eval_operator_errors(capsys, expression, err):
+    assert run(capsys, "eval", expression) == (2, "", err)
+
+
+@pytest.mark.parametrize("expression", ["d_1001([1,0])", "s_1001([1,0])",
+                                        "circ_1001([1,0],[1,0])", "d_" + "9" * 5000 + "([1,0])"],
+                         ids=["d", "s", "circ", "5000-digits"])
+def test_eval_index_above_the_limit(capsys, expression):
+    """An operator index is read like every other number; one of 5000
+    digits printed Python's advice on int() digit limits."""
+    assert run(capsys, "eval", expression) == (
+        2, "", "parse error at position 0: index is above the limit 1000\n")
+    # The argument count is still checked first.
+    code, _, err = run(capsys, "eval", expression.replace("([1,0]", "([1,0],[0,1],[1,0]"))
+    assert code == 2 and err.endswith((" takes one argument\n", " takes two arguments\n"))
+
+
+def test_eval_looks_operations_up_when_called(monkeypatch, capsys):
+    """A wrapper installed after import, as the call tracer installs
+    one, sees the calls."""
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    monkeypatch.setattr(operad, "circ_set", counted("circ_set", operad.circ_set))
+    monkeypatch.setattr(SymmetricCsg, "inv", counted("inv", SymmetricCsg.inv))
+    assert run(capsys, "eval", "inv(circ_0([1,0],[1,0]))") == (0, "[2,1,0]\n", "")
+    assert calls == ["circ_set", "inv"]
 
 
 # Each of these was read as if its digits were ASCII.
@@ -292,6 +389,22 @@ def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
     assert err.startswith("malformed horn:")
     # The face set is checked against the level without enumerating it.
     assert peak < 1_000_000
+
+
+def test_kan_lift_level_above_the_limit(tmp_path, capsys):
+    """A horn's level is bounded as eval's and nerve's are.  Validating
+    a trivial level-400 horn took 3 s, about six times more per doubling
+    of the level."""
+    level = cli.MAX_LEVEL + 1
+    horn = {"instance": "braid", "level": level, "k": 0,
+            "base": perms.format_perm(tuple(range(level + 1))),
+            "faces": {str(r): "1" for r in range(1, level + 1)}}
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(horn))
+    start = time.perf_counter()
+    result = run(capsys, "kan-lift", str(path))
+    assert time.perf_counter() - start < 5
+    assert result == (2, "", "malformed horn: level is above the limit 1000\n")
 
 
 def test_overlong_generator_number_is_out_of_range(tmp_path, capsys):

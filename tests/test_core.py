@@ -5,7 +5,7 @@ import random
 import pytest
 
 from csgroups import BRAID, SYMMETRIC
-from csgroups import braids, core, perms
+from csgroups import braids, core, perms, suites
 
 
 def test_group_axioms_exhaustive_symm():
@@ -134,6 +134,46 @@ def test_checkers_braid_random():
         core.check_simplicial_identities(tally, BRAID, g)
         core.check_extra_degeneracy(tally, BRAID, g)
     assert tally.ok, tally.violations[0]
+
+
+def _s_left_as_s_right(p):
+    return p + (len(p),)
+
+
+def _degeneracy_one_strand_over(i, b, right=braids.degeneracy_word):
+    return right((i + 1) % b.strands, b)
+
+
+def _symm_cases():
+    return [g for n in range(4) for g in SYMMETRIC.elements(n)]
+
+
+def _braid_cases():
+    rng = random.Random(0)
+    return [BRAID.random_element(rng, rng.randint(1, 5), 12) for _ in range(200)]
+
+
+# Every failing identity under each fault, the suite's report totals at
+# its acceptance scope, and the whole-tally totals, as the extra-degeneracy
+# checker gave them when it wrote the laws of s_left and s_right apart.
+@pytest.mark.parametrize("module, name, fault, inst, cases, report, tally, identities", [
+    (perms, "s_left_perm", _s_left_as_s_right, SYMMETRIC, _symm_cases, (606, 178),
+     (606, 178), ["d_0 sL == id"] + [f"d_{i + 1} sL == sL d_{i}" for i in range(4)]
+     + [f"s_{i + 1} sL == sL s_{i}" for i in range(4)]),
+    (braids, "degeneracy_word", _degeneracy_one_strand_over, BRAID, _braid_cases,
+     (20140, 1545), (4032, 312), [f"s_{i} sR == sR s_{i}" for i in range(1, 6)]
+     + [f"s_{i + 1} sL == sL s_{i}" for i in range(1, 6)]),
+], ids=["sL-symm", "degeneracy-braid"])
+def test_extra_degeneracy_fault_identities(monkeypatch, module, name, fault, inst, cases,
+                                           report, tally, identities):
+    monkeypatch.setattr(module, name, fault)
+    result = suites.run_suite("extra-degeneracy", inst.name)
+    assert result.outcome == "fail" and (result.cases, result.failures) == report
+    whole = core.Tally()
+    for g in cases():
+        core.check_extra_degeneracy(whole, inst, g)
+    assert (whole.cases, len(whole.violations)) == tally
+    assert sorted({v.identity for v in whole.violations}) == sorted(identities)
 
 
 def test_monoidal_operadic_checkers():

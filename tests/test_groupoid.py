@@ -30,25 +30,27 @@ def test_target_and_composition_formula():
             t = groupoid.target(inst, a)
             assert t == perms.compose(
                 a.source, perms.inverse(inst.underlying_perm(a.f)))
-            b = GroupoidArrow(t, inst.random_element(rng, n, 6))
-            comp = groupoid.compose_arrows(inst, b, a)
+            g = inst.random_element(rng, n, 6)
+            b, comp = groupoid.continue_arrow(inst, a, g)
+            assert b.source == t and b.f is g
             assert comp.source == a.source
             assert inst.equal(comp.f, inst.mul(b.f, a.f))
-            ident = groupoid.identity_arrow(inst, t)
-            assert groupoid.arrows_equal(
-                inst, groupoid.compose_arrows(inst, ident, a), a)
-            inverse = GroupoidArrow(t, inst.inv(a.f))
-            back = groupoid.compose_arrows(inst, inverse, a)
+            assert groupoid.composite_equals(inst, comp, b, a)
+            _, comp = groupoid.continue_arrow(inst, a, inst.one(n))
+            assert groupoid.arrows_equal(inst, comp, a)
+            _, back = groupoid.continue_arrow(inst, a, inst.inv(a.f))
             assert groupoid.arrows_equal(
                 inst, back, groupoid.identity_arrow(inst, a.source))
 
 
-def test_non_composable_raises():
+def test_non_composable_pair_has_no_composite():
     a = GroupoidArrow((1, 0), SYMMETRIC.element((1, 0)))
     b = GroupoidArrow((1, 0), SYMMETRIC.element((1, 0)))
-    # target(a) is the identity, not (1, 0)
-    with pytest.raises(ValueError):
-        groupoid.compose_arrows(SYMMETRIC, b, a)
+    # target(a) is the identity, not (1, 0), so b . a is not defined,
+    # even though c has a's source and the product of the group parts.
+    c = GroupoidArrow((1, 0), SYMMETRIC.mul(b.f, a.f))
+    assert groupoid.target(SYMMETRIC, a) != b.source
+    assert not groupoid.composite_equals(SYMMETRIC, c, b, a)
 
 
 # The doubly inverted definitions of the arrow operators, kept as the

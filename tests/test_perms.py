@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from csgroups import perms
+from csgroups import braids, perms
 
 
 def face_table(i, p):
@@ -267,6 +267,35 @@ def test_bool_arguments_leave_no_bool_in_a_table():
         result = getattr(perms, name)(*args)
         assert result == getattr(perms, name).body(*args)
         assert all(type(v) is int for v in result), (name, result)
+
+
+# The five kernels that take an index, as (kernel, arguments before the
+# index, arguments after it); braids' take a word, perms' a permutation.
+INDEXED = [
+    (perms.face_perm, (), ((1, 0, 2),)),
+    (perms.degeneracy_perm, (), ((1, 0),)),
+    (perms.block_substitute, ((1, 0),), ((1, 0),)),
+    (braids.face_word, (), (braids.parse_letters("s1 s2", 2),)),
+    (braids.degeneracy_word, (), (braids.parse_letters("s1 s2", 2),)),
+]
+
+
+@pytest.mark.parametrize("kernel, before, after", INDEXED,
+                         ids=[kernel.__name__ for kernel, _, _ in INDEXED])
+def test_indices_are_read_as_ints(kernel, before, after):
+    """A bool index acts as its int and a float one is refused.  Before,
+    degeneracy_perm(True, (1, 0)) was (True, 2, 0), block_substitute
+    put 1.0 + q(j) in its block, and degeneracy_word made the letter
+    (True, 1)."""
+    _clear_tables()
+    body = getattr(kernel, "body", kernel)
+    result = body(*before, True, *after)
+    assert result == body(*before, 1, *after)
+    values = [k for k, _ in result.letters] if isinstance(result, braids.BraidWord) else result
+    assert all(type(v) is int for v in values), result
+    for index in (1.0, 7.0):
+        with pytest.raises(TypeError):
+            kernel(*before, index, *after)
 
 
 def test_full_tables_stay_small():
