@@ -15,11 +15,27 @@ top position is i (the one the permutation pairs with bottom position
 inverse(perm)[i]); the degeneracy at i doubles that strand into a
 parallel cable.
 
-Word equality is decided through the action on a free group: the letter
-(k, +1) maps x_k to x_k x_{k+1} x_k^-1 and x_{k+1} to x_k, fixing the
-other generators, and inverse letters act by the inverse substitution.
-This action is faithful, so comparing the reduced images of all
-generators decides equality.  Free-group words are stored as tuples of
+Word equality is decided by the left-greedy normal form Delta^d A_1 ...
+A_r (Garside, Q. J. Math. 1969; Elrifai and Morton, Q. J. Math. 1994),
+whose simple factors A_i are the positive lifts of permutations
+(permutation_braid) and are stored as those permutations.  Two words
+with identical letters are equal at once.  Otherwise the generators
+either word uses split into maximal runs of consecutive indices; the
+letters of different runs commute, so the words are equal exactly when
+their letters in each run are, and each run's normal form is computed
+on that run's strands alone.  The pair step of the normal form is kept
+in a table on at most 5 strands, as perms keeps its kernels' results.
+The cost is polynomial in the length and the strand count.
+canonical_value gives `eval` one value per braid, whatever generators a
+word for it uses, and artin_fingerprint hashes it.
+
+The action on a free group is the reference oracle, kept for the tests
+and the benchmark; no library path calls it.  The letter (k, +1) maps
+x_k to x_k x_{k+1} x_k^-1 and x_{k+1} to x_k, fixing the other
+generators, and inverse letters act by the inverse substitution.  The
+action is faithful, so comparing the reduced images of all generators
+(artin_act) decides equality too, but the images grow exponentially
+with the word's length.  Free-group words are stored as tuples of
 signed integers, +-(i + 1) for the i-th generator, and are reduced
 eagerly after every substitution.
 """
@@ -32,7 +48,7 @@ import operator
 import random
 import re
 
-from .perms import Perm, degeneracy_perm, face_perm, inverse
+from .perms import _TABLE_POINTS, Perm, clip, degeneracy_perm, face_perm, inverse
 
 FreeWord = tuple[int, ...]
 Letter = tuple[int, int]
@@ -86,7 +102,10 @@ def underlying_perm_word(b: BraidWord) -> Perm:
     return tuple(pos)
 
 
-# Free-group plumbing.
+# The reference oracle: the action on a free group.  It decides
+# equality too, but its reduced images grow exponentially with the
+# word's length, so no library path calls it; the tests and the
+# benchmark check the normal form below against it.
 
 def _reduce(letters) -> FreeWord:
     out: list[int] = []
@@ -112,7 +131,8 @@ def fg_concat(*words: FreeWord) -> FreeWord:
 def artin_act(b: BraidWord) -> tuple[FreeWord, ...]:
     """
     Images of the free generators x_0, ..., x_n under the word's
-    substitution action, freely reduced.
+    substitution action, freely reduced: the reference oracle for
+    equality, which no library path calls.
 
     >>> artin_act(generator(1, 0))
     ((1, 2, -1), (1,))
@@ -127,16 +147,200 @@ def artin_act(b: BraidWord) -> tuple[FreeWord, ...]:
     return tuple(imgs)
 
 
+# The left-greedy normal form.  A simple factor is stored as the
+# permutation of its positive lift (permutation_braid); Delta is the
+# reversal w0, and tau(p) = w0 p w0 is conjugation by Delta.
+
+# The results of the pair step on at most this many strands, keyed by
+# the pair and filled on first use, as perms keeps its kernels' results.
+_PAIRS: dict[tuple[Perm, Perm], tuple[Perm, Perm]] = {}
+
+
+def _left_weight_body(a: Perm, b: Perm) -> tuple[Perm, Perm]:
+    """Make the pair a.b left-weighted: while some s_k starts b (a left
+    descent of b) and does not finish a (not a right descent of a),
+    move it from the front of b to the back of a.  A move changes the
+    descents at k - 1, k and k + 1 only, so the scan resumes at k - 1."""
+    a, b = list(a), list(b)
+    b_inv = [0] * len(b)
+    for i, v in enumerate(b):
+        b_inv[v] = i
+    k = 0
+    while k < len(a) - 1:
+        if b_inv[k] > b_inv[k + 1] and a[k] < a[k + 1]:
+            a[k], a[k + 1] = a[k + 1], a[k]
+            i, j = b_inv[k], b_inv[k + 1]
+            b[i], b[j] = k + 1, k
+            b_inv[k], b_inv[k + 1] = j, i
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    return tuple(a), tuple(b)
+
+
+def _left_weight(a: Perm, b: Perm) -> tuple[Perm, Perm]:
+    if len(a) > _TABLE_POINTS:
+        return _left_weight_body(a, b)
+    pair = _PAIRS.get((a, b))
+    if pair is None:
+        pair = _PAIRS[a, b] = _left_weight_body(a, b)
+    return pair
+
+
+def _push(factors: list[Perm], f: Perm, one: Perm):
+    """Append the simple factor f to a left-weighted list and sweep left
+    until a pair is left as it was; identities (`one`) left at the end
+    go."""
+    factors.append(f)
+    i = len(factors) - 1
+    while i:
+        a, b = _left_weight(factors[i - 1], factors[i])
+        if a == factors[i - 1]:
+            break
+        factors[i - 1], factors[i] = a, b
+        i -= 1
+    while factors and factors[-1] == one:
+        factors.pop()
+
+
+def _tau(p: Perm) -> Perm:
+    top = len(p) - 1
+    return tuple(top - v for v in reversed(p))
+
+
+def _run_form(letters, strands: int) -> tuple[int, list[Perm]]:
+    """
+    The normal form Delta^d A_1 ... A_r of a word on `strands` strands,
+    as (d, [A_1, ..., A_r]) with no A_i equal to Delta or the identity.
+    A letter s_k^-1 is Delta^-1 (w0 s_k).  Each Delta^-1 passes to the
+    left of the factors already built, conjugating them by tau; a
+    parity bit records that, and the factors are stored under it
+    (letter k is stored as letter top - k while the bit is set) and
+    conjugated once at the end.
+    """
+    top = strands - 2
+    one = tuple(range(strands))
+    delta = one[::-1]
+    d, flipped = 0, False
+    factors: list[Perm] = []
+    simple: dict[Letter, Perm] = {}
+    for k, sign in letters:
+        if sign < 0:
+            d -= 1
+            flipped = not flipped
+        if flipped:
+            k = top - k
+        f = simple.get((k, sign))
+        if f is None:
+            f = list(delta if sign < 0 else one)
+            f[k], f[k + 1] = f[k + 1], f[k]
+            f = simple[k, sign] = tuple(f)
+        _push(factors, f, one)
+    lead = 0
+    while lead < len(factors) and factors[lead] == delta:
+        lead += 1
+    factors = factors[lead:]
+    if flipped:
+        factors = [_tau(f) for f in factors]
+    return d + lead, factors
+
+
+def _run_words(*words):
+    """
+    Split words by the maximal runs of consecutive generators that any
+    of them uses.  Letters in different runs commute, and the subgroup
+    the runs generate is their direct product, so words are equal
+    exactly when their letters in each run are.  Yields (lo, strands,
+    subwords): a run's letters renumbered from its lowest generator lo,
+    on strands = its generator count + 1.
+    """
+    runs: list[list] = []
+    where = {}
+    for k in sorted({k for w in words for k, _ in w}):
+        if not runs or runs[-1][1] != k - 1:
+            runs.append([k, k, tuple([] for _ in words)])
+        runs[-1][1] = k
+        where[k] = runs[-1]
+    for j, w in enumerate(words):
+        for k, sign in w:
+            run = where[k]
+            run[2][j].append((k - run[0], sign))
+    for lo, hi, subwords in runs:
+        yield lo, hi - lo + 2, subwords
+
+
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
+    """Identical letters are equal; otherwise the normal forms decide,
+    one run of generators at a time."""
     if a.strands != b.strands:
         raise ValueError(f"levels {a.level} and {b.level} differ")
-    return artin_act(a) == artin_act(b)
+    if a.letters == b.letters:
+        return True
+    for _, strands, (u, v) in _run_words(a.letters, b.letters):
+        # A common prefix and a common suffix cancel.
+        lo = 0
+        while lo < len(u) and lo < len(v) and u[lo] == v[lo]:
+            lo += 1
+        hi = 0
+        while hi < len(u) - lo and hi < len(v) - lo and u[-1 - hi] == v[-1 - hi]:
+            hi += 1
+        u, v = u[lo:len(u) - hi], v[lo:len(v) - hi]
+        if u != v and _run_form(u, strands) != _run_form(v, strands):
+            return False
+    return True
 
 
-def artin_fingerprint(images: tuple[FreeWord, ...]) -> str:
-    """Stable hash of a word's reduced generator images (artin_act), for
-    identity comparison."""
-    digest = hashlib.sha256(str(images).encode("ascii")).hexdigest()
+def _left_fraction(d: int, factors: list[Perm], strands: int):
+    """
+    The normal form Delta^d A_1 ... A_r as x^-1 y with x and y positive
+    and no common left divisor, each as its list of simple factors.
+    For d = -k < 0, with m = min(k, r) and dA = A^-1 Delta:
+    y = A_k+1 ... A_r and x = dA_m tau(dA_m-1) ... tau^m-1(dA_1) Delta^k-m,
+    normalised with Delta^k-m moved to the front.
+    """
+    one = tuple(range(strands))
+    delta = one[::-1]
+    if d >= 0:
+        return [], [delta] * d + factors
+    k = -d
+    m = min(k, len(factors))
+    x: list[Perm] = []
+    for j in range(m):
+        f = tuple(reversed(inverse(factors[m - 1 - j])))
+        _push(x, _tau(f) if (j + k - m) % 2 else f, one)
+    return [delta] * (k - m) + x, factors[k:]
+
+
+def canonical_value(b: BraidWord):
+    """
+    A value that two words share exactly when they are the same braid:
+    (strands, x, y) for the braid x^-1 y with x and y positive and
+    without common left divisor, each in left-greedy normal form.  Each
+    simple factor is the tuple of the (point, image) pairs it moves;
+    the factors of the runs are merged position by position, so the
+    value does not depend on the generators a word happens to use.
+    """
+    xs, ys = [], []
+    for lo, strands, (letters,) in _run_words(b.letters):
+        x, y = _left_fraction(*_run_form(letters, strands), strands)
+        xs.append((lo, x))
+        ys.append((lo, y))
+    return b.strands, _merge(xs), _merge(ys)
+
+
+def _merge(parts):
+    depth = max((len(factors) for _, factors in parts), default=0)
+    return tuple(
+        tuple((lo + p, lo + v) for lo, factors in parts if i < len(factors)
+              for p, v in enumerate(factors[i]) if p != v)
+        for i in range(depth))
+
+
+def artin_fingerprint(value) -> str:
+    """Stable 16-digit hash of a canonical value of a braid, for identity
+    comparison: `canonical_value(b)`, or the reduced images
+    `artin_act(b)`."""
+    digest = hashlib.sha256(str(value).encode("ascii")).hexdigest()
     return digest[:16]
 
 
@@ -282,11 +486,11 @@ def parse_letters(text: str, level: int) -> BraidWord:
     for tok in tokens:
         m = _TOKEN.match(tok)
         if m is None:
-            raise ValueError(f"bad braid token {tok!r}")
-        digits = m.group(1)
+            raise ValueError(f"bad braid token {clip(tok)!r}")
+        digits = m.group(1).lstrip("0") or "0"
         # A digit string longer than the level's cannot be in range, and
         # int() refuses one of more than 4300 digits.
-        if len(digits.lstrip("0")) > len(str(level)) or not 1 <= int(digits) <= level:
-            raise ValueError(f"generator {tok!r} out of range at level {level}")
+        if len(digits) > len(str(level)) or not 1 <= int(digits) <= level:
+            raise ValueError(f"generator {clip(tok)!r} out of range at level {level}")
         letters.append((int(digits) - 1, -1 if m.group(2) else 1))
     return BraidWord(level + 1, tuple(letters))

@@ -9,9 +9,11 @@ Command-line front end.
 
 Exit codes: 0 on success, 1 when a suite finds a counterexample or a
 horn cannot be lifted, 2 on usage or parse errors, among them calls
-nested more than MAX_DEPTH deep and any level or index above MAX_LEVEL,
-caught before anything that size is built (for a horn, once its faces
-are read).
+nested more than MAX_DEPTH deep, any level or index above MAX_LEVEL,
+a nerve size above MAX_COUNT, MAX_DIMENSION or suites.MAX_WORD_LEN and
+a horn level above MAX_LIFT_LEVEL, caught before anything that size is
+built (for a horn, once its faces are read).  An error line echoes at
+most perms.MAX_ECHO characters of any input text.
 """
 
 from __future__ import annotations
@@ -24,12 +26,20 @@ import sys
 
 from . import braids, groupoid, kan, operad, perms
 from .core import BRAID, INSTANCES, SYMMETRIC, CsgElement, CsgInstance
-from .suites import SUITES, run_suite
+from .suites import MAX_WORD_LEN, SUITES, run_suite
 
 # Far above any level in use (5 at most); an element's cost grows with it.
 MAX_LEVEL = 1000
 # Far above any nesting in use (2 at most); each nested call takes stack.
 MAX_DEPTH = 100
+# A horn's faces are compared in pairs, so a lift's cost grows with the
+# square of its level: a trivial braid horn took 0.8 s at level 700 and
+# 1.0-1.1 s at level 800 (2-core x86-64, Python 3.11.7).
+MAX_LIFT_LEVEL = 700
+# Far above the nerve defaults (3 simplices of dimension at most 2) and
+# every value in use; the output grows with each.
+MAX_COUNT = 1000
+MAX_DIMENSION = 100
 
 
 class ParseError(ValueError):
@@ -76,9 +86,9 @@ class _ExprParser:
     def take(self, kind=None, value=None):
         tok = self.tokens[self.idx]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind}, found {perms.clip(tok[1])!r}", tok[2])
         if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {value!r}, found {perms.clip(tok[1])!r}", tok[2])
         self.idx += 1
         return tok
 
@@ -86,7 +96,7 @@ class _ExprParser:
         value = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"trailing input {text!r}", pos)
+            raise ParseError(f"trailing input {perms.clip(text)!r}", pos)
         return value
 
     def expr(self, depth=0):
@@ -97,14 +107,15 @@ class _ExprParser:
             return self.braid_literal()
         if kind == "name":
             return self.call(depth + 1)
-        raise ParseError(f"expected an expression, found {text!r}", pos)
+        raise ParseError(f"expected an expression, found {perms.clip(text)!r}", pos)
 
     def number(self, what: str, token=None) -> int:
         """An integer token, the next one by default, of at most
         MAX_LEVEL; a longer digit string is rejected before it is
         converted."""
         _, digits, pos = token or self.take("int")
-        if len(digits.lstrip("0")) > len(str(MAX_LEVEL)) or int(digits) > MAX_LEVEL:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_LEVEL)) or int(digits) > MAX_LEVEL:
             raise ParseError(f"{what} is above the limit {MAX_LEVEL}", pos)
         return int(digits)
 
@@ -151,20 +162,20 @@ class _ExprParser:
         except (ValueError, IndexError) as exc:
             if isinstance(exc, ParseError):
                 raise
-            raise ParseError(f"{name}: {exc}", pos) from None
+            raise ParseError(f"{perms.clip(name)}: {exc}", pos) from None
         if value.level > MAX_LEVEL:
-            raise ParseError(f"{name}: level {value.level} is above the limit "
-                             f"{MAX_LEVEL}", pos)
+            raise ParseError(f"{perms.clip(name)}: level {value.level} is above "
+                             f"the limit {MAX_LEVEL}", pos)
         return inst, value
 
     def apply(self, name, args, pos):
         op, mark, digits = name.partition("_")
         arity, operation = _OPERATORS.get(op + mark, (None, None))
         if operation is None:
-            raise ParseError(f"unknown operator {name!r}", pos)
+            raise ParseError(f"unknown operator {perms.clip(name)!r}", pos)
         if len(args) != arity:
             count = "one argument" if arity == 1 else "two arguments"
-            raise ParseError(f"{name} takes {count}", pos)
+            raise ParseError(f"{perms.clip(name)} takes {count}", pos)
         inst = args[0][0]
         if any(other is not inst for other, _ in args):
             raise ParseError("mixed permutation and braid operands", pos)
@@ -192,12 +203,12 @@ def render_element(inst: CsgInstance, g: CsgElement) -> str:
         return perms.format_perm(g.payload)
     word = g.payload
     perm = braids.underlying_perm_word(word)
-    images = braids.artin_act(word)
-    is_id = images == braids.artin_act(braids.empty_word(g.level))
+    value = braids.canonical_value(word)
+    _, x, y = value
     return (f"{braids.format_letters(word)} @ {g.level}"
             f"  perm={perms.format_perm(perm)}"
-            f"  artin={braids.artin_fingerprint(images)}"
-            f"  identity={'true' if is_id else 'false'}")
+            f"  artin={braids.artin_fingerprint(value)}"
+            f"  identity={'true' if not x and not y else 'false'}")
 
 
 def cmd_eval(args) -> int:
@@ -224,13 +235,16 @@ def cmd_check(args) -> int:
 
 def cmd_nerve(args) -> int:
     inst = INSTANCES[args.instance]
-    for flag in ("level", "dimension", "count", "word_len"):
+    limits = {"level": MAX_LEVEL, "dimension": MAX_DIMENSION, "count": MAX_COUNT,
+              "word_len": MAX_WORD_LEN}
+    for flag in limits:
         if getattr(args, flag) < 0:
             print(f"--{flag.replace('_', '-')} must be at least 0", file=sys.stderr)
             return 2
-    if args.level > MAX_LEVEL:
-        print(f"--level must be at most {MAX_LEVEL}", file=sys.stderr)
-        return 2
+    for flag, limit in limits.items():
+        if getattr(args, flag) > limit:
+            print(f"--{flag.replace('_', '-')} must be at most {limit}", file=sys.stderr)
+            return 2
     if args.format == "dot":
         try:
             sys.stdout.write(groupoid.skeleton_to_dot(inst, args.level))
@@ -261,7 +275,7 @@ def cmd_kan_lift(args) -> int:
         return 2
     name = data.get("instance", "braid")
     if not isinstance(name, str) or name not in INSTANCES:
-        print(f"unknown instance {name!r}", file=sys.stderr)
+        print(f"unknown instance {perms.clip(repr(name))}", file=sys.stderr)
         return 2
     inst = INSTANCES[name]
     try:
@@ -271,6 +285,10 @@ def cmd_kan_lift(args) -> int:
         return 2
     if horn.n > MAX_LEVEL:
         print(f"malformed horn: level is above the limit {MAX_LEVEL}", file=sys.stderr)
+        return 2
+    if horn.n > MAX_LIFT_LEVEL:
+        print(f"malformed horn: level is above the kan-lift limit {MAX_LIFT_LEVEL}",
+              file=sys.stderr)
         return 2
     try:
         lift = kan.lift_horn(inst, horn)

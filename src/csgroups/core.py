@@ -146,7 +146,8 @@ class SymmetricCsg(CsgInstance):
     def parse_at(self, text, level):
         word = perms.parse_perm(text)
         if len(word) - 1 != level:
-            raise ValueError(f"{text!r} has level {len(word) - 1}, expected {level}")
+            raise ValueError(f"{perms.clip(text)!r} has level {len(word) - 1}, "
+                             f"expected {level}")
         return CsgElement(level, word)
 
     def random_element(self, rng, n, max_len=12):
@@ -157,7 +158,9 @@ class SymmetricCsg(CsgInstance):
 
 
 class BraidCsg(CsgInstance):
-    """Braid groups on level + 1 strands; equality via the free-group action."""
+    """Braid groups on level + 1 strands; equality by the left-greedy
+    normal form (braids.braids_equal), with the free-group action
+    (braids.artin_act) as the reference oracle of the tests."""
 
     name = "braid"
 

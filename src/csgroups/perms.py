@@ -65,6 +65,15 @@ def _tabled(kernel):
     return tabled
 
 
+# An error message shows at most this many characters of an input text.
+MAX_ECHO = 40
+
+
+def clip(text: str) -> str:
+    """text, or its first MAX_ECHO characters and '...', for an error line."""
+    return text if len(text) <= MAX_ECHO else text[:MAX_ECHO] + "..."
+
+
 def is_perm(word: Sequence[int]) -> bool:
     """
     Whether word lists 0..len(word) - 1 once each, as ints (not bools).
@@ -248,7 +257,7 @@ def parse_perm(text: str) -> Perm:
     """
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"permutation literal must be bracketed: {text!r}")
+        raise ValueError(f"permutation literal must be bracketed: {clip(text)!r}")
     inner = body[1:-1].strip()
     if not inner:
         raise ValueError("empty permutation literal; the smallest level is [0]")
@@ -259,7 +268,7 @@ def parse_perm(text: str) -> Perm:
             raise ValueError
         word = tuple(int(part) for part in parts)
     except ValueError:
-        raise ValueError(f"bad permutation literal {text!r}") from None
+        raise ValueError(f"bad permutation literal {clip(text)!r}") from None
     if not is_perm(word):
-        raise ValueError(f"{text!r} is not a permutation of 0..{len(word) - 1}")
+        raise ValueError(f"{clip(text)!r} is not a permutation of 0..{len(word) - 1}")
     return word

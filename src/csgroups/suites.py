@@ -26,6 +26,9 @@ from . import barcx, braids, core, groupoid, kan, operad, perms
 from .core import BRAID, INSTANCES, SYMMETRIC
 
 MAX_RECORDED = 50
+# Far above every word length in use (12 at most); a braid word's cost
+# grows with its length.
+MAX_WORD_LEN = 1000
 
 
 @dataclasses.dataclass
@@ -104,6 +107,10 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
         if value is not None and value < least:
             raise ValueError(f"{key} must be at least {least} for suite {name!r} "
                              f"on {instance}, got {value}")
+    word_len = params.get("word_len", given["word_len"])
+    if word_len is not None and word_len > MAX_WORD_LEN:
+        raise ValueError(f"word_len must be at most {MAX_WORD_LEN} for suite {name!r} "
+                         f"on {instance}, got {word_len}")
     tally = core.Tally()
     extra = body(INSTANCES[instance], types.SimpleNamespace(**params),
                  random.Random(seed), tally)

@@ -1,8 +1,12 @@
-"""Braid words: the free-group action oracle, strand surgery, and the
-positive permutation lift."""
+"""Braid words: the free-group action oracle, strand surgery, the
+positive permutation lift, and the normal form that decides equality,
+against the free-group action and the Burau representation."""
 
 import itertools
+import json
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,3 +198,197 @@ def test_validation():
         BraidWord(2, ((0, 2),))
     with pytest.raises(ValueError):
         braids.face_word(0, empty_word(0))
+
+
+# The normal form against independent oracles.
+
+def relator(k):
+    """s_k s_k+1 s_k (s_k+1 s_k s_k+1)^-1, a word for the identity."""
+    return [(k, 1), (k + 1, 1), (k, 1), (k + 1, -1), (k, -1), (k + 1, -1)]
+
+
+@st.composite
+def word_pair_st(draw, max_strands=6, max_len=12):
+    """Two words on 2-6 strands: a random word and either another random
+    word or a rewrite of it that may change its generator span (a
+    cancelling pair at any index, a braid relation, a far commutation)."""
+    n = draw(st.integers(min_value=1, max_value=max_strands - 1))
+    letter = st.tuples(st.integers(min_value=0, max_value=n - 1), st.sampled_from((1, -1)))
+    u = draw(st.lists(letter, max_size=max_len))
+    kind = draw(st.sampled_from(("other", "cancel", "relation", "commute")))
+    if kind == "other":
+        return BraidWord(n + 1, tuple(u)), BraidWord(n + 1, tuple(draw(st.lists(
+            letter, max_size=max_len))))
+    v = list(u)
+    at = draw(st.integers(min_value=0, max_value=len(v)))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    sign = draw(st.sampled_from((1, -1)))
+    if kind == "relation" and n >= 2:
+        v[at:at] = relator(min(k, n - 2))
+    elif kind == "commute" and n >= 3:
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(i + 2, n)]))
+        v[at:at] = [(i, sign), (j, 1), (i, -sign), (j, -1)]
+    else:
+        v[at:at] = [(k, sign), (k, -sign)]
+    return BraidWord(n + 1, tuple(u)), BraidWord(n + 1, tuple(v))
+
+
+@given(word_pair_st())
+@settings(max_examples=300)
+def test_normal_form_agrees_with_the_free_group_action(pair):
+    u, v = pair
+    expected = braids.artin_act(u) == braids.artin_act(v)
+    assert braids.braids_equal(u, v) == expected
+    assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
+
+
+def test_canonical_value_tracks_equality():
+    """One value per braid, whichever generators a word for it uses."""
+    same = [("s1 s2 s2^-1", "s1"), ("1", "s2 s2^-1"),
+            ("s1 s2 s1 s3 s3^-1", "s2 s1 s2"), ("s3^-1 s1", "s1 s3^-1"),
+            ("s1^-1 s2 s2^-1", "s1^-1"), ("s2^-1 s1^-1 s2", "s1 s2^-1 s1^-1")]
+    for left, right in same:
+        a, b = braids.parse_letters(left, 3), braids.parse_letters(right, 3)
+        assert braids.braids_equal(a, b)
+        assert braids.canonical_value(a) == braids.canonical_value(b)
+        assert braids.artin_fingerprint(braids.canonical_value(a)) == \
+            braids.artin_fingerprint(braids.canonical_value(b))
+    _, x, y = braids.canonical_value(braids.parse_letters("s2 s2^-1", 3))
+    assert x == y == ()
+    rng = random.Random(11)
+    agreed = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        a = braids.random_word(rng, n, 8)
+        letters = list(a.letters)
+        at = rng.randint(0, len(letters))
+        if rng.random() < 0.5:
+            k = rng.randrange(n)
+            letters[at:at] = [(k, -1), (k, 1)]
+        else:
+            letters = list(braids.random_word(rng, n, 8).letters)
+        b = BraidWord(n + 1, tuple(letters))
+        equal = braids.braids_equal(a, b)
+        assert (braids.canonical_value(a) == braids.canonical_value(b)) == equal
+        agreed[equal] += 1
+    assert min(agreed.values()) > 100
+
+
+# The reduced Burau representation of B_3 over Z[t, t^-1], faithful on
+# 3 strands: a Laurent polynomial is a dict from exponent to a nonzero
+# coefficient.
+
+def lp_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+        if out[e] == 0:
+            del out[e]
+    return out
+
+
+def lp_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out = lp_add(out, {e1 + e2: c1 * c2})
+    return out
+
+
+def mat_mul(a, b):
+    return [[lp_add(lp_mul(a[i][0], b[0][j]), lp_mul(a[i][1], b[1][j]))
+             for j in range(2)] for i in range(2)]
+
+
+BURAU = {
+    (0, 1): [[{1: -1}, {0: 1}], [{}, {0: 1}]],
+    (0, -1): [[{-1: -1}, {-1: 1}], [{}, {0: 1}]],
+    (1, 1): [[{0: 1}, {}], [{1: 1}, {1: -1}]],
+    (1, -1): [[{0: 1}, {}], [{0: 1}, {-1: -1}]],
+}
+
+
+def burau(b):
+    m = [[{0: 1}, {}], [{}, {0: 1}]]
+    for letter in b.letters:
+        m = mat_mul(m, BURAU[letter])
+    return m
+
+
+def test_burau_matrices_are_a_representation():
+    one = burau(empty_word(2))
+    for k in (0, 1):
+        assert burau(BraidWord(3, ((k, 1), (k, -1)))) == one
+    assert burau(BraidWord(3, tuple(relator(0)))) == one
+    assert burau(generator(2, 0)) != one
+
+
+def test_normal_form_agrees_with_burau_on_long_words():
+    """Words of 60 to 90 letters on 3 strands, beyond the free-group
+    oracle's reach: rewritten copies are equal, and a copy with one
+    letter inverted is not."""
+    rng = random.Random(5)
+    for _ in range(40):
+        u = list(braids.random_word(rng, 2, 30).letters) + [
+            (rng.randrange(2), rng.choice((1, -1))) for _ in range(60)]
+        v = list(u)
+        for _ in range(4):
+            at = rng.randint(0, len(v))
+            k, sign = rng.randrange(2), rng.choice((1, -1))
+            v[at:at] = relator(0) if rng.random() < 0.5 else [(k, sign), (k, -sign)]
+        a, b = BraidWord(3, tuple(u)), BraidWord(3, tuple(v))
+        flipped = list(u)
+        at = rng.randrange(len(flipped))
+        flipped[at] = (flipped[at][0], -flipped[at][1])
+        c = BraidWord(3, tuple(flipped))
+        assert len(a.letters) >= 60
+        assert burau(a) == burau(b) and braids.braids_equal(a, b)
+        assert burau(b) != burau(c) and not braids.braids_equal(b, c)
+        # Two neighbouring letters swapped: same exponent sum.
+        swapped = list(u)
+        at = rng.randrange(len(swapped) - 1)
+        swapped[at:at + 2] = swapped[at + 1], swapped[at]
+        d = BraidWord(3, tuple(swapped))
+        assert braids.braids_equal(b, d) == (burau(b) == burau(d))
+
+
+def test_long_word_equality_is_polynomial():
+    """(s1 s2^-1)^50 against a copy with a cancelling pair after every
+    block: the free-group images of 28 such letters already held two
+    million symbols."""
+    block = ((0, 1), (1, -1))
+    a = BraidWord(3, block * 50)
+    b = BraidWord(3, tuple(letter for _ in range(50)
+                           for letter in block + ((1, 1), (1, -1))))
+    c = BraidWord(3, block * 49 + ((0, 1), (1, 1)))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert braids.braids_equal(a, b)
+        assert not braids.braids_equal(a, c)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1_000_000
+
+
+def test_no_library_path_calls_the_oracle(monkeypatch, tmp_path, capsys):
+    """A braid suite, a braid eval and a braid kan-lift run with the
+    free-group action patched to raise."""
+    from csgroups import BRAID, cli, kan, suites
+
+    def refuse(b):
+        raise AssertionError("artin_act called")
+    monkeypatch.setattr(braids, "artin_act", refuse)
+    assert suites.run_suite("crossed", "braid", trials=50).outcome == "pass"
+    assert cli.main(["eval", "mul(s1 s2^-1 s1@2, inv(s2 s1@2))"]) == 0
+    horn = kan.horn_from_filler(BRAID, BRAID.random_element(random.Random(3), 3, 8), 1)
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps({
+        "instance": "braid", "level": horn.n, "k": horn.k,
+        "base": perms.format_perm(horn.base),
+        "faces": {str(r): braids.format_letters(y.payload) for r, y in horn.face_items()}}))
+    assert cli.main(["kan-lift", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "identity=false" in out

@@ -40,11 +40,11 @@ def test_eval_braid_expressions(capsys):
     assert "perm=[2,1,0]" in out
     code, out, _ = run(capsys, "eval", "1@3")
     assert code == 0 and "identity=true" in out
-    # One whole line, artin= fingerprint included, pinned as it was first
-    # recorded.
+    # One whole line, artin= fingerprint included, pinned as it was
+    # recorded when the fingerprint moved to the normal form.
     code, out, _ = run(capsys, "eval", "mul(s1 s2^-1 s1@2, inv(s2 s1@2))")
     assert code == 0 and out == (
-        "s1 s2^-1 s1 s1^-1 s2^-1 @ 2  perm=[1,0,2]  artin=cf4383fa8b23787c"
+        "s1 s2^-1 s1 s1^-1 s2^-1 @ 2  perm=[1,0,2]  artin=570992cc450131cf"
         "  identity=false\n")
 
 
@@ -69,23 +69,24 @@ def test_eval_cross_level_product(capsys, expression):
 
 
 # Pinned as the operator-by-operator parser printed them, before the
-# operator table.
+# operator table; the artin= values as recorded when the fingerprint
+# moved to the normal form.
 @pytest.mark.parametrize("expression, out", [
     ('boxplus([1,0],[0])', '[1,0,2]\n'),
-    ('boxplus(s1@1, 1@0)', 's1 @ 2  perm=[1,0,2]  artin=2af86d33913bb459  identity=false\n'),
-    ('circ_0(s1@1, s1@1)', 's1 s2 s1 @ 2  perm=[2,1,0]  artin=ee4983cf64bfbead  identity=false\n'),
+    ('boxplus(s1@1, 1@0)', 's1 @ 2  perm=[1,0,2]  artin=330e2bad5cdbd0dd  identity=false\n'),
+    ('circ_0(s1@1, s1@1)', 's1 s2 s1 @ 2  perm=[2,1,0]  artin=e62b0752e3cb7e2b  identity=false\n'),
     ('circ_1([1,0],[1,0])', '[2,1,0]\n'),
     ('d_0([1,2,0])', '[0,1]\n'),
-    ('d_1(s1 s2@2)', 's1 @ 1  perm=[1,0]  artin=bd51884bf306b156  identity=false\n'),
+    ('d_1(s1 s2@2)', 's1 @ 1  perm=[1,0]  artin=593d7141a6e09aa9  identity=false\n'),
     ('inv([1,2,0])', '[2,0,1]\n'),
-    ('inv(s1 s2@2)', 's2^-1 s1^-1 @ 2  perm=[2,0,1]  artin=cd58395ec91c6f53  identity=false\n'),
+    ('inv(s1 s2@2)', 's2^-1 s1^-1 @ 2  perm=[2,0,1]  artin=bb98d32c0fa2eec2  identity=false\n'),
     ('mul([1,0],[1,0])', '[0,1]\n'),
-    ('mul(s1@2, s2@2)', 's1 s2 @ 2  perm=[1,2,0]  artin=ceeb93720c9c576d  identity=false\n'),
+    ('mul(s1@2, s2@2)', 's1 s2 @ 2  perm=[1,2,0]  artin=076c2c699ee48ac1  identity=false\n'),
     ('sL([1,0])', '[0,2,1]\n'),
-    ('sL(s1@1)', 's2 @ 2  perm=[0,2,1]  artin=9eceedcccc783e0d  identity=false\n'),
+    ('sL(s1@1)', 's2 @ 2  perm=[0,2,1]  artin=8c90331738f5a778  identity=false\n'),
     ('sR([1,0])', '[1,0,2]\n'),
-    ('sR(s1@1)', 's1 @ 2  perm=[1,0,2]  artin=2af86d33913bb459  identity=false\n'),
-    ('s_0(s1@1)', 's2 s1 @ 2  perm=[2,0,1]  artin=28ab373c6a460eef  identity=false\n'),
+    ('sR(s1@1)', 's1 @ 2  perm=[1,0,2]  artin=330e2bad5cdbd0dd  identity=false\n'),
+    ('s_0(s1@1)', 's2 s1 @ 2  perm=[2,0,1]  artin=24b78709ca3c27d7  identity=false\n'),
     ('s_00000000001([1,0])', '[1,2,0]\n'),
     ('s_1([1,0])', '[1,2,0]\n'),
 ])
@@ -490,3 +491,77 @@ def test_injected_target_fault_fails(monkeypatch, capsys, module, name, fault,
     assert code == 1 and err == ""
     assert report["outcome"] == "fail"
     assert identity in {ce["identity"] for ce in report["counterexamples"]}
+
+
+@pytest.mark.parametrize("expression", [
+    "mul_" + "9" * 5000 + "([1,0])",
+    "d_" + "9" * 5000 + "([1,0],[0,1])",
+    "d_" + "0" * 5000 + "5([1,0])",
+    "a" * 5000 + "([1,0])",
+    "s" + "9" * 5000 + "@2",
+    "mul([1,0] " + "9" * 5000 + ")",
+    "[1,0] " + "x" * 5000,
+    "inv(" + "b" * 5000 + ")",
+], ids=["unknown-operator", "argument-count", "index-zeros", "name", "generator",
+        "found-token", "trailing", "expression"])
+def test_eval_error_lines_are_short(capsys, expression):
+    """An error echoes at most perms.MAX_ECHO characters of a name or
+    token; the first two printed lines of over 5,000 characters."""
+    code, out, err = run(capsys, "eval", expression)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert len(err) <= 200
+
+
+@pytest.mark.parametrize("flag, limit", [
+    ("--count", cli.MAX_COUNT),
+    ("--dimension", cli.MAX_DIMENSION),
+    ("--word-len", suites.MAX_WORD_LEN),
+])
+def test_nerve_sizes_above_the_limit(capsys, flag, limit):
+    start = time.perf_counter()
+    result = run(capsys, "nerve", "--instance", "braid", flag, "100000000")
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", f"{flag} must be at most {limit}\n")
+
+
+def test_check_word_len_above_the_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "crossed", "--instance", "braid",
+                         "--word-len", "100000000", "--trials", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert f"word_len must be at most {suites.MAX_WORD_LEN}" in err
+
+
+def test_kan_lift_level_above_the_lift_limit(tmp_path, capsys):
+    """Validation compares the faces in pairs; a trivial braid horn at
+    the limit is lifted, and one above it is refused at once."""
+    def horn_file(level):
+        path = tmp_path / f"horn{level}.json"
+        path.write_text(json.dumps({
+            "instance": "braid", "level": level, "k": 0,
+            "base": perms.format_perm(tuple(range(level + 1))),
+            "faces": {str(r): "1" for r in range(1, level + 1)}}))
+        return str(path)
+    start = time.perf_counter()
+    assert run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL + 1)) == (
+        2, "", f"malformed horn: level is above the kan-lift limit {cli.MAX_LIFT_LEVEL}\n")
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL))
+    assert code == 0 and "FAIL" not in out and "identity=true" in out
+
+
+@pytest.mark.parametrize("horn", [
+    {"instance": "x" * 5000, "level": 1, "k": 0, "base": "[0,1]", "faces": {"1": "1"}},
+    {"instance": "braid", "level": 1, "k": 0, "base": "[" + "x" * 5000 + "]",
+     "faces": {"1": "1"}},
+    {"instance": "braid", "level": 1, "k": 0, "base": "[0,1]", "faces": {"1": "x" * 5000}},
+    {"instance": "symm", "level": 1, "k": 0, "base": "[0,1]",
+     "faces": {"1": "[" + ",".join(map(str, range(2000))) + "]"}},
+], ids=["instance", "base", "braid-face", "symm-face"])
+def test_kan_lift_error_lines_are_short(tmp_path, capsys, horn):
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(horn))
+    code, out, err = run(capsys, "kan-lift", str(path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert len(err) <= 200
