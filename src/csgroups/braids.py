@@ -223,19 +223,15 @@ def _run_form(letters, strands: int) -> tuple[int, list[Perm]]:
     delta = one[::-1]
     d, flipped = 0, False
     factors: list[Perm] = []
-    simple: dict[Letter, Perm] = {}
     for k, sign in letters:
         if sign < 0:
             d -= 1
             flipped = not flipped
         if flipped:
             k = top - k
-        f = simple.get((k, sign))
-        if f is None:
-            f = list(delta if sign < 0 else one)
-            f[k], f[k + 1] = f[k + 1], f[k]
-            f = simple[k, sign] = tuple(f)
-        _push(factors, f, one)
+        f = list(delta if sign < 0 else one)
+        f[k], f[k + 1] = f[k + 1], f[k]
+        _push(factors, tuple(f), one)
     lead = 0
     while lead < len(factors) and factors[lead] == delta:
         lead += 1
@@ -277,15 +273,7 @@ def braids_equal(a: BraidWord, b: BraidWord) -> bool:
     if a.letters == b.letters:
         return True
     for _, strands, (u, v) in _run_words(a.letters, b.letters):
-        # A common prefix and a common suffix cancel.
-        lo = 0
-        while lo < len(u) and lo < len(v) and u[lo] == v[lo]:
-            lo += 1
-        hi = 0
-        while hi < len(u) - lo and hi < len(v) - lo and u[-1 - hi] == v[-1 - hi]:
-            hi += 1
-        u, v = u[lo:len(u) - hi], v[lo:len(v) - hi]
-        if u != v and _run_form(u, strands) != _run_form(v, strands):
+        if _run_form(u, strands) != _run_form(v, strands):
             return False
     return True
 

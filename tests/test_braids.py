@@ -352,25 +352,49 @@ def test_normal_form_agrees_with_burau_on_long_words():
         assert braids.braids_equal(b, d) == (burau(b) == burau(d))
 
 
-def test_long_word_equality_is_polynomial():
+def test_long_word_equality_is_polynomial(monkeypatch):
     """(s1 s2^-1)^50 against a copy with a cancelling pair after every
     block: the free-group images of 28 such letters already held two
-    million symbols."""
+    million symbols.  Each appended factor sweeps left over at most the
+    factors before it, so a word of L letters takes at most L(L - 1)/2
+    pair steps and has at most L factors and L powers of Delta."""
     block = ((0, 1), (1, -1))
     a = BraidWord(3, block * 50)
     b = BraidWord(3, tuple(letter for _ in range(50)
                            for letter in block + ((1, 1), (1, -1))))
     c = BraidWord(3, block * 49 + ((0, 1), (1, 1)))
-    tracemalloc.start()
-    try:
-        start = time.perf_counter()
+
+    def decide():
         assert braids.braids_equal(a, b)
         assert not braids.braids_equal(a, c)
-        elapsed = time.perf_counter() - start
+
+    steps = 0
+    left_weight = braids._left_weight
+
+    def counted(x, y):
+        nonlocal steps
+        steps += 1
+        return left_weight(x, y)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(braids, "_left_weight", counted)
+        decide()
+    assert steps <= sum(len(w.letters) * (len(w.letters) - 1) // 2 for w in (a, a, b, c))
+    for w in (a, b, c):
+        d, factors = braids._run_form(w.letters, w.strands)
+        assert abs(d) <= len(w.letters) and len(factors) <= len(w.letters)
+
+    start = time.perf_counter()
+    decide()
+    assert time.perf_counter() - start < 1
+
+    tracemalloc.start()
+    try:
+        decide()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert elapsed < 0.1 and peak < 1_000_000
+    assert peak < 1_000_000
 
 
 def test_no_library_path_calls_the_oracle(monkeypatch, tmp_path, capsys):

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from csgroups import braids, cli, groupoid, operad, perms, suites
+from csgroups import braids, cli, core, groupoid, kan, operad, perms, suites
 from csgroups.core import SymmetricCsg
 from csgroups.groupoid import GroupoidArrow
 
@@ -19,6 +19,10 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work was started for an input above a limit")
 
 
 def test_eval_perm_expressions(capsys):
@@ -539,25 +543,30 @@ def test_eval_error_lines_are_short(capsys, expression):
     ("--dimension", cli.MAX_DIMENSION),
     ("--word-len", suites.MAX_WORD_LEN),
 ])
-def test_nerve_sizes_above_the_limit(capsys, flag, limit):
+def test_nerve_sizes_above_the_limit(monkeypatch, capsys, flag, limit):
+    """Refused before any simplex is drawn; the clock is a loose backstop."""
+    for name in ("random_simplex", "skeleton_to_json", "skeleton_to_dot"):
+        monkeypatch.setattr(groupoid, name, _must_not_run)
     start = time.perf_counter()
     result = run(capsys, "nerve", "--instance", "braid", flag, "100000000")
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 5
     assert result == (2, "", f"{flag} must be at most {limit}\n")
 
 
-def test_check_word_len_above_the_limit(capsys):
+def test_check_word_len_above_the_limit(monkeypatch, capsys):
+    """Refused before the suite body starts its tally."""
+    monkeypatch.setattr(core, "Tally", _must_not_run)
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "crossed", "--instance", "braid",
                          "--word-len", "100000000", "--trials", "1")
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < 5
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert f"word_len must be at most {suites.MAX_WORD_LEN}" in err
 
 
-def test_kan_lift_level_above_the_lift_limit(tmp_path, capsys):
+def test_kan_lift_level_above_the_lift_limit(monkeypatch, tmp_path, capsys):
     """Validation compares the faces in pairs; a trivial braid horn at
-    the limit is lifted, and one above it is refused at once."""
+    the limit is lifted, and one above it is refused before validation."""
     def horn_file(level):
         path = tmp_path / f"horn{level}.json"
         path.write_text(json.dumps({
@@ -565,10 +574,13 @@ def test_kan_lift_level_above_the_lift_limit(tmp_path, capsys):
             "base": perms.format_perm(tuple(range(level + 1))),
             "faces": {str(r): "1" for r in range(1, level + 1)}}))
         return str(path)
-    start = time.perf_counter()
-    assert run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL + 1)) == (
-        2, "", f"malformed horn: level is above the kan-lift limit {cli.MAX_LIFT_LEVEL}\n")
-    assert time.perf_counter() - start < 1
+    with monkeypatch.context() as patched:
+        patched.setattr(kan, "lift_horn", _must_not_run)
+        patched.setattr(kan, "validate_horn", _must_not_run)
+        start = time.perf_counter()
+        assert run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL + 1)) == (
+            2, "", f"malformed horn: level is above the kan-lift limit {cli.MAX_LIFT_LEVEL}\n")
+        assert time.perf_counter() - start < 5
     code, out, _ = run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL))
     assert code == 0 and "FAIL" not in out and "identity=true" in out
 
