@@ -15,7 +15,6 @@ from .core import (
     CsgInstance,
     SymmetricCsg,
     Tally,
-    Violation,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "CsgInstance",
     "SymmetricCsg",
     "Tally",
-    "Violation",
 ]
 
 __version__ = "0.1.0"

@@ -9,11 +9,11 @@ Command-line front end.
 
 Exit codes: 0 on success, 1 when a suite finds a counterexample or a
 horn cannot be lifted, 2 on usage or parse errors, among them calls
-nested more than MAX_DEPTH deep, any level or index above MAX_LEVEL,
-a nerve size above MAX_COUNT, MAX_DIMENSION or suites.MAX_WORD_LEN and
-a horn level above MAX_LIFT_LEVEL, caught before anything that size is
-built (for a horn, once its faces are read).  An error line echoes at
-most perms.MAX_ECHO characters of any input text.
+nested more than MAX_DEPTH deep, an eval or nerve level or index above
+MAX_LEVEL, a nerve size above MAX_COUNT, MAX_DIMENSION or
+suites.MAX_WORD_LEN, and a horn level above MAX_LIFT_LEVEL, each caught
+before anything that size is built (a horn's once its faces are read).
+An error line echoes at most perms.MAX_ECHO characters of any input.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ MAX_DIMENSION = 100
 class ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"at position {pos}: {message}")
-        self.pos = pos
 
 
 _TOKEN = re.compile(
@@ -268,6 +267,8 @@ def cmd_kan_lift(args) -> int:
             data = json.load(fh)
     # Bad JSON, bad UTF-8, an over-long number, or arrays nested too deep.
     except (OSError, ValueError, RecursionError) as exc:
+        if isinstance(exc, OSError):  # str(exc) would echo the whole path
+            exc.filename = perms.clip(args.horn)
         print(f"cannot read horn file: {exc}", file=sys.stderr)
         return 2
     if not isinstance(data, dict):
@@ -282,9 +283,6 @@ def cmd_kan_lift(args) -> int:
         horn = kan.horn_from_json(inst, data)
     except (ValueError, IndexError) as exc:
         print(f"malformed horn: {exc}", file=sys.stderr)
-        return 2
-    if horn.n > MAX_LEVEL:
-        print(f"malformed horn: level is above the limit {MAX_LEVEL}", file=sys.stderr)
         return 2
     if horn.n > MAX_LIFT_LEVEL:
         print(f"malformed horn: level is above the kan-lift limit {MAX_LIFT_LEVEL}",

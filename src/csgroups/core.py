@@ -36,27 +36,21 @@ class CsgElement:
     payload: object
 
 
-@dataclasses.dataclass(frozen=True)
-class Violation:
-    identity: str
-    inputs: str
-
-
 class Tally:
-    """Counts checked cases and collects the violations among them; every
-    checker records into the tally its caller passes.  `describe` formats
-    the inputs and is called only for a failing case."""
+    """Counts checked cases and collects the violations among them as
+    (identity, inputs) pairs; every checker records into the tally its
+    caller passes.  `describe` formats inputs only for a failing case."""
 
     __slots__ = ("cases", "violations")
 
     def __init__(self):
         self.cases = 0
-        self.violations: list[Violation] = []
+        self.violations: list[tuple[str, str]] = []
 
     def check(self, ok: bool, identity: str, describe: Callable[[], str]):
         self.cases += 1
         if not ok:
-            self.violations.append(Violation(identity, describe()))
+            self.violations.append((identity, describe()))
 
     @property
     def ok(self) -> bool:

@@ -8,14 +8,14 @@ at all levels form a genuine simplicial group, because the crossed
 twist in the face and degeneracy identities disappears on them.
 
 A horn consists of a level n, a missing index k, compatible faces y_r
-at level n - 1 for r != k, and a base permutation the lift must project
-to.  Lifting proceeds by splitting each face against the lifted base,
-filling the resulting pure horn with the classical two-sweep degeneracy
-construction (moore_fill), and multiplying the filler back onto the
-lifted base.  The filler's face equations are re-verified after
-construction, so a convention slip or an incompatible input surfaces as
-an error rather than a wrong answer.  horn_from_json reads the horn
-file of `csgroups kan-lift`, strictly: a malformed horn is a ValueError.
+at level n - 1 for r != k, held as (r, y_r) pairs sorted by r, and a
+base permutation the lift must project to.  Lifting splits each face
+against the lifted base, fills the resulting pure horn by the classical
+two-sweep degeneracy construction (moore_fill), and multiplies the
+filler back onto the lifted base.  Its face equations are re-verified,
+so a convention slip or an incompatible input is an error rather than
+a wrong answer.  horn_from_json reads a `csgroups kan-lift` horn file
+strictly: a malformed horn is a ValueError (IndexError for k > n or k < 0).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class FillError(RuntimeError):
 class Horn:
     n: int
     k: int
-    faces: tuple[CsgElement | None, ...]  # length n + 1, None exactly at k
+    faces: tuple[tuple[int, CsgElement], ...]  # (r, y_r) for r in 0..n without k, by r
     base: Perm
 
     def __post_init__(self):
@@ -49,29 +49,23 @@ class Horn:
             raise ValueError("horns need level >= 1")
         if not 0 <= self.k <= self.n:
             raise IndexError(f"missing index {self.k} out of range at level {self.n}")
-        if len(self.faces) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} face slots")
+        # Counted first: n comes from the input, and 0..n is walked only after.
+        if len(self.faces) != self.n or any(
+                r != i + (i >= self.k) for i, (r, _) in enumerate(self.faces)):
+            raise ValueError(f"faces present do not match missing index {self.k}")
         if len(self.base) - 1 != self.n:
             raise ValueError("base permutation has the wrong level")
-        for r, y in enumerate(self.faces):
-            if r == self.k:
-                if y is not None:
-                    raise ValueError(f"slot {r} is the missing face")
-            elif y is None:
-                raise ValueError(f"missing face at slot {r}")
-            elif y.level != self.n - 1:
+        for r, y in self.faces:
+            if y.level != self.n - 1:
                 raise ValueError(f"face {r} has level {y.level}, expected {self.n - 1}")
 
     def face_items(self):
-        return [(r, y) for r, y in enumerate(self.faces) if r != self.k]
+        return self.faces
 
 
 def horn_from_faces(n: int, k: int, faces: Mapping[int, CsgElement],
                     base: Perm) -> Horn:
-    slots: list[CsgElement | None] = [None] * (n + 1)
-    for r, y in faces.items():
-        slots[r] = y
-    return Horn(n, k, tuple(slots), base)
+    return Horn(n, k, tuple(sorted(faces.items())), base)
 
 
 def horn_from_filler(inst: CsgInstance, g: CsgElement, k: int) -> Horn:
@@ -85,15 +79,13 @@ def validate_horn(inst: CsgInstance, horn: Horn) -> list[str]:
     """All violated horn equations, worst first: projection mismatches,
     then face compatibilities."""
     problems = []
-    for r, y in horn.face_items():
+    for r, y in horn.faces:
         if inst.underlying_perm(y) != perms.face_perm(r, horn.base):
             problems.append(f"perm(y_{r}) != d_{r}(base)")
-    if horn.n >= 2:
-        items = horn.face_items()
-        for a, (r, yr) in enumerate(items):
-            for t, yt in items[a + 1:]:
-                if not inst.equal(inst.face(r, yt), inst.face(t - 1, yr)):
-                    problems.append(f"d_{r}(y_{t}) != d_{t - 1}(y_{r})")
+    for a, (r, yr) in enumerate(horn.faces):
+        for t, yt in horn.faces[a + 1:]:
+            if not inst.equal(inst.face(r, yt), inst.face(t - 1, yr)):
+                problems.append(f"d_{r}(y_{t}) != d_{t - 1}(y_{r})")
     return problems
 
 
@@ -170,7 +162,8 @@ def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
 
 def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
     """`level` and `k` must be JSON integers and each face key the plain
-    decimal text of an index; nothing is coerced."""
+    decimal text of an index; nothing is coerced.  A bad face set is
+    reported before any face is parsed."""
     try:
         n, k = data["level"], data["k"]
         for field, value in (("level", n), ("k", k)):
@@ -185,17 +178,19 @@ def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
             raise TypeError("faces must be an object")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed horn description: {exc}") from None
-    texts = {}
+    level_digits = len(str(n))
+    faces = {}
     for key, text in raw.items():
         if not re.fullmatch(r"0|[1-9][0-9]*", key):
-            raise ValueError(f"face key {key!r} is not an index")
+            raise ValueError(f"face key {perms.clip(key)!r} is not an index")
         if not isinstance(text, str):
-            raise ValueError(f"face {key} must be a string, not {type(text).__name__}")
-        texts[int(key)] = text
-    # The faces present must be exactly 0..n without k; checked without
-    # enumerating the levels, whose number the input sets.
-    if not (0 <= k <= n and len(texts) == n and k not in texts
-            and all(0 <= r <= n for r in texts)):
-        raise ValueError(f"faces present do not match missing index {k}")
-    faces = {r: inst.parse_at(text, n - 1) for r, text in texts.items()}
-    return horn_from_faces(n, k, faces, base)
+            raise ValueError(f"face {perms.clip(key)} must be a string, "
+                             f"not {type(text).__name__}")
+        # A key longer than the level is out of range; int() refuses 4301 digits.
+        if len(key) > level_digits:
+            raise ValueError(f"face key {perms.clip(key)!r} out of range at level {n}")
+        # The text stands in for the face until Horn has checked the face set.
+        faces[int(key)] = CsgElement(n - 1, text)
+    unparsed = horn_from_faces(n, k, faces, base)
+    return dataclasses.replace(unparsed, faces=tuple(
+        (r, inst.parse_at(y.payload, n - 1)) for r, y in unparsed.faces))

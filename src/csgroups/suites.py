@@ -114,10 +114,10 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
     tally = core.Tally()
     extra = body(INSTANCES[instance], types.SimpleNamespace(**params),
                  random.Random(seed), tally)
-    bad = sorted(tally.violations, key=lambda v: (v.identity, v.inputs))
+    bad = sorted(tally.violations)
     return SuiteReport(name, instance, params, tally.cases, len(bad),
-                       [{"identity": v.identity, "inputs": v.inputs}
-                        for v in bad[:MAX_RECORDED]], extra)
+                       [{"identity": identity, "inputs": inputs}
+                        for identity, inputs in bad[:MAX_RECORDED]], extra)
 
 
 def _arrows(inst, levels):

@@ -419,9 +419,10 @@ def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
 
 
 def test_kan_lift_level_above_the_limit(tmp_path, capsys):
-    """A horn's level is bounded as eval's and nerve's are.  Validating
-    a trivial level-400 horn took 3 s, about six times more per doubling
-    of the level."""
+    """A horn level above cli.MAX_LEVEL, the bound of eval's and nerve's
+    levels, is refused by the one horn bound, cli.MAX_LIFT_LEVEL.
+    Validating a trivial level-400 horn took 3 s, about six times more
+    per doubling of the level."""
     level = cli.MAX_LEVEL + 1
     horn = {"instance": "braid", "level": level, "k": 0,
             "base": perms.format_perm(tuple(range(level + 1))),
@@ -431,7 +432,7 @@ def test_kan_lift_level_above_the_limit(tmp_path, capsys):
     start = time.perf_counter()
     result = run(capsys, "kan-lift", str(path))
     assert time.perf_counter() - start < 5
-    assert result == (2, "", "malformed horn: level is above the limit 1000\n")
+    assert result == (2, "", "malformed horn: level is above the kan-lift limit 700\n")
 
 
 def test_overlong_generator_number_is_out_of_range(tmp_path, capsys):
@@ -585,17 +586,30 @@ def test_kan_lift_level_above_the_lift_limit(monkeypatch, tmp_path, capsys):
     assert code == 0 and "FAIL" not in out and "identity=true" in out
 
 
-@pytest.mark.parametrize("horn", [
-    {"instance": "x" * 5000, "level": 1, "k": 0, "base": "[0,1]", "faces": {"1": "1"}},
-    {"instance": "braid", "level": 1, "k": 0, "base": "[" + "x" * 5000 + "]",
-     "faces": {"1": "1"}},
-    {"instance": "braid", "level": 1, "k": 0, "base": "[0,1]", "faces": {"1": "x" * 5000}},
-    {"instance": "symm", "level": 1, "k": 0, "base": "[0,1]",
-     "faces": {"1": "[" + ",".join(map(str, range(2000))) + "]"}},
-], ids=["instance", "base", "braid-face", "symm-face"])
-def test_kan_lift_error_lines_are_short(tmp_path, capsys, horn):
-    path = tmp_path / "horn.json"
-    path.write_text(json.dumps(horn))
+@pytest.mark.parametrize("horn, name", [
+    ({"instance": "x" * 5000, "level": 1, "k": 0, "base": "[0,1]", "faces": {"1": "1"}},
+     "horn.json"),
+    ({"instance": "braid", "level": 1, "k": 0, "base": "[" + "x" * 5000 + "]",
+      "faces": {"1": "1"}}, "horn.json"),
+    ({"instance": "braid", "level": 1, "k": 0, "base": "[0,1]", "faces": {"1": "x" * 5000}},
+     "horn.json"),
+    ({"instance": "symm", "level": 1, "k": 0, "base": "[0,1]",
+      "faces": {"1": "[" + ",".join(map(str, range(2000))) + "]"}}, "horn.json"),
+    # Each of these echoed the whole key or path, or printed int()'s
+    # advice on its 4300-digit limit.
+    ({"instance": "braid", "level": 1, "k": 0, "base": "[0,1]", "faces": {"x" * 5000: "1"}},
+     "horn.json"),
+    ({"instance": "braid", "level": 1, "k": 0, "base": "[0,1]", "faces": {"9" * 5001: "1"}},
+     "horn.json"),
+    ({"instance": "braid", "level": 1, "k": 0, "base": "[0,1]", "faces": {"9" * 5001: 5}},
+     "horn.json"),
+    (None, "x" * 3000),
+], ids=["instance", "base", "braid-face", "symm-face", "face-key", "face-key-digits",
+        "face-type", "path"])
+def test_kan_lift_error_lines_are_short(tmp_path, capsys, horn, name):
+    path = tmp_path / name
+    if horn is not None:
+        path.write_text(json.dumps(horn))
     code, out, err = run(capsys, "kan-lift", str(path))
     assert code == 2 and out == "" and len(err.splitlines()) == 1
-    assert len(err) <= 200
+    assert len(err) <= 200 and "int_max_str_digits" not in err
