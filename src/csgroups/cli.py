@@ -343,6 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # eval and kan-lift read their one argument even if it starts with '-'.
+    if (len(argv) == 2 and argv[0] in ("eval", "kan-lift")
+            and argv[1] not in ("-h", "--help", "--")):
+        argv.insert(1, "--")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

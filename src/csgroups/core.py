@@ -23,6 +23,7 @@ case into it, naming the failing identity and its inputs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable
 
 from . import braids, perms
@@ -34,6 +35,9 @@ class CsgElement:
 
     level: int
     payload: object
+    # Not fields, so not part of the value; SymmetricCsg sets both when interning.
+    rank = -1
+    rows = None
 
 
 class Tally:
@@ -92,47 +96,77 @@ class CsgInstance:
 
 
 class SymmetricCsg(CsgInstance):
-    """Permutation groups; the projection is the identity."""
+    """Permutation groups; the projection is the identity.  A permutation
+    on at most perms._TABLE_POINTS points has one element in the class
+    (so ranks agree across instances), interned on first use and returned
+    by every operation.  Its rows keep the interned results of each perms
+    kernel (a replaced kernel fills its own) by the other operand's rank
+    or the int index; a miss runs the kernel.  Equality is by value."""
 
     name = "symm"
+    _RANKS = sum(map(math.factorial, range(1, perms._TABLE_POINTS + 1)))
+    _interned: dict[perms.Perm, CsgElement] = {}
+
+    def _intern(self, p):
+        g = self._interned.get(p) or CsgElement(len(p) - 1, p)
+        if g.rank < 0 and len(p) <= perms._TABLE_POINTS and all(type(v) is int for v in p):
+            # Not vars(g): a materialised __dict__ makes every read of them slower.
+            object.__setattr__(g, "rank", len(self._interned))
+            object.__setattr__(g, "rows", {})
+            self._interned[p] = g
+        return g
+
+    def _fill(self, kernel, g, size, key, *args):
+        result = self._intern(kernel(*args))
+        if key >= 0 and g.rank >= 0 and result.rank >= 0:
+            g.rows.setdefault(kernel, [None] * size)[key] = result
+        return result
 
     def one(self, n: int) -> CsgElement:
-        return CsgElement(n, perms.identity(n))
+        return self._intern(perms.identity(n))
 
     def element(self, payload) -> CsgElement:
         word = tuple(payload)
         if not perms.is_perm(word):
             raise ValueError(f"{payload!r} is not a permutation")
-        return CsgElement(len(word) - 1, word)
+        return self._intern(word)
 
     def mul(self, g, h):
-        return CsgElement(g.level, perms.compose(g.payload, h.payload))
+        row = g.rows and h.rank >= 0 and g.rows.get(perms.compose)
+        return (row and row[h.rank]
+                or self._fill(perms.compose, g, self._RANKS, h.rank, g.payload, h.payload))
 
     def inv(self, g):
-        return CsgElement(g.level, perms.inverse(g.payload))
+        row = g.rows and g.rows.get(perms.inverse)
+        return row[0] if row else self._fill(perms.inverse, g, 1, 0, g.payload)
 
     def face(self, i, g):
-        return CsgElement(g.level - 1, perms.face_perm(i, g.payload))
+        row = g.rows and 0 <= i <= g.level and g.rows.get(perms.face_perm)
+        return (row and row[i]
+                or self._fill(perms.face_perm, g, g.level + 1, i, i, g.payload))
 
     def degeneracy(self, i, g):
-        return CsgElement(g.level + 1, perms.degeneracy_perm(i, g.payload))
+        row = g.rows and 0 <= i <= g.level and g.rows.get(perms.degeneracy_perm)
+        return (row and row[i]
+                or self._fill(perms.degeneracy_perm, g, g.level + 1, i, i, g.payload))
 
     def underlying_perm(self, g):
         return g.payload
 
     def s_left(self, g):
-        return CsgElement(g.level + 1, perms.s_left_perm(g.payload))
+        row = g.rows and g.rows.get(perms.s_left_perm)
+        return row[0] if row else self._fill(perms.s_left_perm, g, 1, 0, g.payload)
 
     def s_right(self, g):
-        return CsgElement(g.level + 1, perms.s_right_perm(g.payload))
+        row = g.rows and g.rows.get(perms.s_right_perm)
+        return row[0] if row else self._fill(perms.s_right_perm, g, 1, 0, g.payload)
 
     def equal(self, g, h):
-        if g.level != h.level:
+        if g is not h and g.level != h.level:
             raise ValueError(f"levels {g.level} and {h.level} differ")
-        return g.payload == h.payload
+        return g is h or g.payload == h.payload
 
-    def section(self, p):
-        return self.element(p)
+    section = element
 
     def format(self, g):
         return perms.format_perm(g.payload)
@@ -142,13 +176,13 @@ class SymmetricCsg(CsgInstance):
         if len(word) - 1 != level:
             raise ValueError(f"{perms.clip(text)!r} has level {len(word) - 1}, "
                              f"expected {level}")
-        return CsgElement(level, word)
+        return self._intern(word)
 
     def random_element(self, rng, n, max_len=12):
-        return CsgElement(n, perms.random_perm(rng, n))
+        return self._intern(perms.random_perm(rng, n))
 
     def elements(self, n):
-        return (CsgElement(n, p) for p in perms.all_perms(n))
+        return (self._intern(p) for p in perms.all_perms(n))
 
 
 class BraidCsg(CsgInstance):

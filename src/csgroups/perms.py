@@ -18,13 +18,14 @@ the direct, table-level form of partial composition and serves as the
 oracle the structural formula is checked against.
 
 Each kernel below that builds a permutation keeps a table of its own
-results, keyed by its arguments and filled on first use.  A result is
-kept only if it has at most 5 points: level 4 is the highest level any
-symmetric acceptance scope reaches, so those scopes repeat a few
-thousand distinct calls millions of times, while larger levels (an
-`eval` at level 1000, a braid on 6 strands) would only grow the tables.
-A miss runs the kernel's body, so every error still raises and nothing
-that raised is kept; results are tuples of ints, so sharing them is safe.
+results on at most 5 points, keyed by its arguments and filled on first
+use: level 4 is the highest level a symmetric acceptance scope reaches,
+and larger levels (an `eval` at level 1000) would only grow the tables.
+They serve the arrow sources (groupoid.target, face_arrow,
+degeneracy_arrow, n_action), block_substitute and the misses of the
+symmetric elements' own rows (core.SymmetricCsg).  A miss runs the
+kernel's body, so every error still raises and nothing that raised is
+kept; results are tuples of ints, so sharing them is safe.
 """
 
 from __future__ import annotations

@@ -613,3 +613,37 @@ def test_kan_lift_error_lines_are_short(tmp_path, capsys, horn, name):
     code, out, err = run(capsys, "kan-lift", str(path))
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert len(err) <= 200 and "int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("expression", ["-x", "-1", "--x", "-[1,0]", "-h1"])
+def test_eval_reads_a_dash_leading_expression(capsys, expression):
+    """An expression that starts with '-' is the expression, not an
+    option: it gets the one-line parse error it gets after '--'."""
+    expected = run(capsys, "eval", "--", expression)
+    assert expected[0] == 2 and expected[1] == "" and len(expected[2].splitlines()) == 1
+    assert run(capsys, "eval", expression) == expected
+
+
+def test_kan_lift_reads_a_dash_leading_path(tmp_path, monkeypatch, capsys):
+    from csgroups import SYMMETRIC
+
+    horn = kan.horn_from_filler(SYMMETRIC, SYMMETRIC.element((2, 0, 1)), 1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-horn.json").write_text(json.dumps({
+        "instance": "symm", "level": horn.n, "k": horn.k,
+        "base": perms.format_perm(horn.base),
+        "faces": {str(r): SYMMETRIC.format(y) for r, y in horn.face_items()}}))
+    code, out, err = run(capsys, "kan-lift", "-horn.json")
+    assert code == 0 and err == "" and "projection == base: ok" in out
+    code, out, err = run(capsys, "kan-lift", "-missing.json")
+    assert (code, out) == (2, "") and err == (
+        "cannot read horn file: [Errno 2] No such file or directory: '-missing.json'\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "kan-lift"])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_flags_still_print_help(capsys, command, flag):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, flag])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: csgroups {command} [-h]")

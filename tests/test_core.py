@@ -1,5 +1,6 @@
 """The instance interface and the crossed-law checkers on both families."""
 
+import itertools
 import random
 
 import pytest
@@ -247,3 +248,124 @@ def test_section_and_parse():
     assert BRAID.parse_at("s1 s1", 2).payload.letters == ((0, 1), (0, 1))
     assert BRAID.format(BRAID.one(2)) == "1@2"
     assert SYMMETRIC.format(SYMMETRIC.one(1)) == "[0,1]"
+
+
+# The interned symmetric elements and their operation rows.
+
+def _clear_rows():
+    for g in core.SymmetricCsg._interned.values():
+        g.rows.clear()
+
+
+def _symm_up_to(top):
+    return [g for n in range(top + 1) for g in SYMMETRIC.elements(n)]
+
+
+def _fill_rows(g):
+    """Every operation of g that succeeds, so each of its rows is full."""
+    for h in SYMMETRIC.elements(g.level):
+        SYMMETRIC.mul(g, h)
+    SYMMETRIC.inv(g), SYMMETRIC.s_left(g), SYMMETRIC.s_right(g)
+    for i in range(g.level + 1):
+        if g.level >= 1:
+            SYMMETRIC.face(i, g)
+        SYMMETRIC.degeneracy(i, g)
+
+
+def test_interned_operations_agree_with_the_kernel_bodies():
+    """Every operation at every index and on every pair up to level 3,
+    from empty rows and then from full ones, gives the untabled kernel
+    body's permutation, as the one interned element for it."""
+    _clear_rows()
+    els = _symm_up_to(3)
+    for _ in range(2):
+        for g in els:
+            p, n = g.payload, g.level
+            results = [(SYMMETRIC.inv(g), perms.inverse.body(p)),
+                       (SYMMETRIC.s_left(g), perms.s_left_perm.body(p)),
+                       (SYMMETRIC.s_right(g), perms.s_right_perm.body(p))]
+            results += [(SYMMETRIC.mul(g, h), perms.compose.body(p, h.payload))
+                        for h in els if h.level == n]
+            results += [(SYMMETRIC.degeneracy(i, g), perms.degeneracy_perm.body(i, p))
+                        for i in range(n + 1)]
+            results += [(SYMMETRIC.face(i, g), perms.face_perm.body(i, p))
+                        for i in range(n + 1) if n >= 1]
+            for result, expected in results:
+                assert (result.level, result.payload) == (len(expected) - 1, expected)
+                assert result is SYMMETRIC.element(expected), (g, expected)
+
+
+def test_only_small_results_are_interned():
+    """A result on at most perms._TABLE_POINTS points is the interned
+    element; a larger one is a fresh element that still equals by value."""
+    g = SYMMETRIC.element((1, 0, 3, 2, 4))
+    identity = SYMMETRIC.parse_at("[0,1,2,3,4]", 4)
+    assert SYMMETRIC.mul(g, g) is SYMMETRIC.one(4) is identity
+    assert SYMMETRIC.s_left(SYMMETRIC.element((1, 0, 2))) is SYMMETRIC.section((0, 2, 1, 3))
+    big = [SYMMETRIC.degeneracy(0, g) for _ in range(2)]
+    assert big[0] is not big[1] and big[0] == big[1]
+    assert SYMMETRIC.equal(*big) and big[0].rows is None and big[0].rank == -1
+    assert SYMMETRIC.face(0, big[0]) is g
+    assert SYMMETRIC.element((1, 0)) == core.CsgElement(1, (1, 0))
+    assert SYMMETRIC.equal(SYMMETRIC.element((1, 0)), core.CsgElement(1, (1, 0)))
+
+
+@pytest.mark.parametrize("op", ["face", "degeneracy"])
+@pytest.mark.parametrize("order", ["float-first", "int-first", "kernel-table-warm"])
+def test_float_index_is_refused_warm_or_cold(op, order):
+    """An index must be an int (a bool acts as its int) whether or not
+    the row already holds the int index's result: a float equals its int
+    as a dict key, but not as a list index."""
+    g = SYMMETRIC.element((1, 0, 2))
+    kernel = getattr(perms, f"{op}_perm")
+    g.rows.clear()
+    kernel.table.clear()
+    if order == "kernel-table-warm":
+        kernel(1, g.payload)
+    calls = [1.0, 1, 1.0] if order == "float-first" else [1, 1.0]
+    for index in calls:
+        if type(index) is int:
+            result = getattr(SYMMETRIC, op)(index, g)
+            assert result.payload == kernel.body(1, g.payload)
+        else:
+            with pytest.raises(TypeError):
+                getattr(SYMMETRIC, op)(index, g)
+    assert getattr(SYMMETRIC, op)(True, g) is result
+
+
+@pytest.mark.parametrize("op", ["mul", "equal"])
+def test_full_rows_still_refuse_other_levels(op):
+    """A rank is unique across levels, so a full row never answers for
+    an operand of another level."""
+    a, b = SYMMETRIC.element((1, 0, 2)), SYMMETRIC.element((1, 0, 3, 2))
+    _fill_rows(a), _fill_rows(b)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^levels 2 and 3 differ$"):
+            getattr(SYMMETRIC, op)(a, b)
+        with pytest.raises(ValueError, match="^levels 3 and 2 differ$"):
+            getattr(SYMMETRIC, op)(b, a)
+    for g in _symm_up_to(3):
+        _fill_rows(g)
+    for g, h in itertools.product(_symm_up_to(3), repeat=2):
+        if g.level != h.level:
+            with pytest.raises(ValueError, match="differ"):
+                getattr(SYMMETRIC, op)(g, h)
+
+
+def test_warm_operadic_mult_builds_no_element(monkeypatch, run_suite):
+    """Once symmetric operadic-mult has run at its acceptance scope, a
+    second run builds no CsgElement: every element it needs is interned."""
+    first = run_suite("operadic-mult", "symm")
+    built = []
+    init = core.CsgElement.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.CsgElement, "__init__", counted)
+    second = suites.run_suite("operadic-mult", "symm")
+    monkeypatch.undo()
+    assert core.CsgElement.__init__ is init
+    assert second.to_dict() == first.to_dict() and second.cases > 400_000
+    assert built == []

@@ -138,3 +138,17 @@ def test_every_exception_class_is_caught_by_the_program():
               for name in _caught_names(ast.parse(p.read_text(), filename=str(p)))}
     assert defined, "no exception class found"
     assert [f"{stem}.{name}" for stem, name in defined if name not in caught] == []
+
+
+def test_symmetric_elements_are_built_only_by_the_interning_helper():
+    """`SymmetricCsg` constructs a `CsgElement` only in `_intern`, so no
+    second construction path bypasses the interned elements."""
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SymmetricCsg")
+    builders = set()
+    for item in cls.body:
+        if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "CsgElement" for n in ast.walk(item)):
+            builders.add(getattr(item, "name", f"line {item.lineno}"))
+    assert builders == {"_intern"}, builders
