@@ -35,9 +35,10 @@ class CsgElement:
 
     level: int
     payload: object
-    # Not fields, so not part of the value; SymmetricCsg sets both when interning.
+    # Not fields, so not part of the value; SymmetricCsg sets them when
+    # interning.  `arrows` holds the interned arrows (groupoid.arrow).
     rank = -1
-    rows = None
+    rows = arrows = None
 
 
 class Tally:
@@ -113,6 +114,7 @@ class SymmetricCsg(CsgInstance):
             # Not vars(g): a materialised __dict__ makes every read of them slower.
             object.__setattr__(g, "rank", len(self._interned))
             object.__setattr__(g, "rows", {})
+            object.__setattr__(g, "arrows", {})
             self._interned[p] = g
         return g
 

@@ -24,11 +24,19 @@ of m composable arrows, stored by their group parts.  Face indices
 count from the end of the chain (the face at 0 drops the last arrow)
 so that forgetting the start object intertwines the operators with the
 bar structure of the opposite group on plain tuples.
+
+Every arrow is built by `arrow`, which interns one per value when the
+group part is an interned symmetric element and the source a tuple of
+ints.  Such an arrow keeps rows of the interned results of target, its
+faces and degeneracies and operad.circ_gpd, keyed by the perms kernels
+they are computed with; only an int index in range reads a row.
+Equality is still by value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -41,6 +49,10 @@ from .perms import Perm
 class GroupoidArrow:
     source: Perm
     f: CsgElement
+    # Not fields, so not part of the value; `arrow` sets both when interning
+    # (not through vars(a): a materialised __dict__ slows every read).
+    rank = -1
+    rows = None
 
     def __post_init__(self):
         if len(self.source) - 1 != self.f.level:
@@ -52,23 +64,47 @@ class GroupoidArrow:
         return self.f.level
 
 
+# Arrow ranks, and one shared key for each kernel pair of the target rows.
+_ranks, _keys = itertools.count(), {}
+
+
+def arrow(source: Perm, f: CsgElement) -> GroupoidArrow:
+    """The arrow [source, f]: when f is interned and source a tuple of
+    ints, the interned one, kept in f.arrows; else a fresh arrow."""
+    arrows = f.arrows
+    a = arrows.get(source) if arrows is not None else None
+    if a is None:
+        a = GroupoidArrow(source, f)
+        if arrows is not None and type(source) is tuple and all(type(v) is int for v in source):
+            object.__setattr__(a, "rank", next(_ranks))
+            object.__setattr__(a, "rows", {})
+            arrows[source] = a
+    return a
+
+
 def target(inst: CsgInstance, a: GroupoidArrow) -> Perm:
-    return perms.compose(a.source, perms.inverse(inst.underlying_perm(a.f)))
+    kernels = a.rows is not None and (perms.compose, perms.inverse)
+    t = kernels and a.rows.get(kernels)
+    if not t:
+        t = perms.compose(a.source, perms.inverse(inst.underlying_perm(a.f)))
+        if kernels:
+            a.rows[_keys.setdefault(kernels, kernels)] = t
+    return t
 
 
 def identity_arrow(inst: CsgInstance, p: Perm) -> GroupoidArrow:
-    return GroupoidArrow(p, inst.one(len(p) - 1))
+    return arrow(p, inst.one(len(p) - 1))
 
 
 def arrows_equal(inst: CsgInstance, a: GroupoidArrow, b: GroupoidArrow) -> bool:
-    return a.source == b.source and inst.equal(a.f, b.f)
+    return a is b or a.source == b.source and inst.equal(a.f, b.f)
 
 
 def continue_arrow(inst: CsgInstance, a: GroupoidArrow,
                    g: CsgElement) -> tuple[GroupoidArrow, GroupoidArrow]:
     """The arrow [target(a), g] that continues a, and the composite
     [source(a), g a.f] of the two, with a applied first."""
-    return GroupoidArrow(target(inst, a), g), GroupoidArrow(a.source, inst.mul(g, a.f))
+    return arrow(target(inst, a), g), arrow(a.source, inst.mul(g, a.f))
 
 
 def composite_equals(inst: CsgInstance, c: GroupoidArrow, b: GroupoidArrow,
@@ -83,24 +119,32 @@ def composite_equals(inst: CsgInstance, c: GroupoidArrow, b: GroupoidArrow,
 def hom_arrow(inst: CsgInstance, src: Perm, dst: Perm) -> GroupoidArrow:
     """Some arrow src -> dst; witnesses that every level is connected."""
     ratio = perms.compose(perms.inverse(dst), src)
-    return GroupoidArrow(src, inst.section(ratio))
+    return arrow(src, inst.section(ratio))
+
+
+def _simplicial(inst: CsgInstance, kernel, op, i: int, a: GroupoidArrow) -> GroupoidArrow:
+    """The face or degeneracy of a by kernel and op, kept in a's row for kernel."""
+    row = a.rows and type(i) is int and 0 <= i <= a.f.level and a.rows.get(kernel)
+    if row and row[i]:
+        return row[i]
+    source = kernel(i, a.source)
+    result = arrow(source, op(inst.underlying_perm(a.f)[a.source.index(i)], a.f))
+    if a.rows is not None and result.rank >= 0:
+        a.rows.setdefault(kernel, [None] * (a.f.level + 1))[i] = result
+    return result
 
 
 def face_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    source = perms.face_perm(i, a.source)
-    k = inst.underlying_perm(a.f)[a.source.index(i)]
-    return GroupoidArrow(source, inst.face(k, a.f))
+    return _simplicial(inst, perms.face_perm, inst.face, i, a)
 
 
 def degeneracy_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    source = perms.degeneracy_perm(i, a.source)
-    k = inst.underlying_perm(a.f)[a.source.index(i)]
-    return GroupoidArrow(source, inst.degeneracy(k, a.f))
+    return _simplicial(inst, perms.degeneracy_perm, inst.degeneracy, i, a)
 
 
 def n_action(t: Perm, a: GroupoidArrow) -> GroupoidArrow:
     """Left translation of the source by a permutation of the same level."""
-    return GroupoidArrow(perms.compose(t, a.source), a.f)
+    return arrow(perms.compose(t, a.source), a.f)
 
 
 def is_automorphism(inst: CsgInstance, a: GroupoidArrow) -> bool:
@@ -109,8 +153,7 @@ def is_automorphism(inst: CsgInstance, a: GroupoidArrow) -> bool:
 
 def random_arrow(inst: CsgInstance, rng: random.Random, n: int,
                  max_len: int = 12) -> GroupoidArrow:
-    return GroupoidArrow(perms.random_perm(rng, n),
-                         inst.random_element(rng, n, max_len))
+    return arrow(perms.random_perm(rng, n), inst.random_element(rng, n, max_len))
 
 
 def format_arrow(inst: CsgInstance, a: GroupoidArrow) -> str:
@@ -184,7 +227,7 @@ def simplex_objects(inst: CsgInstance, s: NerveSimplex) -> tuple[Perm, ...]:
     """The start object followed by the targets along the chain."""
     objs = [s.start]
     for f in s.chain:
-        objs.append(target(inst, GroupoidArrow(objs[-1], f)))
+        objs.append(target(inst, arrow(objs[-1], f)))
     return tuple(objs)
 
 
@@ -210,7 +253,7 @@ def nerve_face(inst: CsgInstance, i: int, s: NerveSimplex) -> NerveSimplex:
     if i == 0:
         return NerveSimplex(s.start, s.chain[:-1])
     if i == m:
-        moved = target(inst, GroupoidArrow(s.start, s.chain[0]))
+        moved = target(inst, arrow(s.start, s.chain[0]))
         return NerveSimplex(moved, s.chain[1:])
     j = m - i
     combined = inst.mul(s.chain[j], s.chain[j - 1])

@@ -40,6 +40,7 @@ from . import perms
 from .core import CsgElement, CsgInstance, Tally
 from .groupoid import (
     GroupoidArrow,
+    arrow,
     arrows_equal,
     composite_equals,
     continue_arrow,
@@ -61,13 +62,23 @@ def circ_set(inst: CsgInstance, a: CsgElement, i: int, b: CsgElement) -> CsgElem
 
 
 def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> GroupoidArrow:
-    """Insert arrow b into slot i of arrow a."""
-    n = a.level
-    src = perms.block_substitute(a.source, i, b.source)
-    j = a.source.index(i)
-    k = inst.underlying_perm(a.f)[j]
-    part = inst.mul(inst.degeneracy_power(k, b.level, a.f), inst.pad(b.f, j, n - j))
-    return GroupoidArrow(src, part)
+    """Insert arrow b into slot i of arrow a; an interned a keeps interned
+    results by slot and b's rank, in a row keyed by the kernels used."""
+    n = a.f.level
+    kernels = (a.rows is not None and b.rank >= 0 and type(i) is int and 0 <= i <= n
+               and (perms.block_substitute, perms.degeneracy_perm, perms.s_left_perm,
+                    perms.s_right_perm, perms.compose))
+    row = kernels and a.rows.get(kernels)
+    c = row and row.get((n + 1) * b.rank + i)
+    if not c:
+        src = perms.block_substitute(a.source, i, b.source)
+        j = a.source.index(i)
+        k = inst.underlying_perm(a.f)[j]
+        c = arrow(src, inst.mul(inst.degeneracy_power(k, b.level, a.f),
+                                inst.pad(b.f, j, n - j)))
+        if kernels and c.rank >= 0:
+            a.rows.setdefault(kernels, {})[(n + 1) * b.rank + i] = c
+    return c
 
 
 def check_operadic_mult(tally: Tally, inst: CsgInstance, a: CsgElement,
@@ -140,7 +151,7 @@ class GroupoidCarrier:
         pb = self.inst.underlying_perm(beta)
         if action == "right-mul":
             part = self.inst.mul(self.inst.mul(self.inst.inv(beta), a.f), beta)
-            return GroupoidArrow(perms.compose(a.source, pb), part)
+            return arrow(perms.compose(a.source, pb), part)
         return n_action(perms.inverse(pb), a)  # "left-inv"
 
     def random(self, rng, n, max_len):

@@ -46,16 +46,19 @@ _KEPT: dict[Perm, Perm] = {}
 
 def _tabled(kernel):
     """Keep kernel's results on at most _TABLE_POINTS points, keyed by
-    its positional arguments.  A result with a non-int entry (a bool
-    argument can put one there) is never kept, because True == 1 would
-    hand it to int callers with an equal key.  The untabled body stays
+    its positional arguments.  Since True == 1 and 1.0 == 1 as keys, a
+    result with a non-int entry (a bool argument can put one there) is
+    never kept, and an argument annotated `int` that is not an int always
+    runs the body, which refuses a float.  The untabled body stays
     reachable as `body`; the wrapper takes no `__wrapped__`, which marks
     a wrapper installed from outside the library."""
-    table = {}
+    table, code = {}, kernel.__code__
+    at = next((k for k, name in enumerate(code.co_varnames[:code.co_argcount])
+               if kernel.__annotations__.get(name) == "int"), None)
 
     def tabled(*args):
         result = table.get(args)
-        if result is None:
+        if result is None or at is not None and args[at].__class__ is not int:
             result = kernel(*args)
             if len(result) <= _TABLE_POINTS and all(type(v) is int for v in result):
                 result = table[args] = _KEPT.setdefault(result, result)

@@ -123,7 +123,7 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
 def _arrows(inst, levels):
     """Every arrow at the given levels: by level, then source, then
     element."""
-    return [groupoid.GroupoidArrow(s, f) for n in levels
+    return [groupoid.arrow(s, f) for n in levels
             for s in perms.all_perms(n) for f in inst.elements(n)]
 
 
@@ -281,7 +281,7 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
             tally, inst, a, inst.random_element(rng, n, p.word_len), rng)
         groupoid.check_arrow_action(
             tally, inst, perms.random_perm(rng, n), a, rng.randint(0, n))
-        auto = groupoid.GroupoidArrow(a.source, kan.decompose(inst, a.f).p)
+        auto = groupoid.arrow(a.source, kan.decompose(inst, a.f).p)
         face = groupoid.face_arrow(inst, rng.randint(0, n), auto)
         describe = lambda: groupoid.format_arrow(inst, auto)
         tally.check(groupoid.is_automorphism(inst, auto),
@@ -458,8 +458,8 @@ def _equivariance_braid(inst, p, rng, tally):
         bi = inst.random_element(rng, n, p.word_len)
         bo = inst.random_element(rng, m, p.word_len)
         _record_equivariance(tally, verdicts, set_car, mu_el, i, nu_el, bi, bo)
-        mu_ar = groupoid.GroupoidArrow(perms.random_perm(rng, m), mu_el)
-        nu_ar = groupoid.GroupoidArrow(perms.random_perm(rng, n), nu_el)
+        mu_ar = groupoid.arrow(perms.random_perm(rng, m), mu_el)
+        nu_ar = groupoid.arrow(perms.random_perm(rng, n), nu_el)
         _record_equivariance(tally, verdicts, gpd_car, mu_ar, i, nu_ar, bi, bo)
     return _verdict_extra(verdicts)
 

@@ -4,7 +4,10 @@ horn lifting, exit codes, and report determinism."""
 import hashlib
 import itertools
 import json
+import pathlib
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -476,6 +479,41 @@ def test_injected_fault_fails_crossed(monkeypatch, capsys):
     code, out, _ = run(capsys, "check", "crossed", "--instance", "symm",
                        "--max-level", "3")
     assert code == 1 and out.startswith("suite crossed [symm] fail")
+
+
+# The shifted degeneracy fault of test_injected_fault_fails_crossed, as
+# source for a fresh interpreter.
+SHIFTED_FAULT = """
+import sys
+sys.path.insert(0, {src!r})
+from csgroups import perms, suites
+right = perms.degeneracy_perm
+perms.degeneracy_perm = lambda i, p: right((i + 1) % len(p), p)
+print(suites.run_suite({suite!r}, "symm", max_level={level}).to_json())
+"""
+
+
+@pytest.mark.parametrize("suite, level, failures", [
+    ("operadic-mult", 1, 136), ("groupoid-simplicial", 2, 1020)])
+def test_fault_after_warm_up_matches_a_fresh_run(monkeypatch, suite, level, failures):
+    """Rows filled before a kernel is replaced never answer for the
+    replacement: a warm run with the fault reports what a fresh
+    interpreter with the same fault reports."""
+    suites.run_suite("operadic-mult", "symm", max_level=1)
+    suites.run_suite("groupoid-simplicial", "symm", max_level=2)
+    right = perms.degeneracy_perm
+    monkeypatch.setattr(perms, "degeneracy_perm",
+                        lambda i, p: right((i + 1) % len(p), p))
+    warm = suites.run_suite(suite, "symm", max_level=level)
+    src = str(pathlib.Path(suites.__file__).parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c", SHIFTED_FAULT.format(src=src, suite=suite, level=level)],
+        capture_output=True, text=True, check=True, timeout=120).stdout
+    assert warm.to_json() + "\n" == fresh
+    assert warm.failures == failures
+    if suite == "operadic-mult":
+        assert "(y.x) o_i (w.v) == (y o_i w).(x o_i v)" in {
+            ce["identity"] for ce in warm.counterexamples}
 
 
 def _circ_gpd_padding_at_slot(inst, a, i, b):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from csgroups import BRAID, SYMMETRIC
-from csgroups import braids, core, perms, suites
+from csgroups import braids, core, groupoid, perms, suites
 
 
 def test_group_axioms_exhaustive_symm():
@@ -367,5 +367,25 @@ def test_warm_operadic_mult_builds_no_element(monkeypatch, run_suite):
     second = suites.run_suite("operadic-mult", "symm")
     monkeypatch.undo()
     assert core.CsgElement.__init__ is init
+    assert second.to_dict() == first.to_dict() and second.cases > 400_000
+    assert built == []
+
+
+def test_warm_operadic_mult_builds_no_arrow(monkeypatch, run_suite):
+    """Once symmetric operadic-mult has run at its acceptance scope, a
+    second run builds no GroupoidArrow: every arrow it needs, and every
+    result of target, circ_gpd and the arrow constructors, is interned."""
+    first = run_suite("operadic-mult", "symm")
+    built = []
+    check = groupoid.GroupoidArrow.__post_init__
+
+    def counted(self):
+        built.append((self.source, self.f))
+        check(self)
+
+    monkeypatch.setattr(groupoid.GroupoidArrow, "__post_init__", counted)
+    second = suites.run_suite("operadic-mult", "symm")
+    monkeypatch.undo()
+    assert groupoid.GroupoidArrow.__post_init__ is check
     assert second.to_dict() == first.to_dict() and second.cases > 400_000
     assert built == []

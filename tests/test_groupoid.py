@@ -77,32 +77,108 @@ def inverted_circ(inst, a, i, b):
 
 
 def test_face_degeneracy_formulas():
-    """face_arrow, degeneracy_arrow and circ_gpd give the oracle's
-    arrows payload for payload: on every symmetric arrow to level 2, and
-    on random braid arrows letter for letter."""
+    """face_arrow and degeneracy_arrow give the oracle's arrows payload
+    for payload on every symmetric arrow to level 3, and circ_gpd on
+    every pair to level 2; on random braid arrows, letter for letter.
+    The second pass reads the symmetric results from the arrows' rows,
+    and every symmetric result is the interned arrow."""
     rng = random.Random(1)
     samples = {
-        SYMMETRIC: [GroupoidArrow(s, f) for n in range(3)
+        SYMMETRIC: [groupoid.arrow(s, f) for n in range(4)
                     for s in perms.all_perms(n) for f in SYMMETRIC.elements(n)],
         BRAID: [groupoid.random_arrow(BRAID, rng, rng.randint(0, 3), 6)
                 for _ in range(40)],
     }
-    for inst, arrows in samples.items():
-        for a in arrows:
-            n = a.level
-            for i in range(n + 1):
-                if n >= 1:
-                    fa = groupoid.face_arrow(inst, i, a)
-                    assert fa == inverted_face(inst, i, a)
-                    # faces of an arrow connect the faces of its endpoints
-                    assert groupoid.target(inst, fa) == perms.face_perm(
+    for _ in range(2):
+        for inst, arrows in samples.items():
+            inner = [b for b in arrows if b.level <= 2]
+            for a in arrows:
+                n = a.level
+                results = []
+                for i in range(n + 1):
+                    if n >= 1:
+                        fa = groupoid.face_arrow(inst, i, a)
+                        assert fa == inverted_face(inst, i, a)
+                        # faces of an arrow connect the faces of its endpoints
+                        assert groupoid.target(inst, fa) == perms.face_perm(
+                            i, groupoid.target(inst, a))
+                        results.append(fa)
+                    da = groupoid.degeneracy_arrow(inst, i, a)
+                    assert da == inverted_degeneracy(inst, i, a)
+                    assert groupoid.target(inst, da) == perms.degeneracy_perm(
                         i, groupoid.target(inst, a))
-                da = groupoid.degeneracy_arrow(inst, i, a)
-                assert da == inverted_degeneracy(inst, i, a)
-                assert groupoid.target(inst, da) == perms.degeneracy_perm(
-                    i, groupoid.target(inst, a))
-                for b in arrows:
-                    assert operad.circ_gpd(inst, a, i, b) == inverted_circ(inst, a, i, b)
+                    results.append(da)
+                    for b in inner if n <= 2 else ():
+                        c = operad.circ_gpd(inst, a, i, b)
+                        assert c == inverted_circ(inst, a, i, b)
+                        results.append(c)
+                if inst is SYMMETRIC:
+                    assert all(r is groupoid.arrow(r.source, r.f) for r in results
+                               if len(r.source) <= perms._TABLE_POINTS)
+
+
+def test_only_small_arrows_are_interned():
+    """Every constructor returns the interned arrow when the result is on
+    at most perms._TABLE_POINTS points; a level-5 result, like a braid
+    arrow, is a fresh arrow that still equals by value."""
+    g = SYMMETRIC.element((1, 0, 3, 2, 4))
+    a = groupoid.arrow((4, 3, 2, 1, 0), g)
+    swap = groupoid.arrow((1, 0), SYMMETRIC.element((1, 0)))
+    small = [groupoid.face_arrow(SYMMETRIC, 1, a),
+             groupoid.degeneracy_arrow(SYMMETRIC, 1, groupoid.face_arrow(SYMMETRIC, 0, a)),
+             groupoid.identity_arrow(SYMMETRIC, (0, 1, 2, 3, 4)),
+             groupoid.n_action((1, 0, 2, 3, 4), a),
+             groupoid.hom_arrow(SYMMETRIC, (1, 0, 2), (0, 2, 1)),
+             groupoid.random_arrow(SYMMETRIC, random.Random(0), 4),
+             *groupoid.continue_arrow(SYMMETRIC, a, g),
+             operad.circ_gpd(SYMMETRIC, swap, 1,
+                             groupoid.arrow((0, 2, 1), SYMMETRIC.element((1, 2, 0))))]
+    assert groupoid.arrow((4, 3, 2, 1, 0), g) is a and a.rank >= 0
+    for b in small:
+        assert b is groupoid.arrow(b.source, b.f) and b.rank >= 0, b
+    for big in ([groupoid.degeneracy_arrow(SYMMETRIC, 0, a) for _ in range(2)],
+                [operad.circ_gpd(SYMMETRIC, a, 0, swap) for _ in range(2)]):
+        assert big[0] is not big[1] and big[0] == big[1] and big[0].level == 5
+        assert big[0].rank == -1 and big[0].rows is None
+        assert groupoid.arrows_equal(SYMMETRIC, *big)
+    assert groupoid.face_arrow(SYMMETRIC, 0, big[0]).rank >= 0
+    word = BRAID.element(braids.generator(1, 0))
+    assert groupoid.arrow((1, 0), word) is not groupoid.arrow((1, 0), word)
+    assert swap == GroupoidArrow((1, 0), SYMMETRIC.element((1, 0))) is not swap
+
+
+def test_level_mismatch_raises_before_and_after_interning():
+    """Interning never admits an arrow whose source and group part have
+    different levels, and never answers for one."""
+    for _ in range(2):
+        for build in (GroupoidArrow, groupoid.arrow):
+            with pytest.raises(ValueError, match="^source level 2 != element level 1$"):
+                build((1, 0, 2), SYMMETRIC.element((1, 0)))
+        groupoid.arrow((1, 0, 2), SYMMETRIC.element((1, 0, 2)))
+        groupoid.arrow((1, 0), SYMMETRIC.element((1, 0)))
+
+
+@pytest.mark.parametrize("op", ["face_arrow", "degeneracy_arrow", "circ_gpd"])
+@pytest.mark.parametrize("order", ["float-first", "int-first"])
+def test_float_index_is_refused_warm_or_cold(op, order):
+    """An index must be an int, whether or not the arrow's row and the
+    kernel's table already hold the int index's result; a bool acts as
+    its int."""
+    a = groupoid.arrow((1, 0, 2), SYMMETRIC.element((2, 0, 1)))
+    b = groupoid.arrow((1, 0), SYMMETRIC.element((1, 0)))
+    call = {"face_arrow": lambda i: groupoid.face_arrow(SYMMETRIC, i, a),
+            "degeneracy_arrow": lambda i: groupoid.degeneracy_arrow(SYMMETRIC, i, a),
+            "circ_gpd": lambda i: operad.circ_gpd(SYMMETRIC, a, i, b)}[op]
+    a.rows.clear()
+    for kernel in (perms.face_perm, perms.degeneracy_perm, perms.block_substitute):
+        kernel.table.clear()
+    for index in [1.0, 1, 1.0] if order == "float-first" else [1, 1.0]:
+        if type(index) is int:
+            result = call(index)
+        else:
+            with pytest.raises(TypeError):
+                call(index)
+    assert call(True) is result is call(1)
 
 
 def test_identity_arrow_face():

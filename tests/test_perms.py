@@ -298,6 +298,24 @@ def test_indices_are_read_as_ints(kernel, before, after):
             kernel(*before, index, *after)
 
 
+@pytest.mark.parametrize("kernel, before, after", [(perms.identity, (), ()), *INDEXED[:3]],
+                         ids=["identity", *(kernel.__name__ for kernel, _, _ in INDEXED[:3])])
+@pytest.mark.parametrize("order", ["float-first", "int-first"])
+def test_float_index_is_refused_by_a_warm_table(kernel, before, after, order):
+    """A float index equals its int as a table key, but a table never
+    answers it: before, face_perm(1.0, (1, 0, 2)) raised on an empty
+    table and returned (0, 1) after face_perm(1, (1, 0, 2))."""
+    _clear_tables()
+    for index in [1.0, 1, 1.0] if order == "float-first" else [1, 1.0]:
+        if type(index) is int:
+            result = kernel(*before, index, *after)
+        else:
+            with pytest.raises(TypeError):
+                kernel(*before, index, *after)
+    assert kernel(*before, True, *after) == result
+    assert kernel(*before, 1, *after) is result
+
+
 def test_full_tables_stay_small():
     """Every call a table can keep, kept: results on at most 5 points,
     in under 4 MB."""

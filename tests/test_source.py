@@ -152,3 +152,16 @@ def test_symmetric_elements_are_built_only_by_the_interning_helper():
                and n.func.id == "CsgElement" for n in ast.walk(item)):
             builders.add(getattr(item, "name", f"line {item.lineno}"))
     assert builders == {"_intern"}, builders
+
+
+def test_arrows_are_built_only_by_the_interning_helper():
+    """The package constructs a `GroupoidArrow` only in `groupoid.arrow`,
+    so no second construction path bypasses the interned arrows."""
+    builders = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if any(isinstance(n, ast.Call) and "GroupoidArrow" in (
+                    getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                   for n in ast.walk(node)):
+                builders.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert builders == {"groupoid.arrow"}, builders
