@@ -29,14 +29,15 @@ Every arrow is built by `arrow`, which interns one per value when the
 group part is an interned symmetric element and the source a tuple of
 ints.  Such an arrow keeps rows of the interned results of target, its
 faces and degeneracies and operad.circ_gpd, keyed by the perms kernels
-they are computed with; only an int index in range reads a row.
-Equality is still by value.
+they are computed with; only an int index in range reads a row.  So a
+replaced perms kernel fills rows of its own, but a replaced instance
+method (face, degeneracy, mul, pad, ...) is not seen where a row already
+holds the result.  Equality is still by value.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import random
 
@@ -49,9 +50,8 @@ from .perms import Perm
 class GroupoidArrow:
     source: Perm
     f: CsgElement
-    # Not fields, so not part of the value; `arrow` sets both when interning
+    # Not a field, so not part of the value; `arrow` sets it when interning
     # (not through vars(a): a materialised __dict__ slows every read).
-    rank = -1
     rows = None
 
     def __post_init__(self):
@@ -64,8 +64,8 @@ class GroupoidArrow:
         return self.f.level
 
 
-# Arrow ranks, and one shared key for each kernel pair of the target rows.
-_ranks, _keys = itertools.count(), {}
+# One shared key for each kernel pair of the target rows.
+_keys = {}
 
 
 def arrow(source: Perm, f: CsgElement) -> GroupoidArrow:
@@ -76,7 +76,6 @@ def arrow(source: Perm, f: CsgElement) -> GroupoidArrow:
     if a is None:
         a = GroupoidArrow(source, f)
         if arrows is not None and type(source) is tuple and all(type(v) is int for v in source):
-            object.__setattr__(a, "rank", next(_ranks))
             object.__setattr__(a, "rows", {})
             arrows[source] = a
     return a
@@ -129,7 +128,7 @@ def _simplicial(inst: CsgInstance, kernel, op, i: int, a: GroupoidArrow) -> Grou
         return row[i]
     source = kernel(i, a.source)
     result = arrow(source, op(inst.underlying_perm(a.f)[a.source.index(i)], a.f))
-    if a.rows is not None and result.rank >= 0:
+    if a.rows is not None and result.rows is not None:
         a.rows.setdefault(kernel, [None] * (a.f.level + 1))[i] = result
     return result
 

@@ -63,21 +63,22 @@ def circ_set(inst: CsgInstance, a: CsgElement, i: int, b: CsgElement) -> CsgElem
 
 def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> GroupoidArrow:
     """Insert arrow b into slot i of arrow a; an interned a keeps interned
-    results by slot and b's rank, in a row keyed by the kernels used."""
+    results by slot and b, in a row keyed by the kernels used.  An interned
+    arrow is never freed (its element keeps it), so its id is a stable key."""
     n = a.f.level
-    kernels = (a.rows is not None and b.rank >= 0 and type(i) is int and 0 <= i <= n
+    kernels = (a.rows is not None and b.rows is not None and type(i) is int and 0 <= i <= n
                and (perms.block_substitute, perms.degeneracy_perm, perms.s_left_perm,
                     perms.s_right_perm, perms.compose))
     row = kernels and a.rows.get(kernels)
-    c = row and row.get((n + 1) * b.rank + i)
+    c = row and row.get((n + 1) * id(b) + i)
     if not c:
         src = perms.block_substitute(a.source, i, b.source)
         j = a.source.index(i)
         k = inst.underlying_perm(a.f)[j]
         c = arrow(src, inst.mul(inst.degeneracy_power(k, b.level, a.f),
                                 inst.pad(b.f, j, n - j)))
-        if kernels and c.rank >= 0:
-            a.rows.setdefault(kernels, {})[(n + 1) * b.rank + i] = c
+        if kernels and c.rows is not None:
+            a.rows.setdefault(kernels, {})[(n + 1) * id(b) + i] = c
     return c
 
 
