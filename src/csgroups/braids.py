@@ -22,10 +22,14 @@ whose simple factors A_i are the positive lifts of permutations
 with identical letters are equal at once.  Otherwise the generators
 either word uses split into maximal runs of consecutive indices; the
 letters of different runs commute, so the words are equal exactly when
-their letters in each run are, and each run's normal form is computed
-on that run's strands alone.  The pair step of the normal form is kept
-in a table on at most 5 strands, as perms keeps its kernels' results.
-The cost is polynomial in the length and the strand count.
+their letters in each run are.  Each run's letters are freely reduced
+as they are split (a letter cancels the inverse letter before it in its
+run), in time linear in the length; a run whose reduced letters are
+identical in both words is equal without a normal form, and any other
+run's normal form is computed on that run's strands alone.  The pair
+step of the normal form is kept in a table on at most 5 strands, as
+perms keeps its kernels' results.  The cost is polynomial in the length
+and the strand count.
 canonical_value gives `eval` one value per braid, whatever generators a
 word for it uses, and artin_fingerprint hashes it.
 
@@ -248,7 +252,10 @@ def _run_words(*words):
     the runs generate is their direct product, so words are equal
     exactly when their letters in each run are.  Yields (lo, strands,
     subwords): a run's letters renumbered from its lowest generator lo,
-    on strands = its generator count + 1.
+    on strands = its generator count + 1, and freely reduced: a letter
+    that is the inverse of its subword's last letter removes that letter
+    instead of being appended, so cancelling pairs go even when letters
+    of other runs stood between them.
     """
     runs: list[list] = []
     where = {}
@@ -260,20 +267,25 @@ def _run_words(*words):
     for j, w in enumerate(words):
         for k, sign in w:
             run = where[k]
-            run[2][j].append((k - run[0], sign))
+            subword = run[2][j]
+            if subword and subword[-1] == (k - run[0], -sign):
+                subword.pop()
+            else:
+                subword.append((k - run[0], sign))
     for lo, hi, subwords in runs:
         yield lo, hi - lo + 2, subwords
 
 
 def braids_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Identical letters are equal; otherwise the normal forms decide,
-    one run of generators at a time."""
+    """Identical letters are equal; otherwise the runs of generators
+    decide one at a time, identical freely reduced runs at once and the
+    others by their normal forms."""
     if a.strands != b.strands:
         raise ValueError(f"levels {a.level} and {b.level} differ")
     if a.letters == b.letters:
         return True
     for _, strands, (u, v) in _run_words(a.letters, b.letters):
-        if _run_form(u, strands) != _run_form(v, strands):
+        if u != v and _run_form(u, strands) != _run_form(v, strands):
             return False
     return True
 

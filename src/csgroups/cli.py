@@ -14,6 +14,10 @@ MAX_LEVEL, a nerve size above MAX_COUNT, MAX_DIMENSION or
 suites.MAX_WORD_LEN, and a horn level above MAX_LIFT_LEVEL, each caught
 before anything that size is built (a horn's once its faces are read).
 An error line echoes at most perms.MAX_ECHO characters of any input.
+
+main builds one argparse parser per process, on its first call, and
+reuses it; it looks each command's cmd_<name> function up when called,
+so a wrapper installed on one after the first call still sees its calls.
 """
 
 from __future__ import annotations
@@ -32,9 +36,12 @@ from .suites import MAX_WORD_LEN, SUITES, run_suite
 MAX_LEVEL = 1000
 # Far above any nesting in use (2 at most); each nested call takes stack.
 MAX_DEPTH = 100
-# A horn's faces are compared in pairs, so a lift's cost grows with the
-# square of its level: a trivial braid horn took 0.8 s at level 700 and
-# 1.0-1.1 s at level 800 (2-core x86-64, Python 3.11.7).
+# Set on trivial horns, whose faces are compared in pairs, so their cost
+# grows with the square of the level: a trivial braid horn took 0.8 s at
+# level 700 and 1.0-1.1 s at level 800 (2-core x86-64, Python 3.11.7).
+# It does not bound a horn with letters, whose lift grows about twofold
+# per level: cut from random fillers of at most 12 letters, lifts had
+# 117 letters at level 4, 12,279 at level 10 and 524,283 at level 16.
 MAX_LIFT_LEVEL = 700
 # Far above the nerve defaults (3 simplices of dimension at most 2) and
 # every value in use; the output grows with each.
@@ -308,10 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="crossed simplicial groups: evaluation, law suites, "
                     "nerve output, horn lifting")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each command looks its cmd_ function up when called, so a wrapper
+    # installed on it after the parser was built still sees the calls.
 
     p_eval = sub.add_parser("eval", help="evaluate an element expression")
     p_eval.add_argument("expression")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=lambda args: cmd_eval(args))
 
     p_check = sub.add_parser("check", help="run a verification suite")
     p_check.add_argument("suite", choices=sorted(SUITES))
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--word-len", type=int, default=None)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=lambda args: cmd_check(args))
 
     p_nerve = sub.add_parser("nerve", help="emit nerve simplices (JSON) or a "
                                            "1-skeleton (DOT)")
@@ -333,22 +342,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_nerve.add_argument("--seed", type=int, default=0)
     p_nerve.add_argument("--word-len", type=int, default=6)
     p_nerve.add_argument("--format", choices=("json", "dot"), default="json")
-    p_nerve.set_defaults(func=cmd_nerve)
+    p_nerve.set_defaults(func=lambda args: cmd_nerve(args))
 
     p_kan = sub.add_parser("kan-lift", help="lift a horn described in JSON")
     p_kan.add_argument("horn")
-    p_kan.set_defaults(func=cmd_kan_lift)
+    p_kan.set_defaults(func=lambda args: cmd_kan_lift(args))
 
     return parser
 
 
+# The parser, built by the first main call and reused by every later one.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
     # eval and kan-lift read their one argument even if it starts with '-'.
     if (len(argv) == 2 and argv[0] in ("eval", "kan-lift")
             and argv[1] not in ("-h", "--help", "--")):
         argv.insert(1, "--")
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

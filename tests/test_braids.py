@@ -242,6 +242,33 @@ def test_normal_form_agrees_with_the_free_group_action(pair):
     assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
 
 
+@st.composite
+def padded_pair_st(draw, max_strands=6, max_len=12):
+    """A word and a copy with one or two pairs s_k^e ... s_k^-e put in
+    anywhere, around up to three of its letters, which may belong to
+    other runs of generators or to the pair's own; at most max_len
+    letters each."""
+    n = draw(st.integers(min_value=1, max_value=max_strands - 1))
+    letter = st.tuples(st.integers(min_value=0, max_value=n - 1), st.sampled_from((1, -1)))
+    u = draw(st.lists(letter, max_size=max_len - 4))
+    v = list(u)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        k, sign = draw(letter)
+        at = draw(st.integers(min_value=0, max_value=len(v)))
+        around = draw(st.integers(min_value=0, max_value=min(3, len(v) - at)))
+        v[at:at + around] = [(k, sign), *v[at:at + around], (k, -sign)]
+    return BraidWord(n + 1, tuple(u)), BraidWord(n + 1, tuple(v))
+
+
+@given(padded_pair_st())
+@settings(max_examples=300)
+def test_free_reduction_agrees_with_the_free_group_action(pair):
+    u, v = pair
+    expected = braids.artin_act(u) == braids.artin_act(v)
+    assert braids.braids_equal(u, v) == expected
+    assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
+
+
 def test_canonical_value_tracks_equality():
     """One value per braid, whichever generators a word for it uses."""
     same = [("s1 s2 s2^-1", "s1"), ("1", "s2 s2^-1"),
@@ -353,34 +380,42 @@ def test_normal_form_agrees_with_burau_on_long_words():
 
 
 def test_long_word_equality_is_polynomial(monkeypatch):
-    """(s1 s2^-1)^50 against a copy with a cancelling pair after every
-    block: the free-group images of 28 such letters already held two
-    million symbols.  Each appended factor sweeps left over at most the
-    factors before it, so a word of L letters takes at most L(L - 1)/2
-    pair steps and has at most L factors and L powers of Delta."""
+    """(s1 s2^-1)^50 against three copies: b has a cancelling pair after
+    every block, which free reduction settles with no pair step; e has
+    the relator s1 s2 s1 (s2 s1 s2)^-1 after every block, which only the
+    normal form settles; c has its last letter inverted.  The free-group
+    images of 28 such letters already held two million symbols.  Each
+    appended factor sweeps left over at most the factors before it, so a
+    word of L letters takes at most L(L - 1)/2 pair steps and has at
+    most L factors and L powers of Delta."""
     block = ((0, 1), (1, -1))
     a = BraidWord(3, block * 50)
     b = BraidWord(3, tuple(letter for _ in range(50)
                            for letter in block + ((1, 1), (1, -1))))
+    e = BraidWord(3, tuple(letter for _ in range(50)
+                           for letter in block + tuple(relator(0))))
     c = BraidWord(3, block * 49 + ((0, 1), (1, 1)))
+    pairs = ((a, b, True), (a, e, True), (a, c, False))
 
     def decide():
-        assert braids.braids_equal(a, b)
-        assert not braids.braids_equal(a, c)
+        for u, v, equal in pairs:
+            assert braids.braids_equal(u, v) == equal
 
-    steps = 0
     left_weight = braids._left_weight
+    for u, v, equal in pairs:
+        steps = 0
 
-    def counted(x, y):
-        nonlocal steps
-        steps += 1
-        return left_weight(x, y)
+        def counted(x, y):
+            nonlocal steps
+            steps += 1
+            return left_weight(x, y)
 
-    with monkeypatch.context() as patched:
-        patched.setattr(braids, "_left_weight", counted)
-        decide()
-    assert steps <= sum(len(w.letters) * (len(w.letters) - 1) // 2 for w in (a, a, b, c))
-    for w in (a, b, c):
+        with monkeypatch.context() as patched:
+            patched.setattr(braids, "_left_weight", counted)
+            assert braids.braids_equal(u, v) == equal
+        assert steps <= sum(len(w.letters) * (len(w.letters) - 1) // 2 for w in (u, v))
+        assert (steps == 0) == (v is b)
+    for w in (a, b, c, e):
         d, factors = braids._run_form(w.letters, w.strands)
         assert abs(d) <= len(w.letters) and len(factors) <= len(w.letters)
 

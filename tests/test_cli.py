@@ -193,6 +193,43 @@ def test_eval_looks_operations_up_when_called(monkeypatch, capsys):
     assert calls == ["circ_set", "inv"]
 
 
+def test_commands_are_looked_up_when_called(monkeypatch, capsys):
+    """A wrapper installed on a command after the parser was built, as
+    the call tracer installs one, sees the next call."""
+    assert run(capsys, "eval", "[1,0]") == (0, "[1,0]\n", "")
+    calls = []
+    cmd_eval = cli.cmd_eval
+    monkeypatch.setattr(cli, "cmd_eval",
+                        lambda args: calls.append(args.expression) or cmd_eval(args))
+    assert run(capsys, "eval", "[1,0]") == (0, "[1,0]\n", "")
+    assert calls == ["[1,0]"]
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    for argv in (["eval", "[1,0]"], ["eval", "s1@1"], ["check", "crossed", "--max-level", "0"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == [1]
+
+
+@pytest.mark.parametrize("between, code", [
+    (["eval"], 2), (["check", "nonsense"], 2), (["eval", "--help"], 0),
+    (["kan-lift", "-h"], 0), (["nerve", "--level"], 2)])
+@pytest.mark.parametrize("expression", ["mul(s1 s2^-1 s1@2, inv(s2 s1@2))",
+                                        "circ_1([1,0,2],[1,0])"])
+def test_usage_exit_leaves_the_parser_as_it_was(capsys, between, code, expression):
+    first = run(capsys, "eval", expression)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exited:
+        cli.main(between)
+    assert exited.value.code == code
+    capsys.readouterr()
+    assert run(capsys, "eval", expression) == first
+
+
 # Each of these was read as if its digits were ASCII.
 @pytest.mark.parametrize("expression", ["[\u0661,\u0660]", "s\u0661@1", "1@\u0661",
                                         "d_\u0660([1,0])"])
