@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parser, built by the first main call and reused by every later one.
 _parser: argparse.ArgumentParser | None = None
 
 
