@@ -15,11 +15,16 @@ top position is i (the one the permutation pairs with bottom position
 inverse(perm)[i]); the degeneracy at i doubles that strand into a
 parallel cable.
 
+A word is checked once, by the BraidWord constructor at the boundary;
+the operations that build words from words build through _word, which
+skips that check.
+
 Word equality is decided by the left-greedy normal form Delta^d A_1 ...
 A_r (Garside, Q. J. Math. 1969; Elrifai and Morton, Q. J. Math. 1994),
 whose simple factors A_i are the positive lifts of permutations
-(permutation_braid) and are stored as those permutations.  Two words
-with identical letters are equal at once.  Otherwise the generators
+(permutation_braid) and are stored as those permutations; it starts
+from the simple factors that a word's same-sign runs pack into.  Two
+words with identical letters are equal at once.  Otherwise the generators
 either word uses split into maximal runs of consecutive indices; the
 letters of different runs commute, so the words are equal exactly when
 their letters in each run are.  Each run's letters are freely reduced
@@ -60,17 +65,24 @@ Letter = tuple[int, int]
 
 @dataclasses.dataclass(frozen=True)
 class BraidWord:
+    """A word of letters (k, sign) on `strands` strands, checked when
+    built by its constructor; see the module docstring."""
+
     strands: int
     letters: tuple[Letter, ...]
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"braid needs at least one strand, got {self.strands}")
-        for k, sign in self.letters:
-            if not 0 <= k <= self.strands - 2:
-                raise IndexError(f"generator {k} out of range for {self.strands} strands")
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +-1, got {sign}")
+        strands, letters = self.strands, self.letters
+        if type(strands) is not int or strands < 1 or type(letters) is not tuple:
+            raise ValueError(f"a braid word needs an int strand count of at least 1 and a "
+                             f"tuple of letters, got {clip(repr(strands))} and a "
+                             f"{type(letters).__name__}")
+        for letter in letters:
+            if not (type(letter) is tuple and len(letter) == 2
+                    and type(letter[0]) is type(letter[1]) is int and letter[1] in (1, -1)):
+                raise ValueError(f"a letter is a pair (int, 1 or -1), got {clip(repr(letter))}")
+            if not 0 <= letter[0] <= strands - 2:
+                raise IndexError(f"generator {letter[0]} out of range for {strands} strands")
 
     @property
     def level(self) -> int:
@@ -78,6 +90,14 @@ class BraidWord:
 
     def __repr__(self):
         return f"BraidWord({format_letters(self)}@{self.level})"
+
+
+def _word(strands: int, letters: tuple[Letter, ...]) -> BraidWord:
+    """A word that valid words build validly, without a second check."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "strands", strands)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def empty_word(level: int) -> BraidWord:
@@ -91,11 +111,11 @@ def generator(level: int, k: int, sign: int = 1) -> BraidWord:
 def concat(a: BraidWord, b: BraidWord) -> BraidWord:
     if a.strands != b.strands:
         raise ValueError(f"levels {a.level} and {b.level} differ")
-    return BraidWord(a.strands, a.letters + b.letters)
+    return _word(a.strands, a.letters + b.letters)
 
 
 def invert_word(b: BraidWord) -> BraidWord:
-    return BraidWord(b.strands, tuple((k, -s) for k, s in reversed(b.letters)))
+    return _word(b.strands, tuple((k, -s) for k, s in reversed(b.letters)))
 
 
 def underlying_perm_word(b: BraidWord) -> Perm:
@@ -216,25 +236,34 @@ def _run_form(letters, strands: int) -> tuple[int, list[Perm]]:
     """
     The normal form Delta^d A_1 ... A_r of a word on `strands` strands,
     as (d, [A_1, ..., A_r]) with no A_i equal to Delta or the identity.
-    A letter s_k^-1 is Delta^-1 (w0 s_k).  Each Delta^-1 passes to the
-    left of the factors already built, conjugating them by tau; a
-    parity bit records that, and the factors are stored under it
-    (letter k is stored as letter top - k while the bit is set) and
-    conjugated once at the end.
+    Letters pack into simple factors as they are read: an open factor
+    takes the next letter while it has the factor's sign and leaves it
+    simple, and is pushed otherwise.  A positive factor starts from the
+    identity and grows while f[k] < f[k + 1]; s_a^-1 ... s_z^-1 is
+    Delta^-1 (w0 s_a ... s_z), so a negative factor starts from Delta
+    and shrinks while f[k] > f[k + 1].  Each Delta^-1 passes to the left
+    of the factors already built, conjugating them by tau; a parity bit
+    records that, and the factors are stored under it (letter k is
+    stored as letter top - k while the bit is set) and conjugated once
+    at the end.
     """
     top = strands - 2
     one = tuple(range(strands))
     delta = one[::-1]
     d, flipped = 0, False
     factors: list[Perm] = []
+    f, open_sign = [], 0
     for k, sign in letters:
-        if sign < 0:
-            d -= 1
-            flipped = not flipped
         if flipped:
             k = top - k
-        f = list(delta if sign < 0 else one)
+        if sign != open_sign or (f[k] < f[k + 1]) != (sign > 0):
+            if f:
+                _push(factors, tuple(f), one)
+            open_sign, f = sign, list(one if sign > 0 else delta)
+            if sign < 0:
+                d, flipped, k = d - 1, not flipped, top - k
         f[k], f[k + 1] = f[k + 1], f[k]
+    if f:
         _push(factors, tuple(f), one)
     lead = 0
     while lead < len(factors) and factors[lead] == delta:
@@ -367,7 +396,7 @@ def face_word(i: int, b: BraidWord) -> BraidWord:
             out.append((k, sign))
         else:
             out.append((k - 1, sign))
-    return BraidWord(b.strands - 1, tuple(out))
+    return _word(b.strands - 1, tuple(out))
 
 
 def degeneracy_word(i: int, b: BraidWord) -> BraidWord:
@@ -396,17 +425,17 @@ def degeneracy_word(i: int, b: BraidWord) -> BraidWord:
             out.append((k, sign))
         else:
             out.append((k + 1, sign))
-    return BraidWord(b.strands + 1, tuple(out))
+    return _word(b.strands + 1, tuple(out))
 
 
 def s_left_word(b: BraidWord) -> BraidWord:
     """New trivial strand at the left end: every letter shifts by one."""
-    return BraidWord(b.strands + 1, tuple((k + 1, s) for k, s in b.letters))
+    return _word(b.strands + 1, tuple((k + 1, s) for k, s in b.letters))
 
 
 def s_right_word(b: BraidWord) -> BraidWord:
     """New trivial strand at the right end: letters are untouched."""
-    return BraidWord(b.strands + 1, b.letters)
+    return _word(b.strands + 1, b.letters)
 
 
 def permutation_braid(p: Perm) -> BraidWord:

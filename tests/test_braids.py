@@ -200,6 +200,60 @@ def test_validation():
         braids.face_word(0, empty_word(0))
 
 
+@pytest.mark.parametrize("strands, letters, error", [
+    (3, ((0.5, 1),), ValueError),
+    (2.0, (), ValueError),
+    (True, (), ValueError),
+    (0, (), ValueError),
+    (3, [(0, 1)], ValueError),
+    (3, ([0, 1],), ValueError),
+    (3, ((0,),), ValueError),
+    (3, ((0, 1, 1),), ValueError),
+    (3, ((True, 1),), ValueError),
+    (3, ((0, True),), ValueError),
+    (3, ((0, 1.0),), ValueError),
+    (3, ((0, -1.0),), ValueError),
+    (3, ((0, 2),), ValueError),
+    (3, ((2, 1),), IndexError),
+    (3, ((-1, 1),), IndexError),
+])
+def test_constructor_accepts_only_words(strands, letters, error):
+    """The one check a word gets: an int strand count of at least one,
+    a tuple of (int, int) letters, and signs that are the int 1 or -1;
+    an index out of range is an IndexError, anything else a
+    ValueError."""
+    with pytest.raises(error) as caught:
+        BraidWord(strands, letters)
+    assert caught.type is error
+
+
+@st.composite
+def built_words_st(draw, max_level=5, max_len=12):
+    """Two words at one level (0 to max_level) and an index in range."""
+    n = draw(st.integers(min_value=0, max_value=max_level))
+    letter = st.tuples(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                       st.sampled_from((1, -1)))
+    u, v = (BraidWord(n + 1, tuple(draw(st.lists(letter, max_size=max_len if n else 0))))
+            for _ in range(2))
+    return u, v, draw(st.integers(min_value=0, max_value=n))
+
+
+@given(built_words_st())
+@settings(max_examples=200)
+def test_builders_return_words_the_constructor_accepts(words):
+    """The builders skip the constructor's check; what they build from
+    checked words must pass it and equal the checked copy."""
+    u, v, i = words
+    built = [braids.concat(u, v), braids.invert_word(u), braids.s_left_word(u),
+             braids.s_right_word(u), braids.degeneracy_word(i, u)]
+    if u.level:
+        built.append(braids.face_word(i, u))
+    for w in built:
+        checked = BraidWord(w.strands, w.letters)
+        assert checked == w and hash(checked) == hash(w)
+        assert repr(checked) == repr(w)
+
+
 # The normal form against independent oracles.
 
 def relator(k):
@@ -267,6 +321,101 @@ def test_free_reduction_agrees_with_the_free_group_action(pair):
     expected = braids.artin_act(u) == braids.artin_act(v)
     assert braids.braids_equal(u, v) == expected
     assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
+
+
+def reduced_word(draw, p):
+    """A positive word in which exactly the inversion pairs of p cross,
+    peeling a drawn adjacent swap off the left of p each time; any two
+    such words are equal by braid relations alone."""
+    inv = list(perms.inverse(p))
+    word = []
+    while True:
+        swaps = [a for a in range(len(inv) - 1) if inv[a] > inv[a + 1]]
+        if not swaps:
+            return word
+        a = draw(st.sampled_from(swaps))
+        word.append((a, 1))
+        inv[a], inv[a + 1] = inv[a + 1], inv[a]
+
+
+def run_blocks(draw, strands, max_len):
+    """Blocks (p, sign, letters) of long same-sign runs: lifts of
+    permutations p, and degeneracy images of positive words (p is
+    None), each inverted when its sign is -1, as many as fit in max_len
+    letters."""
+    blocks, total = [], 0
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        sign = draw(st.sampled_from((1, -1)))
+        if strands > 2 and draw(st.booleans()):
+            short = draw(st.lists(st.integers(min_value=0, max_value=strands - 3),
+                                  min_size=1, max_size=3))
+            i = draw(st.integers(min_value=0, max_value=strands - 2))
+            p, letters = None, braids.degeneracy_word(i, BraidWord(strands - 1, tuple(
+                (k, 1) for k in short))).letters
+        else:
+            p = tuple(draw(st.permutations(range(strands))))
+            letters = braids.permutation_braid(p).letters
+        if total + len(letters) <= max_len:
+            blocks.append((p, sign, list(letters)))
+            total += len(letters)
+    return blocks
+
+
+def blocks_word(strands, blocks):
+    letters = []
+    for _, sign, block in blocks:
+        letters += block if sign > 0 else [(k, -1) for k, _ in reversed(block)]
+    return BraidWord(strands, tuple(letters))
+
+
+@st.composite
+def run_pair_st(draw, max_strands=6, max_len=12):
+    """Two words made of run_blocks on 2 to max_strands strands.  The
+    second is drawn the same way, or is the first with each lift
+    written as another reduced word of its permutation."""
+    strands = draw(st.integers(min_value=2, max_value=max_strands))
+    blocks = run_blocks(draw, strands, max_len)
+    if draw(st.booleans()):
+        other = [(p, sign, reduced_word(draw, p) if p is not None else letters)
+                 for p, sign, letters in blocks]
+    else:
+        other = run_blocks(draw, strands, max_len)
+    return blocks_word(strands, blocks), blocks_word(strands, other)
+
+
+@given(run_pair_st())
+@settings(max_examples=300)
+def test_packed_factors_agree_with_the_free_group_action(pair):
+    """The normal form packs each same-sign run into as few simple
+    factors as it can; on words made of such runs it must still agree
+    with the oracle."""
+    u, v = pair
+    expected = braids.artin_act(u) == braids.artin_act(v)
+    assert braids.braids_equal(u, v) == expected
+    assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
+
+
+def test_a_permutation_lift_is_one_factor(monkeypatch):
+    """The letters of permutation_braid(p) pack into the one simple
+    factor p, and those of its inverse into Delta^-1 (w0 p^-1), with no
+    pair step."""
+    def refuse(a, b):
+        raise AssertionError("pair step taken")
+    monkeypatch.setattr(braids, "_left_weight", refuse)
+    rng = random.Random(4)
+    lifts = [p for n in range(6) for p in perms.all_perms(n)]
+    lifts += [perms.random_perm(rng, n) for n in range(6, 12) for _ in range(20)]
+    for p in lifts:
+        strands = len(p)
+        one, delta = tuple(range(strands)), tuple(reversed(range(strands)))
+        b = braids.permutation_braid(p)
+        d, factors = braids._run_form(b.letters, strands)
+        assert (d, factors) == ((1, []) if p == delta and strands > 1 else
+                                (0, [] if p == one else [p]))
+        rest = perms.compose(delta, perms.inverse(p))
+        d, factors = braids._run_form(braids.invert_word(b).letters, strands)
+        assert (d, factors) == ((0, []) if p == one else
+                                (-1, [] if rest == one else [rest]))
 
 
 def test_canonical_value_tracks_equality():

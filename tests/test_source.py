@@ -165,3 +165,30 @@ def test_arrows_are_built_only_by_the_interning_helper():
                    for n in ast.walk(node)):
                 builders.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
     assert builders == {"groupoid.arrow"}, builders
+
+
+def test_braid_words_are_built_only_by_the_listed_builders():
+    """The package checks a `BraidWord` once, at the boundary: the
+    checked constructor runs only where letters come from outside, and
+    `braids._word`, which skips the check, only in the builders that
+    make valid words from valid words.  A third construction path, or a
+    builder moving from one list to the other, fails here."""
+    builders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            for n in ast.walk(node):
+                if not isinstance(n, ast.Call):
+                    continue
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                if name in ("BraidWord", "_word", "__new__"):
+                    builders.setdefault(name, set()).add(
+                        f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert builders == {
+        "BraidWord": {f"braids.{name}" for name in (
+            "empty_word", "generator", "permutation_braid", "random_word",
+            "parse_letters")},
+        "_word": {f"braids.{name}" for name in (
+            "concat", "invert_word", "face_word", "degeneracy_word",
+            "s_left_word", "s_right_word")},
+        "__new__": {"braids._word"},
+    }, builders
