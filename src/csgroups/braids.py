@@ -93,7 +93,7 @@ class BraidWord:
 
 
 def _word(strands: int, letters: tuple[Letter, ...]) -> BraidWord:
-    """A word that valid words build validly, without a second check."""
+    """The word, unchecked: for letters built validly from checked words."""
     w = object.__new__(BraidWord)
     object.__setattr__(w, "strands", strands)
     object.__setattr__(w, "letters", letters)
