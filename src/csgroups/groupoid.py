@@ -171,41 +171,46 @@ def check_arrow_simplicial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
 
 
 def check_arrow_functorial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
-                           fb: CsgElement, rng=None):
+                           fbs, rng=None):
     """d_i and s_i preserve the composite of a with the arrow that
-    continues it by fb, at every index, or at one drawn from rng."""
-    b, comp = continue_arrow(inst, a, fb)
-    inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
+    continues it by each fb of fbs, at every index, or at one index
+    drawn from rng after the caller has drawn fbs.  a's own faces and
+    degeneracies are taken once for all of fbs; each fb's are its own."""
     n = a.level
-    for i in range(n + 1) if rng is None else [rng.randint(0, n)]:
-        if n >= 1:
-            lhs = face_arrow(inst, i, comp)
-            tally.check(composite_equals(inst, lhs, face_arrow(inst, i, b),
-                                         face_arrow(inst, i, a)),
-                        f"d_{i} is a functor", inputs)
-        lhs = degeneracy_arrow(inst, i, comp)
-        tally.check(composite_equals(inst, lhs, degeneracy_arrow(inst, i, b),
-                                     degeneracy_arrow(inst, i, a)),
-                    f"s_{i} is a functor", inputs)
+    sides = [(i, face_arrow(inst, i, a) if n >= 1 else None, degeneracy_arrow(inst, i, a))
+             for i in (range(n + 1) if rng is None else [rng.randint(0, n)])]
+    for fb in fbs:
+        b, comp = continue_arrow(inst, a, fb)
+        inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
+        for i, da, sa in sides:
+            if n >= 1:
+                lhs = face_arrow(inst, i, comp)
+                tally.check(composite_equals(inst, lhs, face_arrow(inst, i, b), da),
+                            f"d_{i} is a functor", inputs)
+            lhs = degeneracy_arrow(inst, i, comp)
+            tally.check(composite_equals(inst, lhs, degeneracy_arrow(inst, i, b), sa),
+                        f"s_{i} is a functor", inputs)
 
 
 def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArrow,
-                       i: int):
-    """d_i and s_i of a translate, against the translate by d_i(t) or
-    s_i(t) of the face or degeneracy at t^-1(i)."""
+                       indices):
+    """At each i of indices, d_i and s_i of the translate t.a, against
+    the translate by d_i(t) or s_i(t) of the face or degeneracy at
+    t^-1(i).  The translate is taken once for all of indices."""
     n = a.level
-    st = perms.degeneracy_perm(i, t)
-    ti = t.index(i)
+    ta = n_action(t, a)
     inputs = lambda: f"{perms.format_perm(t)}, {format_arrow(inst, a)}"
-    if n >= 1:
-        lhs = face_arrow(inst, i, n_action(t, a))
-        rhs = n_action(perms.face_perm(i, t), face_arrow(inst, ti, a))
+    for i in indices:
+        ti = t.index(i)
+        if n >= 1:
+            lhs = face_arrow(inst, i, ta)
+            rhs = n_action(perms.face_perm(i, t), face_arrow(inst, ti, a))
+            tally.check(arrows_equal(inst, lhs, rhs),
+                        f"d_{i}(t.x) == d_{i}(t).d_t^-1({i})(x)", inputs)
+        lhs = degeneracy_arrow(inst, i, ta)
+        rhs = n_action(perms.degeneracy_perm(i, t), degeneracy_arrow(inst, ti, a))
         tally.check(arrows_equal(inst, lhs, rhs),
-                    f"d_{i}(t.x) == d_{i}(t).d_t^-1({i})(x)", inputs)
-    lhs = degeneracy_arrow(inst, i, n_action(t, a))
-    rhs = n_action(st, degeneracy_arrow(inst, ti, a))
-    tally.check(arrows_equal(inst, lhs, rhs),
-                f"s_{i}(t.x) == s_{i}(t).s_t^-1({i})(x)", inputs)
+                    f"s_{i}(t.x) == s_{i}(t).s_t^-1({i})(x)", inputs)
 
 
 @dataclasses.dataclass(frozen=True)

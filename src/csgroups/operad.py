@@ -329,12 +329,19 @@ def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
     return verdicts
 
 
-def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
-                          yf: CsgElement, i: int, v: GroupoidArrow, wf: CsgElement):
-    """circ_gpd preserves identities, targets and composition on x, v and
-    the arrows y = [target(x), yf], w = [target(v), wf] continuing them."""
-    y, comp_outer = continue_arrow(inst, x, yf)
-    w, comp_inner = continue_arrow(inst, v, wf)
+def continued(inst: CsgInstance, a: GroupoidArrow, g: CsgElement):
+    """One operand of check_circ_functorial: a, the arrow [target(a), g]
+    that continues it, their composite, and the identity at a's source."""
+    return (a, *continue_arrow(inst, a, g), identity_arrow(inst, a.source))
+
+
+def check_circ_functorial(tally: Tally, inst: CsgInstance, outer, i: int, inner):
+    """circ_gpd preserves identities, targets and composition on the
+    operands outer = continued(x, yf) and inner = continued(v, wf), which
+    a caller prepares once and reuses across slots and partners.  It
+    draws nothing, so a sampling caller keeps its own order of draws."""
+    x, y, comp_outer, id_outer = outer
+    v, w, comp_inner, id_inner = inner
     inputs = lambda: ", ".join(format_arrow(inst, a) for a in (x, y, v, w))
 
     xv = circ_gpd(inst, x, i, v)
@@ -344,7 +351,6 @@ def check_circ_functorial(tally: Tally, inst: CsgInstance, x: GroupoidArrow,
                 "target(x o_i v) == target(x) o_i target(v)", inputs)
     tally.check(composite_equals(inst, circ_gpd(inst, comp_outer, i, comp_inner), yw, xv),
                 "(y.x) o_i (w.v) == (y o_i w).(x o_i v)", inputs)
-    ids = circ_gpd(inst, identity_arrow(inst, x.source), i,
-                   identity_arrow(inst, v.source))
+    ids = circ_gpd(inst, id_outer, i, id_inner)
     tally.check(arrows_equal(inst, ids, identity_arrow(inst, ids.source)),
                 "id o_i id == id", inputs)

@@ -259,10 +259,9 @@ def _groupoid_simplicial_symm(inst, p, rng, tally):
                 rhs = groupoid.identity_arrow(inst, perms.face_perm(i, a.source))
                 tally.check(groupoid.arrows_equal(inst, lhs, rhs), f"d_{i} preserves identities",
                             lambda: groupoid.format_arrow(inst, a))
-            for fb in els:
-                groupoid.check_arrow_functorial(tally, inst, a, fb)
-        for t, a, i in product(sources, arrows, range(n + 1)):
-            groupoid.check_arrow_action(tally, inst, t, a, i)
+            groupoid.check_arrow_functorial(tally, inst, a, els)
+        for t, a in product(sources, arrows):
+            groupoid.check_arrow_action(tally, inst, t, a, range(n + 1))
         for src, dst in product(sources, sources):
             arrow = groupoid.hom_arrow(inst, src, dst)
             tally.check(groupoid.target(inst, arrow) == dst,
@@ -278,9 +277,9 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
         a = groupoid.random_arrow(inst, rng, n, p.word_len)
         groupoid.check_arrow_simplicial(tally, inst, a, rng)
         groupoid.check_arrow_functorial(
-            tally, inst, a, inst.random_element(rng, n, p.word_len), rng)
+            tally, inst, a, [inst.random_element(rng, n, p.word_len)], rng)
         groupoid.check_arrow_action(
-            tally, inst, perms.random_perm(rng, n), a, rng.randint(0, n))
+            tally, inst, perms.random_perm(rng, n), a, [rng.randint(0, n)])
         auto = groupoid.arrow(a.source, kan.decompose(inst, a.f).p)
         face = groupoid.face_arrow(inst, rng.randint(0, n), auto)
         describe = lambda: groupoid.format_arrow(inst, auto)
@@ -364,11 +363,12 @@ def _operadic_mult_symm(inst, p, rng, tally):
         inner = list(inst.elements(m))
         for a, a2, b, b2, i in product(outer, outer, inner, inner, range(n + 1)):
             operad.check_operadic_mult(tally, inst, a, a2, i, b, b2)
+    operands = {n: [operad.continued(inst, x, yf)
+                    for x, yf in product(_arrows(inst, [n]), inst.elements(n))]
+                for n in levels}
     for n, m in product(levels, levels):
-        for x, yf, v, wf in product(_arrows(inst, [n]), inst.elements(n),
-                                    _arrows(inst, [m]), inst.elements(m)):
-            for i in range(n + 1):
-                operad.check_circ_functorial(tally, inst, x, yf, i, v, wf)
+        for outer, inner, i in product(operands[n], operands[m], range(n + 1)):
+            operad.check_circ_functorial(tally, inst, outer, i, inner)
 
 
 @suite("operadic-mult", min_level=1,
@@ -388,7 +388,8 @@ def _operadic_mult_braid(inst, p, rng, tally):
         v = groupoid.random_arrow(inst, rng, m, wl)
         yf = inst.random_element(rng, n, wl)
         wf = inst.random_element(rng, m, wl)
-        operad.check_circ_functorial(tally, inst, x, yf, i, v, wf)
+        operad.check_circ_functorial(tally, inst, operad.continued(inst, x, yf), i,
+                                     operad.continued(inst, v, wf))
 
 
 # Interpretation search for the two equivariance conditions on both

@@ -1,12 +1,13 @@
 """The instance interface and the crossed-law checkers on both families."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
 from csgroups import BRAID, SYMMETRIC
-from csgroups import braids, core, groupoid, perms, suites
+from csgroups import braids, core, groupoid, operad, perms, suites
 
 
 def test_group_axioms_exhaustive_symm():
@@ -389,3 +390,33 @@ def test_warm_operadic_mult_builds_no_arrow(monkeypatch, run_suite):
     assert groupoid.GroupoidArrow.__post_init__ is check
     assert second.to_dict() == first.to_dict() and second.cases > 400_000
     assert built == []
+
+
+def test_warm_operadic_mult_continues_each_operand_once(monkeypatch, run_suite):
+    """A warm symmetric operadic-mult run continues each operand pair,
+    (x, yf) or (v, wf), once, not once per case: continue_arrow runs once
+    per pair, identity_arrow once per pair and once per case for the law
+    "id o_i id == id".  Patched where operad reads them."""
+    first = run_suite("operadic-mult", "symm")
+    continued, counts = collections.Counter(), collections.Counter()
+    originals = {name: getattr(operad, name) for name in
+                 ("continue_arrow", "identity_arrow", "check_circ_functorial")}
+
+    def counting(name):
+        def wrapper(*args):
+            counts[name] += 1
+            if name == "continue_arrow":
+                continued[args[1:]] += 1
+            return originals[name](*args)
+        return wrapper
+
+    for name in originals:
+        monkeypatch.setattr(operad, name, counting(name))
+    second = suites.run_suite("operadic-mult", "symm")
+    monkeypatch.undo()
+    pairs = [(groupoid.arrow(s, f), g) for n in range(3) for s in perms.all_perms(n)
+             for f in SYMMETRIC.elements(n) for g in SYMMETRIC.elements(n)]
+    assert second.to_dict() == first.to_dict()
+    assert continued == collections.Counter(pairs) and len(pairs) == 225
+    assert counts["check_circ_functorial"] == 149_625
+    assert counts["identity_arrow"] == 149_625 + 225

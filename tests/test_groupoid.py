@@ -204,6 +204,44 @@ def test_arrow_simplicial_identities():
         assert tally.ok, tally.violations[0]
 
 
+
+@pytest.mark.parametrize("fault", [False, True], ids=["passing", "shifted-degeneracy"])
+def test_arrow_checkers_over_lists_match_one_call_each(monkeypatch, fault):
+    """One check_arrow_functorial call over a list of continuing
+    elements, or one check_arrow_action call over all indices, records
+    the cases and violations of one call per element or per index: on
+    every symmetric arrow up to level 2 and on sampled braid arrows, and
+    under the shifted degeneracy_perm fault of
+    test_fault_after_warm_up_matches_a_fresh_run."""
+    if fault:
+        right = perms.degeneracy_perm
+        monkeypatch.setattr(perms, "degeneracy_perm", lambda i, p: right((i + 1) % len(p), p))
+    rng = random.Random(4)
+    cases = [(SYMMETRIC, groupoid.arrow(s, f), list(SYMMETRIC.elements(n)),
+              list(perms.all_perms(n)))
+             for n in range(3) for s in perms.all_perms(n) for f in SYMMETRIC.elements(n)]
+    for n in (rng.randint(1, 3) for _ in range(20)):
+        cases.append((BRAID, groupoid.random_arrow(BRAID, rng, n, 6),
+                      [BRAID.random_element(rng, n, 6) for _ in range(3)],
+                      [perms.random_perm(rng, n) for _ in range(2)]))
+    tallies = {(checker, split): core.Tally()
+               for checker in ("functorial", "action") for split in ("whole", "each")}
+    for inst, a, fbs, ts in cases:
+        indices = range(a.level + 1)
+        groupoid.check_arrow_functorial(tallies["functorial", "whole"], inst, a, fbs)
+        for fb in fbs:
+            groupoid.check_arrow_functorial(tallies["functorial", "each"], inst, a, [fb])
+        for t in ts:
+            groupoid.check_arrow_action(tallies["action", "whole"], inst, t, a, indices)
+            for i in indices:
+                groupoid.check_arrow_action(tallies["action", "each"], inst, t, a, [i])
+    for checker in ("functorial", "action"):
+        whole, each = tallies[checker, "whole"], tallies[checker, "each"]
+        assert whole.cases == each.cases > 0
+        assert sorted(whole.violations) == sorted(each.violations)
+        assert bool(whole.violations) == fault, checker
+
+
 def test_n_action():
     rng = random.Random(3)
     for _ in range(30):

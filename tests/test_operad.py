@@ -117,8 +117,24 @@ def test_circ_gpd_functorial():
         v = groupoid.random_arrow(BRAID, rng, m, 4)
         yf = BRAID.random_element(rng, n, 4)
         wf = BRAID.random_element(rng, m, 4)
-        operad.check_circ_functorial(tally, BRAID, x, yf, i, v, wf)
+        operad.check_circ_functorial(tally, BRAID, operad.continued(BRAID, x, yf), i,
+                                     operad.continued(BRAID, v, wf))
     assert tally.ok, tally.violations[0]
+
+
+def test_circ_gpd_functorial_symm():
+    """Every pair of continued operands at levels 0 and 1, each
+    prepared once, in every slot of the outer one."""
+    operands = [operad.continued(SYMMETRIC, groupoid.arrow(s, xf), yf)
+                for n in range(2) for s in perms.all_perms(n)
+                for xf in SYMMETRIC.elements(n) for yf in SYMMETRIC.elements(n)]
+    tally = Tally()
+    for outer in operands:
+        for inner in operands:
+            for i in range(outer[0].level + 1):
+                operad.check_circ_functorial(tally, SYMMETRIC, outer, i, inner)
+    assert tally.ok, tally.violations[0]
+    assert len(operands) == 9 and tally.cases == 3 * (1 + 2 * 8) * 9
 
 
 def test_shifted_axioms_exhaustive_small_symm():
