@@ -196,7 +196,8 @@ def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArro
                        indices):
     """At each i of indices, d_i and s_i of the translate t.a, against
     the translate by d_i(t) or s_i(t) of the face or degeneracy at
-    t^-1(i).  The translate is taken once for all of indices."""
+    t^-1(i).  The translate is taken once for all of indices.  It draws
+    nothing: a sampling caller passes the one index it drew after t."""
     n = a.level
     ta = n_action(t, a)
     inputs = lambda: f"{perms.format_perm(t)}, {format_arrow(inst, a)}"

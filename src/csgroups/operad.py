@@ -329,7 +329,7 @@ def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
     return verdicts
 
 
-def continued(inst: CsgInstance, a: GroupoidArrow, g: CsgElement):
+def continued(inst: CsgInstance, a: GroupoidArrow, g: CsgElement) -> tuple[GroupoidArrow, ...]:
     """One operand of check_circ_functorial: a, the arrow [target(a), g]
     that continues it, their composite, and the identity at a's source."""
     return (a, *continue_arrow(inst, a, g), identity_arrow(inst, a.source))
