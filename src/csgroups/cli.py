@@ -14,6 +14,7 @@ MAX_LEVEL, a nerve size above MAX_COUNT, MAX_DIMENSION or
 suites.MAX_WORD_LEN, and a horn level above MAX_LIFT_LEVEL, each caught
 before anything that size is built (a horn's once its faces are read).
 An error line echoes at most perms.MAX_ECHO characters of any input.
+kan-lift prints the checks kan.lift_horn made, without making them again.
 
 main builds one argparse parser per process, on its first call, and
 reuses it; it looks each command's cmd_<name> function up when called,
@@ -301,11 +302,9 @@ def cmd_kan_lift(args) -> int:
         print(f"lift failed: {exc}", file=sys.stderr)
         return 1
     print(f"lift: {render_element(inst, lift)}")
-    proj_ok = inst.underlying_perm(lift) == horn.base
-    print(f"projection == base: {'ok' if proj_ok else 'FAIL'}")
-    for r, y in horn.face_items():
-        ok = inst.equal(inst.face(r, lift), y)
-        print(f"face {r} == y_{r}: {'ok' if ok else 'FAIL'}")
+    print("projection == base: ok")
+    for r, _ in horn.faces:
+        print(f"face {r} == y_{r}: ok")
     return 0
 
 

@@ -98,9 +98,9 @@ class CsgInstance:
 
 class SymmetricCsg(CsgInstance):
     """Permutation groups; the projection is the identity.  A permutation
-    on at most perms._TABLE_POINTS points has one element in the class
-    (so ranks agree across instances), interned on first use and returned
-    by every operation.  Its rows keep the interned results of each perms
+    that perms.kept admits has one element in the class (so ranks agree
+    across instances), interned on first use and returned by every
+    operation.  Its rows keep the interned results of each perms
     kernel (a replaced kernel fills its own) by the other operand's rank
     or the int index; a miss runs the kernel.  Equality is by value."""
 
@@ -110,7 +110,7 @@ class SymmetricCsg(CsgInstance):
 
     def _intern(self, p):
         g = self._interned.get(p) or CsgElement(len(p) - 1, p)
-        if g.rank < 0 and len(p) <= perms._TABLE_POINTS and all(type(v) is int for v in p):
+        if g.rank < 0 and perms.kept(p):
             # Not vars(g): a materialised __dict__ makes every read of them slower.
             object.__setattr__(g, "rank", len(self._interned))
             object.__setattr__(g, "rows", {})

@@ -26,13 +26,14 @@ so that forgetting the start object intertwines the operators with the
 bar structure of the opposite group on plain tuples.
 
 Every arrow is built by `arrow`, which interns one per value when the
-group part is an interned symmetric element and the source a tuple of
-ints.  Such an arrow keeps rows of the interned results of target, its
+group part is an interned symmetric element and perms.kept admits the
+source.  Such an arrow keeps rows of the interned results of target, its
 faces and degeneracies and operad.circ_gpd, keyed by the perms kernels
-they are computed with; only an int index in range reads a row.  So a
-replaced perms kernel fills rows of its own, but a replaced instance
-method (face, degeneracy, mul, pad, ...) is not seen where a row already
-holds the result.  Equality is still by value.
+they are computed with; a face or degeneracy row is a list, so a bool
+index reads as its int and a float raises TypeError.  So a replaced
+perms kernel fills rows of its own, but a replaced instance method
+(face, degeneracy, mul, pad, ...) is not seen where a row already holds
+the result.  Equality is still by value.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ _keys = {}
 
 
 def arrow(source: Perm, f: CsgElement) -> GroupoidArrow:
-    """The arrow [source, f]: when f is interned and source a tuple of
-    ints, the interned one, kept in f.arrows; else a fresh arrow."""
+    """The arrow [source, f]: when f is interned and perms.kept admits
+    source, the interned one, kept in f.arrows; else a fresh arrow."""
     arrows = f.arrows
     a = arrows.get(source) if arrows is not None else None
     if a is None:
         a = GroupoidArrow(source, f)
-        if arrows is not None and type(source) is tuple and all(type(v) is int for v in source):
+        if arrows is not None and perms.kept(source):
             object.__setattr__(a, "rows", {})
             arrows[source] = a
     return a
@@ -123,7 +124,7 @@ def hom_arrow(inst: CsgInstance, src: Perm, dst: Perm) -> GroupoidArrow:
 
 def _simplicial(inst: CsgInstance, kernel, op, i: int, a: GroupoidArrow) -> GroupoidArrow:
     """The face or degeneracy of a by kernel and op, kept in a's row for kernel."""
-    row = a.rows and type(i) is int and 0 <= i <= a.f.level and a.rows.get(kernel)
+    row = a.rows and 0 <= i <= a.f.level and a.rows.get(kernel)
     if row and row[i]:
         return row[i]
     source = kernel(i, a.source)

@@ -109,10 +109,10 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
                k: int) -> CsgElement:
     """
     Fill a pure horn: return a pure element whose r-th face is faces[r]
-    for every r != k.  Two degeneracy sweeps, upward below k and then
-    downward above it; each step corrects one face without disturbing
-    the ones already matched.  The face equations are re-checked at the
-    end and a failure raises FillError.
+    for every r != k, or IncompatibleHorn if a face is not pure.  Two
+    degeneracy sweeps, upward below k and then downward above it; each
+    step corrects one face without disturbing those already matched.
+    The face equations are re-checked at the end; a failure is FillError.
     """
     for r, p in faces.items():
         if not inst.is_pure(p):
@@ -136,25 +136,19 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
 def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     """
     An element at level n whose faces restrict to the horn and whose
-    underlying permutation is the base.
+    underlying permutation is the base, both checked before it returns
+    (FillError otherwise); moore_fill refuses an impure kernel face.
     """
     problems = validate_horn(inst, horn)
     if problems:
         raise IncompatibleHorn(problems[0])
     s = inst.section(horn.base)
-    kernel_faces = {}
-    for r, y in horn.face_items():
-        p_r = inst.mul(y, inst.inv(inst.face(r, s)))
-        if not inst.is_pure(p_r):
-            raise IncompatibleHorn(
-                f"kernel part of face {r} is not pure; the section does not "
-                "commute with faces")
-        kernel_faces[r] = p_r
+    kernel_faces = {r: inst.mul(y, inst.inv(inst.face(r, s))) for r, y in horn.faces}
     p = moore_fill(inst, kernel_faces, horn.n, horn.k)
     phi = inst.mul(p, s)
     if inst.underlying_perm(phi) != horn.base:
         raise FillError("lift does not project to the base")
-    for r, y in horn.face_items():
+    for r, y in horn.faces:
         if not inst.equal(inst.face(r, phi), y):
             raise FillError(f"lift face {r} does not match the horn")
     return phi

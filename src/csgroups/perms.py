@@ -25,7 +25,7 @@ They serve the arrow sources (groupoid.target, face_arrow,
 degeneracy_arrow, n_action), block_substitute and the misses of the
 symmetric elements' own rows (core.SymmetricCsg).  A miss runs the
 kernel's body, so every error still raises and nothing that raised is
-kept; results are tuples of ints, so sharing them is safe.
+kept; the rule `kept` admits only tuples of ints, so sharing is safe.
 """
 
 from __future__ import annotations
@@ -44,14 +44,19 @@ _TABLE_POINTS = 5
 _KEPT: dict[Perm, Perm] = {}
 
 
+def kept(p) -> bool:
+    """The keep rule of the kernel tables and the interned symmetric values:
+    a tuple of ints on at most _TABLE_POINTS points.  Not bools or floats:
+    as keys True == 1 and 1.0 == 1, so a kept one would stand in for an int."""
+    return type(p) is tuple and len(p) <= _TABLE_POINTS and all(type(v) is int for v in p)
+
+
 def _tabled(kernel):
-    """Keep kernel's results on at most _TABLE_POINTS points, keyed by
-    its positional arguments.  Since True == 1 and 1.0 == 1 as keys, a
-    result with a non-int entry (a bool argument can put one there) is
-    never kept, and an argument annotated `int` that is not an int always
-    runs the body, which refuses a float.  The untabled body stays
-    reachable as `body`; the wrapper takes no `__wrapped__`, which marks
-    a wrapper installed from outside the library."""
+    """Keep kernel's results that `kept` admits, keyed by its positional
+    arguments.  An argument annotated `int` that is not an int always runs
+    the body, which refuses a float.  The untabled body stays reachable as
+    `body`; the wrapper takes no `__wrapped__`, which marks a wrapper
+    installed from outside the library."""
     table, code = {}, kernel.__code__
     at = next((k for k, name in enumerate(code.co_varnames[:code.co_argcount])
                if kernel.__annotations__.get(name) == "int"), None)
@@ -60,7 +65,7 @@ def _tabled(kernel):
         result = table.get(args)
         if result is None or at is not None and args[at].__class__ is not int:
             result = kernel(*args)
-            if len(result) <= _TABLE_POINTS and all(type(v) is int for v in result):
+            if kept(result):
                 result = table[args] = _KEPT.setdefault(result, result)
         return result
     for attr in functools.WRAPPER_ASSIGNMENTS:

@@ -337,6 +337,50 @@ def test_kan_lift_cli(tmp_path, capsys):
     assert code == 2
 
 
+_PINNED_HORNS = [
+    ({"instance": "braid", "level": 3, "k": 1, "base": "[1,3,0,2]",
+      "faces": {"0": "s2", "2": "s1 s2^-1", "3": "s1 s2^-1 s2"}},
+     "lift: s3 s3^-1 s1 s2^-1 s3^-1 s3 s2 s1^-1 s1 s2 s3^-1 s3 s2^-1 s1^-1 s1 s2"
+     " s3^-1 s3^-1 s2^-1 s1^-1 s1 s3 s2 @ 3  perm=[1,3,0,2]  artin=744d204d80ef8680"
+     "  identity=false\n"
+     "projection == base: ok\nface 0 == y_0: ok\nface 2 == y_2: ok\nface 3 == y_3: ok\n"),
+    ({"instance": "symm", "level": 2, "k": 1, "base": "[2,0,1]",
+      "faces": {"0": "[1,0]", "2": "[0,1]"}},
+     "lift: [2,0,1]\nprojection == base: ok\nface 0 == y_0: ok\nface 2 == y_2: ok\n"),
+]
+
+
+@pytest.mark.parametrize("horn, out", _PINNED_HORNS, ids=["braid", "symm"])
+def test_kan_lift_output_is_pinned(tmp_path, capsys, horn, out):
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(horn))
+    assert run(capsys, "kan-lift", str(path)) == (0, out, "")
+
+
+def test_kan_lift_checks_only_what_lift_horn_checks(monkeypatch, tmp_path, capsys):
+    """lift_horn verifies the projection and every face before it
+    returns, so kan-lift calls equal, face and underlying_perm exactly as
+    often as lift_horn alone does on the same horn."""
+    horn = _PINNED_HORNS[0][0]
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(horn))
+    calls = {}
+
+    def counting(name):
+        method = getattr(core.BraidCsg, name)
+
+        def counted(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+        return counted
+    for name in ("equal", "face", "underlying_perm"):
+        monkeypatch.setattr(core.BraidCsg, name, counting(name))
+    kan.lift_horn(core.BRAID, kan.horn_from_json(core.BRAID, horn))
+    alone, calls = calls, {}
+    assert run(capsys, "kan-lift", str(path))[0] == 0
+    assert calls == alone and alone["equal"] > 0
+
+
 def test_check_instance_contract(capsys):
     code, out, err = run(capsys, "check", "section", "--instance", "symm")
     assert code == 2 and out == "" and len(err.splitlines()) == 1

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from csgroups import BRAID, SYMMETRIC, BraidCsg
-from csgroups import braids, kan, perms
+from csgroups import braids, cli, kan, perms
 from csgroups.braids import BraidWord, generator
 
 
@@ -45,6 +45,25 @@ def test_decompose_rejects_a_section_off_the_projection(monkeypatch):
     monkeypatch.setattr(BraidCsg, "section", lambda self, p: BRAID.one(len(p) - 1))
     with pytest.raises(ValueError, match="section"):
         kan.decompose(BRAID, g)
+
+
+def test_impure_kernel_face_is_refused_by_moore_fill(monkeypatch, tmp_path, capsys):
+    """A section off the projection does not commute with faces, so a
+    kernel face is not pure: moore_fill refuses it for lift_horn, and
+    kan-lift reports it in one line."""
+    horn = kan.horn_from_filler(BRAID, BRAID.element(generator(2, 1)), 1)
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps({
+        "instance": "braid", "level": horn.n, "k": horn.k,
+        "base": perms.format_perm(horn.base),
+        "faces": {str(r): braids.format_letters(y.payload) for r, y in horn.faces}}))
+    monkeypatch.setattr(BraidCsg, "section", lambda self, p: BRAID.one(len(p) - 1))
+    with pytest.raises(kan.IncompatibleHorn, match="^face 0 is not pure$") as info:
+        kan.lift_horn(BRAID, horn)
+    assert info.traceback[-1].name == "moore_fill"
+    assert cli.main(["kan-lift", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "lift failed: face 0 is not pure\n"
 
 
 def test_moore_fill_trivial_and_from_filler():

@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from csgroups import braids, perms
+from csgroups import braids, groupoid, perms
+from csgroups.core import SymmetricCsg
 
 
 def face_table(i, p):
@@ -336,3 +337,47 @@ def test_full_tables_stay_small():
     assert len(tables["compose"]) == 1 + 4 + 36 + 576 + 14400
     assert len(tables["face_perm"]) == 4 + 18 + 96 + 600 + 4320
     assert size < 4_000_000, size
+
+
+def _keep_candidates():
+    """Every permutation on at most 6 points, and its bool, float and
+    list variants."""
+    for n in range(6):
+        for p in perms.all_perms(n):
+            yield p
+            yield tuple(bool(v) if v < 2 else v for v in p)
+            yield (float(p[0]),) + p[1:]
+            yield list(p)
+
+
+def test_one_keep_rule_for_tables_elements_and_arrows():
+    """perms.kept is the one keep rule: a kernel table keeps a result,
+    the symmetric family interns a permutation, and groupoid.arrow
+    interns an arrow with it as source (over an interned group part)
+    exactly when kept admits it."""
+    candidates = list(_keep_candidates())
+    echo = perms._tabled(lambda i: candidates[i])
+    seen = set()
+    for i, p in enumerate(candidates):
+        seen.add(kept := perms.kept(p))
+        echo(i)
+        assert ((i,) in echo.table) == kept, p
+        # A store of its own, so that a bool or float variant does not
+        # meet its int twin, which equals it as a key.
+        inst = SymmetricCsg()
+        inst._interned = {}
+        if type(p) is list:  # not hashable, so no store can hold it
+            with pytest.raises(TypeError, match="unhashable"):
+                inst._intern(p)
+        else:
+            assert (inst._intern(p).rank >= 0) == kept, p
+        f = inst.one(len(p) - 1)
+        assert (f.rank >= 0) == (len(p) <= perms._TABLE_POINTS)
+        if type(p) is list and f.arrows is not None:
+            with pytest.raises(TypeError, match="unhashable"):
+                groupoid.arrow(p, f)
+        else:
+            assert (groupoid.arrow(p, f).rows is not None) == kept, p
+        if type(p) is tuple and perms.is_perm(p):
+            assert (SymmetricCsg().element(p).rank >= 0) == kept
+    assert seen == {True, False}
