@@ -118,6 +118,23 @@ def invert_word(b: BraidWord) -> BraidWord:
     return _word(b.strands, tuple((k, -s) for k, s in reversed(b.letters)))
 
 
+def reduced_word(b: BraidWord) -> BraidWord:
+    """
+    The same braid with every adjacent cancelling pair (k, s)(k, -s)
+    removed, repeatedly, in one linear pass: the free reduction of the
+    word.  Faces and degeneracies map a cancelling pair to cancelling
+    pairs or to nothing, so they commute with it up to a second
+    reduction.
+    """
+    out: list[Letter] = []
+    for k, sign in b.letters:
+        if out and out[-1] == (k, -sign):
+            out.pop()
+        else:
+            out.append((k, sign))
+    return _word(b.strands, tuple(out))
+
+
 def underlying_perm_word(b: BraidWord) -> Perm:
     """Apply the letter swaps in word order to the identity arrangement."""
     pos = list(range(b.strands))

@@ -70,7 +70,12 @@ class CsgInstance:
     faces and degeneracies), format, parse_at(text, level) and
     random_element(rng, n, max_len); an enumerable one also defines
     elements(n).  mul and equal raise ValueError on levels that differ.
-    The operations derived from these are shared."""
+    The operations derived from these are shared; a family may override
+    reduced(g), which returns g by default, with a shorter name for the
+    same element (kan keeps its horn filler short with it)."""
+
+    def reduced(self, g: CsgElement) -> CsgElement:
+        return g
 
     def is_pure(self, g: CsgElement) -> bool:
         return self.underlying_perm(g) == perms.identity(g.level)
@@ -190,7 +195,9 @@ class SymmetricCsg(CsgInstance):
 class BraidCsg(CsgInstance):
     """Braid groups on level + 1 strands; equality by the left-greedy
     normal form (braids.braids_equal), with the free-group action
-    (braids.artin_act) as the reference oracle of the tests."""
+    (braids.artin_act) as the reference oracle of the tests.  mul
+    concatenates (eval prints the product's letters); reduced is the
+    free reduction (braids.reduced_word)."""
 
     name = "braid"
 
@@ -204,6 +211,9 @@ class BraidCsg(CsgInstance):
 
     def mul(self, g, h):
         return CsgElement(g.level, braids.concat(g.payload, h.payload))
+
+    def reduced(self, g):
+        return CsgElement(g.level, braids.reduced_word(g.payload))
 
     def inv(self, g):
         return CsgElement(g.level, braids.invert_word(g.payload))

@@ -12,10 +12,13 @@ at level n - 1 for r != k, held as (r, y_r) pairs sorted by r, and a
 base permutation the lift must project to.  Lifting splits each face
 against the lifted base, fills the resulting pure horn by the classical
 two-sweep degeneracy construction (moore_fill), and multiplies the
-filler back onto the lifted base.  Its face equations are re-verified,
-so a convention slip or an incompatible input is an error rather than
-a wrong answer.  horn_from_json reads a `csgroups kan-lift` horn file
-strictly: a malformed horn is a ValueError (IndexError for k > n or k < 0).
+filler back onto the lifted base.  Each sweep step and the final
+product pass through inst.reduced: a braid word would otherwise about
+double at every step while the braid it names stays small.  Its face
+equations are re-verified, so a convention slip or an incompatible
+input is an error rather than a wrong answer.  horn_from_json reads a
+`csgroups kan-lift` horn file strictly: a malformed horn is a
+ValueError (IndexError for k > n or k < 0).
 """
 
 from __future__ import annotations
@@ -110,9 +113,11 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
     """
     Fill a pure horn: return a pure element whose r-th face is faces[r]
     for every r != k, or IncompatibleHorn if a face is not pure.  Two
-    degeneracy sweeps, upward below k and then downward above it; each
-    step corrects one face without disturbing those already matched.
-    The face equations are re-checked at the end; a failure is FillError.
+    degeneracy sweeps (May, Simplicial Objects in Algebraic Topology,
+    Thm 17.1), upward below k and then downward above it; each step
+    corrects one face without disturbing those already matched, and its
+    product passes through inst.reduced.  The face equations are
+    re-checked at the end; a failure is FillError.
     """
     for r, p in faces.items():
         if not inst.is_pure(p):
@@ -122,10 +127,10 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
     w = inst.one(n)
     for r in range(k):
         u = inst.mul(inst.inv(inst.face(r, w)), faces[r])
-        w = inst.mul(w, inst.degeneracy(r, u))
+        w = inst.reduced(inst.mul(w, inst.degeneracy(r, u)))
     for r in range(n, k, -1):
         u = inst.mul(inst.inv(inst.face(r, w)), faces[r])
-        w = inst.mul(w, inst.degeneracy(r - 1, u))
+        w = inst.reduced(inst.mul(w, inst.degeneracy(r - 1, u)))
     for r in range(n + 1):
         if r != k and not inst.equal(inst.face(r, w), faces[r]):
             raise FillError(f"filler face {r} does not match; "
@@ -138,6 +143,8 @@ def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     An element at level n whose faces restrict to the horn and whose
     underlying permutation is the base, both checked before it returns
     (FillError otherwise); moore_fill refuses an impure kernel face.
+    The element is the filler times the lifted base, through
+    inst.reduced: for braids, a freely reduced word.
     """
     problems = validate_horn(inst, horn)
     if problems:
@@ -145,7 +152,7 @@ def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     s = inst.section(horn.base)
     kernel_faces = {r: inst.mul(y, inst.inv(inst.face(r, s))) for r, y in horn.faces}
     p = moore_fill(inst, kernel_faces, horn.n, horn.k)
-    phi = inst.mul(p, s)
+    phi = inst.reduced(inst.mul(p, s))
     if inst.underlying_perm(phi) != horn.base:
         raise FillError("lift does not project to the base")
     for r, y in horn.faces:

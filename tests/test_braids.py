@@ -323,6 +323,43 @@ def test_free_reduction_agrees_with_the_free_group_action(pair):
     assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
 
 
+@st.composite
+def cancelling_word_st(draw, max_strands=7, max_len=16):
+    """A word on 1 to max_strands strands with up to four pairs
+    s_k^e s_k^-e put in anywhere, around up to two of its letters, so
+    that nested and chained pairs are common; at most max_len letters."""
+    strands = draw(st.integers(min_value=1, max_value=max_strands))
+    if strands == 1:
+        return BraidWord(1, ())
+    letter = st.tuples(st.integers(min_value=0, max_value=strands - 2),
+                       st.sampled_from((1, -1)))
+    letters = draw(st.lists(letter, max_size=max_len - 8))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        k, sign = draw(letter)
+        at = draw(st.integers(min_value=0, max_value=len(letters)))
+        around = draw(st.integers(min_value=0, max_value=min(2, len(letters) - at)))
+        letters[at:at + around] = [(k, sign), *letters[at:at + around], (k, -sign)]
+    return BraidWord(strands, tuple(letters))
+
+
+@given(cancelling_word_st())
+@settings(max_examples=300)
+def test_reduced_word_is_the_free_reduction(w):
+    """reduced_word keeps the braid, leaves no adjacent cancelling pair
+    and is idempotent; and faces and degeneracies commute with it up to
+    a second reduction, which is what lets the horn filler's face checks
+    end on identical reduced runs."""
+    r = braids.reduced_word(w)
+    assert BraidWord(r.strands, r.letters) == r
+    assert braids.artin_act(r) == braids.artin_act(w)
+    assert braids.reduced_word(r) == r
+    assert all(a != (b[0], -b[1]) for a, b in zip(r.letters, r.letters[1:]))
+    for i in range(w.strands):
+        ops = (braids.face_word, braids.degeneracy_word) if w.level else (braids.degeneracy_word,)
+        for op in ops:
+            assert braids.reduced_word(op(i, r)) == braids.reduced_word(op(i, w))
+
+
 def reduced_word(draw, p):
     """A positive word in which exactly the inversion pairs of p cross,
     peeling a drawn adjacent swap off the left of p each time; any two

@@ -158,3 +158,51 @@ def test_horn_json_roundtrip():
     with pytest.raises(ValueError):
         kan.horn_from_json(BRAID, {"level": 2, "k": 0, "base": "[0,1,2]",
                                    "faces": {"1": "1"}})
+
+
+def _horns(inst, rng, levels, max_len, per_level):
+    """Horns cut from seeded random fillers at a random missing index."""
+    return [kan.horn_from_filler(inst, inst.random_element(rng, n, max_len), rng.randint(0, n))
+            for n in levels for _ in range(per_level)]
+
+
+def test_reduced_lift_is_the_unreduced_braid(monkeypatch):
+    """moore_fill and lift_horn keep the filler freely reduced: at levels
+    1-6 the lift is the braid the unreduced construction gives, by the
+    free-group oracle, has no adjacent cancelling pair, and is never
+    longer.  The symmetric family's hook is the identity, and its lift is
+    still the lifted base, which the filler was."""
+    rng = random.Random(19)
+    horns = _horns(BRAID, rng, range(1, 5), 6, 10) + _horns(BRAID, rng, range(5, 7), 4, 10)
+    lifts = [kan.lift_horn(BRAID, horn).payload for horn in horns]
+    monkeypatch.setattr(BraidCsg, "reduced", lambda self, g: g)
+    plain = [kan.lift_horn(BRAID, horn).payload for horn in horns]
+    for word, unreduced in zip(lifts, plain):
+        assert braids.artin_act(word) == braids.artin_act(unreduced)
+        assert all(a != (b[0], -b[1]) for a, b in zip(word.letters, word.letters[1:]))
+        assert len(word.letters) <= len(unreduced.letters)
+    assert sum(len(w.letters) for w in lifts) < sum(len(w.letters) for w in plain)
+    for horn in _horns(SYMMETRIC, rng, range(1, 5), 0, 10):
+        phi = kan.lift_horn(SYMMETRIC, horn)
+        assert phi is SYMMETRIC.section(horn.base) and SYMMETRIC.reduced(phi) is phi
+
+
+def test_lift_of_a_long_horn_stays_short(monkeypatch):
+    """The horn cut from a 12-letter filler at level 16 lifted to 524,283
+    letters while the filler's word doubled at each sweep step; kept
+    freely reduced, the lift and every product on the way are short.
+    Counted, not timed."""
+    longest = []
+    mul = BraidCsg.mul
+
+    def counted(self, g, h):
+        gh = mul(self, g, h)
+        longest.append(len(gh.payload.letters))
+        return gh
+    monkeypatch.setattr(BraidCsg, "mul", counted)
+    for level, lift_bound, product_bound in ((16, 16, 64), (12, 2500, 5000)):
+        longest.clear()
+        g = BRAID.random_element(random.Random(level), level, 12)
+        horn = kan.horn_from_filler(BRAID, g, level // 2)
+        assert len(kan.lift_horn(BRAID, horn).payload.letters) <= lift_bound
+        assert max(longest) <= product_bound

@@ -188,7 +188,7 @@ def test_braid_words_are_built_only_by_the_listed_builders():
             "empty_word", "generator", "permutation_braid", "random_word",
             "parse_letters")},
         "_word": {f"braids.{name}" for name in (
-            "concat", "invert_word", "face_word", "degeneracy_word",
+            "concat", "invert_word", "reduced_word", "face_word", "degeneracy_word",
             "s_left_word", "s_right_word")},
         "__new__": {"braids._word"},
     }, builders
