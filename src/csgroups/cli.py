@@ -38,12 +38,13 @@ MAX_LEVEL = 1000
 # Far above any nesting in use (2 at most); each nested call takes stack.
 MAX_DEPTH = 100
 # Set on trivial horns, whose faces are compared in pairs, so their cost
-# grows with the square of the level: a trivial braid horn took 0.8 s at
-# level 700 and 1.0-1.1 s at level 800 (2-core x86-64, Python 3.11.7).
-# kan keeps the filler freely reduced, so a horn with letters no longer
-# blows up: of horns cut from random fillers of at most 12 letters, the
-# slowest of 20 lifted in 0.50 s at level 12 and 0.43 s at level 20, and
-# the slowest of 3 in 2.3 s at level 700, most of it in validate_horn.
+# grows with the square of the level: a trivial braid horn took 0.9-1.1 s
+# at level 700 and 1.3-1.6 s at level 800 (best of 7, 2-core x86-64,
+# Python 3.11.7).  kan keeps the filler freely reduced and checks each
+# face of a lift once, so a horn with letters no longer blows up: of
+# horns cut from random fillers of at most 12 letters, the slowest of 20
+# lifted in 0.20-0.25 s at level 12 and 0.30-0.39 s at level 20, and the
+# slowest of 3 in 1.8 s at level 700, nearly all of it in validate_horn.
 MAX_LIFT_LEVEL = 700
 # Far above the nerve defaults (3 simplices of dimension at most 2) and
 # every value in use; the output grows with each.
@@ -166,19 +167,15 @@ class _ExprParser:
             args.append(self.expr(depth))
         self.take("punct", ")")
         try:
-            inst, value = self.apply(name, args, pos)
+            return self.apply(name, args, pos)
         except (ValueError, IndexError) as exc:
             if isinstance(exc, ParseError):
                 raise
             raise ParseError(f"{perms.clip(name)}: {exc}", pos) from None
-        if value.level > MAX_LEVEL:
-            raise ParseError(f"{perms.clip(name)}: level {value.level} is above "
-                             f"the limit {MAX_LEVEL}", pos)
-        return inst, value
 
     def apply(self, name, args, pos):
         op, mark, digits = name.partition("_")
-        arity, operation = _OPERATORS.get(op + mark, (None, None))
+        arity, level, operation = _OPERATORS.get(op + mark, (None, None, None))
         if operation is None:
             raise ParseError(f"unknown operator {perms.clip(name)!r}", pos)
         if len(args) != arity:
@@ -188,21 +185,28 @@ class _ExprParser:
         if any(other is not inst for other, _ in args):
             raise ParseError("mixed permutation and braid operands", pos)
         index = self.number("index", ("int", digits, pos)) if mark else None
+        # Refused before the operation runs: building a result above the
+        # limit costs time and memory that grow with its level.
+        result_level = level(*(value.level for _, value in args))
+        if result_level > MAX_LEVEL:
+            raise ParseError(f"{perms.clip(name)}: level {result_level} is above "
+                             f"the limit {MAX_LEVEL}", pos)
         return inst, operation(inst, index, *(value for _, value in args))
 
 
-# Operator name -> (arity, operation(inst, index, *operands)); only a
-# name ending in "_" has an index.  An operation looks its method up when
-# called, so it reaches a wrapper installed on that method after import.
+# Operator name -> (arity, result level from the operand levels,
+# operation(inst, index, *operands)); only a name ending in "_" has an
+# index.  An operation looks its method up when called, so it reaches a
+# wrapper installed on that method after import.
 _OPERATORS = {
-    "mul": (2, lambda inst, _, a, b: inst.mul(a, b)),
-    "boxplus": (2, lambda inst, _, a, b: inst.boxplus(a, b)),
-    "inv": (1, lambda inst, _, a: inst.inv(a)),
-    "sL": (1, lambda inst, _, a: inst.s_left(a)),
-    "sR": (1, lambda inst, _, a: inst.s_right(a)),
-    "d_": (1, lambda inst, i, a: inst.face(i, a)),
-    "s_": (1, lambda inst, i, a: inst.degeneracy(i, a)),
-    "circ_": (2, lambda inst, i, a, b: operad.circ_set(inst, a, i, b)),
+    "mul": (2, lambda n, m: n, lambda inst, _, a, b: inst.mul(a, b)),
+    "boxplus": (2, lambda n, m: n + m + 1, lambda inst, _, a, b: inst.boxplus(a, b)),
+    "inv": (1, lambda n: n, lambda inst, _, a: inst.inv(a)),
+    "sL": (1, lambda n: n + 1, lambda inst, _, a: inst.s_left(a)),
+    "sR": (1, lambda n: n + 1, lambda inst, _, a: inst.s_right(a)),
+    "d_": (1, lambda n: n - 1, lambda inst, i, a: inst.face(i, a)),
+    "s_": (1, lambda n: n + 1, lambda inst, i, a: inst.degeneracy(i, a)),
+    "circ_": (2, lambda n, m: n + m, lambda inst, i, a, b: operad.circ_set(inst, a, i, b)),
 }
 
 

@@ -14,9 +14,12 @@ against the lifted base, fills the resulting pure horn by the classical
 two-sweep degeneracy construction (moore_fill), and multiplies the
 filler back onto the lifted base.  Each sweep step and the final
 product pass through inst.reduced: a braid word would otherwise about
-double at every step while the braid it names stays small.  Its face
-equations are re-verified, so a convention slip or an incompatible
-input is an error rather than a wrong answer.  horn_from_json reads a
+double at every step while the braid it names stays small.  lift_horn
+verifies the lift's projection and face equations once, on the product,
+so a convention slip or an incompatible input is an error rather than a
+wrong answer; the filler needs no check of its own, because for pure p
+the r-th face of p * s is d_r(p) * d_r(s), which is y_r exactly when
+d_r(p) is the r-th kernel face.  horn_from_json reads a
 `csgroups kan-lift` horn file strictly: a malformed horn is a
 ValueError (IndexError for k > n or k < 0).
 """
@@ -116,8 +119,10 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
     degeneracy sweeps (May, Simplicial Objects in Algebraic Topology,
     Thm 17.1), upward below k and then downward above it; each step
     corrects one face without disturbing those already matched, and its
-    product passes through inst.reduced.  The face equations are
-    re-checked at the end; a failure is FillError.
+    product passes through inst.reduced.  The filler's faces are not
+    re-checked here: lift_horn checks the faces of its product with the
+    lifted base, which match the horn exactly when the filler's match
+    the kernel faces.
     """
     for r, p in faces.items():
         if not inst.is_pure(p):
@@ -131,10 +136,6 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
     for r in range(n, k, -1):
         u = inst.mul(inst.inv(inst.face(r, w)), faces[r])
         w = inst.reduced(inst.mul(w, inst.degeneracy(r - 1, u)))
-    for r in range(n + 1):
-        if r != k and not inst.equal(inst.face(r, w), faces[r]):
-            raise FillError(f"filler face {r} does not match; "
-                            "the input horn is not compatible")
     return w
 
 
@@ -144,7 +145,8 @@ def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     underlying permutation is the base, both checked before it returns
     (FillError otherwise); moore_fill refuses an impure kernel face.
     The element is the filler times the lifted base, through
-    inst.reduced: for braids, a freely reduced word.
+    inst.reduced: for braids, a freely reduced word.  This is the one
+    check of a lift's faces: it also catches a wrong or impure filler.
     """
     problems = validate_horn(inst, horn)
     if problems:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -673,6 +674,39 @@ def test_nerve_sizes_above_the_limit(monkeypatch, capsys, flag, limit):
     result = run(capsys, "nerve", "--instance", "braid", flag, "100000000")
     assert time.perf_counter() - start < 5
     assert result == (2, "", f"{flag} must be at most {limit}\n")
+
+
+_WORD = " ".join(["s1", "s2"] * 1500)
+
+
+@pytest.mark.parametrize("expression, level", [
+    (f"circ_0({_WORD}@999, 1@999)", 1998),
+    (f"boxplus({_WORD}@999, {_WORD}@999)", 1999),
+], ids=["circ", "boxplus"])
+def test_eval_result_above_the_limit(monkeypatch, capsys, expression, level):
+    """Refused from the operand levels before the operation runs; the
+    circ_0 input ran for 214 s and reached 303 MB before its refusal.
+    The clock is a loose backstop."""
+    monkeypatch.setattr(operad, "circ_set", _must_not_run)
+    monkeypatch.setattr(core.BraidCsg, "boxplus", _must_not_run)
+    start = time.perf_counter()
+    result = run(capsys, "eval", expression)
+    assert time.perf_counter() - start < 5
+    name = expression.partition("(")[0]
+    assert result == (2, "", f"parse error at position 0: {name}: level {level} "
+                             f"is above the limit {cli.MAX_LEVEL}\n")
+
+
+@pytest.mark.parametrize("inst", [core.SYMMETRIC, core.BRAID], ids=["symm", "braid"])
+def test_eval_result_levels_are_the_operations_levels(inst):
+    """The level eval refuses an operation by is the level the operation
+    returns."""
+    rng = random.Random(0)
+    for name, (arity, level, operation) in cli._OPERATORS.items():
+        levels = (3, 3) if name == "mul" else (3, 2)[:arity]
+        operands = [inst.random_element(rng, n, 4) for n in levels]
+        value = operation(inst, 1, *operands)
+        assert value.level == level(*(g.level for g in operands)), name
 
 
 def test_check_word_len_above_the_limit(monkeypatch, capsys):

@@ -66,6 +66,45 @@ def test_impure_kernel_face_is_refused_by_moore_fill(monkeypatch, tmp_path, caps
     assert out == "" and err == "lift failed: face 0 is not pure\n"
 
 
+@pytest.mark.parametrize("j, r", [(0, 2), (1, 0)])
+def test_wrong_filler_is_refused_by_lift_horn(monkeypatch, tmp_path, capsys, j, r):
+    """moore_fill does not check its filler; lift_horn's check of the
+    product is the one face check of a lift.  A filler times s_j^2, a
+    pure braid that changes face r of a level-2 filler and no other, is
+    refused there, and kan-lift reports it in one line."""
+    horn = kan.horn_from_filler(BRAID, BRAID.random_element(random.Random(9), 2, 4), 1)
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps({
+        "instance": "braid", "level": horn.n, "k": horn.k,
+        "base": perms.format_perm(horn.base),
+        "faces": {str(t): braids.format_letters(y.payload) for t, y in horn.faces}}))
+    square = BRAID.mul(BRAID.element(generator(2, j)), BRAID.element(generator(2, j)))
+    fill = kan.moore_fill
+    monkeypatch.setattr(kan, "moore_fill", lambda inst, faces, n, k: inst.mul(
+        fill(inst, faces, n, k), square))
+    message = f"lift face {r} does not match the horn"
+    with pytest.raises(kan.FillError, match=f"^{message}$"):
+        kan.lift_horn(BRAID, horn)
+    assert cli.main(["kan-lift", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"lift failed: {message}\n")
+
+
+def test_a_lift_compares_each_face_once(monkeypatch):
+    """A level-n braid lift makes n(n-1)/2 equality checks in
+    validate_horn and n in lift_horn's check of the product; moore_fill
+    made n more when it re-checked the filler."""
+    calls = []
+    equal = BraidCsg.equal
+    monkeypatch.setattr(BraidCsg, "equal", lambda self, g, h: calls.append(1) or equal(
+        self, g, h))
+    rng = random.Random(20)
+    for n in range(1, 8):
+        horn = kan.horn_from_filler(BRAID, BRAID.random_element(rng, n, 8), rng.randint(0, n))
+        calls.clear()
+        kan.lift_horn(BRAID, horn)
+        assert len(calls) == n * (n - 1) // 2 + n
+
+
 def test_moore_fill_trivial_and_from_filler():
     assert BRAID.equal(kan.moore_fill(BRAID, {0: BRAID.one(1), 2: BRAID.one(1)},
                                       2, 1), BRAID.one(2))

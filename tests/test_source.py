@@ -192,3 +192,19 @@ def test_braid_words_are_built_only_by_the_listed_builders():
             "s_left_word", "s_right_word")},
         "__new__": {"braids._word"},
     }, builders
+
+
+def test_fill_error_is_raised_only_by_lift_horn():
+    """`kan.lift_horn` is the one owner of a lift's verification: it
+    checks the projection and every face of the product, which also
+    covers the filler, so no other function raises `FillError`."""
+    raisers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            for n in ast.walk(node):
+                if not isinstance(n, ast.Raise) or n.exc is None:
+                    continue
+                exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+                if "FillError" in (getattr(exc, "id", None), getattr(exc, "attr", None)):
+                    raisers.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert raisers == {"kan.lift_horn"}, raisers
