@@ -11,7 +11,7 @@ Exit codes: 0 on success, 1 when a suite finds a counterexample or a
 horn cannot be lifted, 2 on usage or parse errors, among them calls
 nested more than MAX_DEPTH deep, an eval or nerve level or index above
 MAX_LEVEL, a nerve size above MAX_COUNT, MAX_DIMENSION or
-suites.MAX_WORD_LEN, and a horn level above MAX_LIFT_LEVEL, each caught
+suites.MAX_WORD_LEN, and a horn level above MAX_LEVEL, each caught
 before anything that size is built (a horn's once its faces are read).
 An error line echoes at most perms.MAX_ECHO characters of any input.
 kan-lift prints the checks kan.lift_horn made, without making them again.
@@ -33,19 +33,13 @@ from . import braids, groupoid, kan, operad, perms
 from .core import BRAID, INSTANCES, SYMMETRIC, CsgElement, CsgInstance
 from .suites import MAX_WORD_LEN, SUITES, run_suite
 
-# Far above any level in use (5 at most); an element's cost grows with it.
+# Far above any level in use (5 at most); an element's cost grows with
+# it.  A kan-lift at this level compares the horn's faces in pairs: a
+# trivial horn lifted in 3.3-3.4 s, the slowest of three horns cut from
+# 12-letter fillers in 3.7-4.1 s (2-core x86-64, Python 3.11.7).
 MAX_LEVEL = 1000
 # Far above any nesting in use (2 at most); each nested call takes stack.
 MAX_DEPTH = 100
-# Set on trivial horns, whose faces are compared in pairs, so their cost
-# grows with the square of the level: a trivial braid horn took 0.9-1.1 s
-# at level 700 and 1.3-1.6 s at level 800 (best of 7, 2-core x86-64,
-# Python 3.11.7).  kan keeps the filler freely reduced and checks each
-# face of a lift once, so a horn with letters no longer blows up: of
-# horns cut from random fillers of at most 12 letters, the slowest of 20
-# lifted in 0.20-0.25 s at level 12 and 0.30-0.39 s at level 20, and the
-# slowest of 3 in 1.8 s at level 700, nearly all of it in validate_horn.
-MAX_LIFT_LEVEL = 700
 # Far above the nerve defaults (3 simplices of dimension at most 2) and
 # every value in use; the output grows with each.
 MAX_COUNT = 1000
@@ -297,9 +291,8 @@ def cmd_kan_lift(args) -> int:
     except (ValueError, IndexError) as exc:
         print(f"malformed horn: {exc}", file=sys.stderr)
         return 2
-    if horn.n > MAX_LIFT_LEVEL:
-        print(f"malformed horn: level is above the kan-lift limit {MAX_LIFT_LEVEL}",
-              file=sys.stderr)
+    if horn.n > MAX_LEVEL:
+        print(f"malformed horn: level is above the limit {MAX_LEVEL}", file=sys.stderr)
         return 2
     try:
         lift = kan.lift_horn(inst, horn)

@@ -9,14 +9,15 @@ twist in the face and degeneracy identities disappears on them.
 
 A horn consists of a level n, a missing index k, compatible faces y_r
 at level n - 1 for r != k, held as (r, y_r) pairs sorted by r, and a
-base permutation the lift must project to.  Lifting splits each face
-against the lifted base, fills the resulting pure horn by the classical
-two-sweep degeneracy construction (moore_fill), and multiplies the
-filler back onto the lifted base.  Each sweep step and the final
-product pass through inst.reduced: a braid word would otherwise about
-double at every step while the braid it names stays small.  lift_horn
-verifies the lift's projection and face equations once, on the product,
-so a convention slip or an incompatible input is an error rather than a
+base permutation the lift must project to.  Lifting checks the horn
+(validate_horn; the fill is sound only on a compatible horn), splits
+each face against the lifted base, fills the resulting pure horn by the
+classical two-sweep degeneracy construction (moore_fill), and
+multiplies the filler back onto the lifted base.  Each sweep step and
+the final product pass through inst.reduced: a braid word would
+otherwise about double at every step while the braid it names stays
+small.  lift_horn verifies the lift's projection and face equations
+once, on the product, so a convention slip is an error rather than a
 wrong answer; the filler needs no check of its own, because for pure p
 the r-th face of p * s is d_r(p) * d_r(s), which is y_r exactly when
 d_r(p) is the r-th kernel face.  horn_from_json reads a
@@ -81,18 +82,23 @@ def horn_from_filler(inst: CsgInstance, g: CsgElement, k: int) -> Horn:
     return horn_from_faces(n, k, faces, inst.underlying_perm(g))
 
 
-def validate_horn(inst: CsgInstance, horn: Horn) -> list[str]:
-    """All violated horn equations, worst first: projection mismatches,
-    then face compatibilities."""
-    problems = []
+def validate_horn(inst: CsgInstance, horn: Horn) -> str | None:
+    """
+    The first violated horn equation, or None: projection mismatches,
+    then face compatibilities in pairs (n(n-1)/2 equality checks on a
+    compatible level-n horn).  It runs before the fill: on braid horns
+    cut from 12-letter fillers with each face times two squared
+    generators, filling first took 1.4 s at level 12 and 143 s at level
+    16, where the sweeps built a 1,085,944-letter product.
+    """
     for r, y in horn.faces:
         if inst.underlying_perm(y) != perms.face_perm(r, horn.base):
-            problems.append(f"perm(y_{r}) != d_{r}(base)")
+            return f"perm(y_{r}) != d_{r}(base)"
     for a, (r, yr) in enumerate(horn.faces):
         for t, yt in horn.faces[a + 1:]:
             if not inst.equal(inst.face(r, yt), inst.face(t - 1, yr)):
-                problems.append(f"d_{r}(y_{t}) != d_{t - 1}(y_{r})")
-    return problems
+                return f"d_{r}(y_{t}) != d_{t - 1}(y_{r})"
+    return None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,8 +133,6 @@ def moore_fill(inst: CsgInstance, faces: Mapping[int, CsgElement], n: int,
     for r, p in faces.items():
         if not inst.is_pure(p):
             raise IncompatibleHorn(f"face {r} is not pure")
-        if p.level != n - 1:
-            raise IncompatibleHorn(f"face {r} has level {p.level}, expected {n - 1}")
     w = inst.one(n)
     for r in range(k):
         u = inst.mul(inst.inv(inst.face(r, w)), faces[r])
@@ -143,14 +147,15 @@ def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     """
     An element at level n whose faces restrict to the horn and whose
     underlying permutation is the base, both checked before it returns
-    (FillError otherwise); moore_fill refuses an impure kernel face.
-    The element is the filler times the lifted base, through
-    inst.reduced: for braids, a freely reduced word.  This is the one
-    check of a lift's faces: it also catches a wrong or impure filler.
+    (FillError otherwise).  An incompatible horn is refused before the
+    fill, with validate_horn's first violation; moore_fill refuses an
+    impure kernel face.  The element is the filler times the lifted
+    base, through inst.reduced: for braids, a freely reduced word.  This
+    is the one check of a lift's faces: it also catches a wrong filler.
     """
-    problems = validate_horn(inst, horn)
-    if problems:
-        raise IncompatibleHorn(problems[0])
+    problem = validate_horn(inst, horn)
+    if problem is not None:
+        raise IncompatibleHorn(problem)
     s = inst.section(horn.base)
     kernel_faces = {r: inst.mul(y, inst.inv(inst.face(r, s))) for r, y in horn.faces}
     p = moore_fill(inst, kernel_faces, horn.n, horn.k)

@@ -340,24 +340,32 @@ def test_kan_lift_cli(tmp_path, capsys):
 
 # The braid lift is the freely reduced word, pinned when moore_fill and
 # lift_horn began to reduce the filler; perm=, artin= and identity= are
-# as they were pinned before, since the braid is the same.
+# as they were pinned before, since the braid is the same.  The last
+# horn breaks a projection equation (y_2) and a pair equation (y_1 with
+# y_3); the projection is reported, as it is checked first.
 _PINNED_HORNS = [
     ({"instance": "braid", "level": 3, "k": 1, "base": "[1,3,0,2]",
       "faces": {"0": "s2", "2": "s1 s2^-1", "3": "s1 s2^-1 s2"}},
-     "lift: s1 s2 s3^-1 s3^-1 s2^-1 s3 s2 @ 3  perm=[1,3,0,2]  artin=744d204d80ef8680"
-     "  identity=false\n"
-     "projection == base: ok\nface 0 == y_0: ok\nface 2 == y_2: ok\nface 3 == y_3: ok\n"),
+     (0, "lift: s1 s2 s3^-1 s3^-1 s2^-1 s3 s2 @ 3  perm=[1,3,0,2]  artin=744d204d80ef8680"
+      "  identity=false\n"
+      "projection == base: ok\nface 0 == y_0: ok\nface 2 == y_2: ok\nface 3 == y_3: ok\n",
+      "")),
     ({"instance": "symm", "level": 2, "k": 1, "base": "[2,0,1]",
       "faces": {"0": "[1,0]", "2": "[0,1]"}},
-     "lift: [2,0,1]\nprojection == base: ok\nface 0 == y_0: ok\nface 2 == y_2: ok\n"),
+     (0, "lift: [2,0,1]\nprojection == base: ok\nface 0 == y_0: ok\nface 2 == y_2: ok\n",
+      "")),
+    ({"instance": "braid", "level": 3, "k": 0, "base": "[0,1,2,3]",
+      "faces": {"1": "s1 s1", "2": "s2", "3": "1"}},
+     (1, "", "lift failed: perm(y_2) != d_2(base)\n")),
 ]
 
 
-@pytest.mark.parametrize("horn, out", _PINNED_HORNS, ids=["braid", "symm"])
-def test_kan_lift_output_is_pinned(tmp_path, capsys, horn, out):
+@pytest.mark.parametrize("horn, result", _PINNED_HORNS,
+                         ids=["braid", "symm", "braid-incompatible"])
+def test_kan_lift_output_is_pinned(tmp_path, capsys, horn, result):
     path = tmp_path / "horn.json"
     path.write_text(json.dumps(horn))
-    assert run(capsys, "kan-lift", str(path)) == (0, out, "")
+    assert run(capsys, "kan-lift", str(path)) == result
 
 
 def test_kan_lift_checks_only_what_lift_horn_checks(monkeypatch, tmp_path, capsys):
@@ -505,21 +513,25 @@ def test_kan_lift_rejects_malformed_faces(tmp_path, capsys, horn):
     assert peak < 1_000_000
 
 
-def test_kan_lift_level_above_the_limit(tmp_path, capsys):
-    """A horn level above cli.MAX_LEVEL, the bound of eval's and nerve's
-    levels, is refused by the one horn bound, cli.MAX_LIFT_LEVEL.
-    Validating a trivial level-400 horn took 3 s, about six times more
-    per doubling of the level."""
-    level = cli.MAX_LEVEL + 1
-    horn = {"instance": "braid", "level": level, "k": 0,
-            "base": perms.format_perm(tuple(range(level + 1))),
-            "faces": {str(r): "1" for r in range(1, level + 1)}}
-    path = tmp_path / "horn.json"
-    path.write_text(json.dumps(horn))
+def _trivial_horn_file(tmp_path, level):
+    path = tmp_path / f"horn{level}.json"
+    path.write_text(json.dumps({
+        "instance": "braid", "level": level, "k": 0,
+        "base": perms.format_perm(tuple(range(level + 1))),
+        "faces": {str(r): "1" for r in range(1, level + 1)}}))
+    return str(path)
+
+
+def test_kan_lift_level_above_the_limit(monkeypatch, tmp_path, capsys):
+    """A horn level above cli.MAX_LEVEL, the one level bound of eval,
+    nerve and kan-lift, is refused once the faces are read, before the
+    horn is validated or lifted."""
+    monkeypatch.setattr(kan, "lift_horn", _must_not_run)
+    monkeypatch.setattr(kan, "validate_horn", _must_not_run)
     start = time.perf_counter()
-    result = run(capsys, "kan-lift", str(path))
+    result = run(capsys, "kan-lift", _trivial_horn_file(tmp_path, cli.MAX_LEVEL + 1))
     assert time.perf_counter() - start < 5
-    assert result == (2, "", "malformed horn: level is above the kan-lift limit 700\n")
+    assert result == (2, "", "malformed horn: level is above the limit 1000\n")
 
 
 def test_overlong_generator_number_is_out_of_range(tmp_path, capsys):
@@ -720,24 +732,11 @@ def test_check_word_len_above_the_limit(monkeypatch, capsys):
     assert f"word_len must be at most {suites.MAX_WORD_LEN}" in err
 
 
-def test_kan_lift_level_above_the_lift_limit(monkeypatch, tmp_path, capsys):
-    """Validation compares the faces in pairs; a trivial braid horn at
-    the limit is lifted, and one above it is refused before validation."""
-    def horn_file(level):
-        path = tmp_path / f"horn{level}.json"
-        path.write_text(json.dumps({
-            "instance": "braid", "level": level, "k": 0,
-            "base": perms.format_perm(tuple(range(level + 1))),
-            "faces": {str(r): "1" for r in range(1, level + 1)}}))
-        return str(path)
-    with monkeypatch.context() as patched:
-        patched.setattr(kan, "lift_horn", _must_not_run)
-        patched.setattr(kan, "validate_horn", _must_not_run)
-        start = time.perf_counter()
-        assert run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL + 1)) == (
-            2, "", f"malformed horn: level is above the kan-lift limit {cli.MAX_LIFT_LEVEL}\n")
-        assert time.perf_counter() - start < 5
-    code, out, _ = run(capsys, "kan-lift", horn_file(cli.MAX_LIFT_LEVEL))
+def test_kan_lift_lifts_a_trivial_horn_at_the_limit(tmp_path, capsys):
+    """Validation compares the faces in pairs, so its cost grows with
+    the square of the level; a trivial braid horn at cli.MAX_LEVEL still
+    lifts."""
+    code, out, _ = run(capsys, "kan-lift", _trivial_horn_file(tmp_path, cli.MAX_LEVEL))
     assert code == 0 and "FAIL" not in out and "identity=true" in out
 
 
