@@ -86,14 +86,25 @@ class _ExprParser:
     def peek(self):
         return self.tokens[self.idx]
 
-    def take(self, kind=None, value=None):
+    def take(self, kind, mark=None):
+        """The next token, which must be of `kind` and, if a punctuation
+        `mark` is given, be that mark."""
         tok = self.tokens[self.idx]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {perms.clip(tok[1])!r}", tok[2])
-        if value is not None and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {perms.clip(tok[1])!r}", tok[2])
+        if tok[0] != kind or mark not in (None, tok[1]):
+            expected = kind if mark is None else repr(mark)
+            raise ParseError(f"expected {expected}, found {perms.clip(tok[1])!r}", tok[2])
         self.idx += 1
         return tok
+
+    def items(self, read, close):
+        """One or more items read by `read`, separated by commas, then the
+        mark `close`."""
+        values = [read()]
+        while self.peek()[1] == ",":
+            self.take("punct", ",")
+            values.append(read())
+        self.take("punct", close)
+        return values
 
     def parse(self):
         value = self.expr()
@@ -124,12 +135,7 @@ class _ExprParser:
 
     def perm_literal(self):
         _, _, pos = self.take("punct", "[")
-        values = [self.number("entry")]
-        while self.peek()[1] == ",":
-            self.take("punct", ",")
-            values.append(self.number("entry"))
-        self.take("punct", "]")
-        word = tuple(values)
+        word = tuple(self.items(lambda: self.number("entry"), "]"))
         if not perms.is_perm(word):
             raise ParseError(f"not a permutation of 0..{len(word) - 1}", pos)
         return SYMMETRIC, SYMMETRIC.element(word)
@@ -155,11 +161,7 @@ class _ExprParser:
         if depth > MAX_DEPTH:
             raise ParseError(f"calls nested more than {MAX_DEPTH} deep", pos)
         self.take("punct", "(")
-        args = [self.expr(depth)]
-        while self.peek()[1] == ",":
-            self.take("punct", ",")
-            args.append(self.expr(depth))
-        self.take("punct", ")")
+        args = self.items(lambda: self.expr(depth), ")")
         try:
             return self.apply(name, args, pos)
         except (ValueError, IndexError) as exc:

@@ -175,28 +175,28 @@ def check_shifted_axioms(tally: Tally, car, lam, mu, nu, rng=None):
             return pairs
         return [pairs[rng.randrange(len(pairs))]]
 
-    for i, j in pick([(i, j) for i in range(l + 1) for j in range(m + 1)]):
+    slots = [(i, j) for i in range(l + 1) for j in range(m + 1)]
+    ordered = [(i, k) for i in range(l + 1) for k in range(i + 1, l + 1)]
+    for i, j in pick(slots):
         tally.check(car.equal(car.comp(car.comp(lam, i, mu), i + j, nu),
                               car.comp(lam, i, car.comp(mu, j, nu))),
                     f"(x o_{i} y) o_{i + j} z == x o_{i} (y o_{j} z)", inputs)
-    for i, k in pick([(i, k) for i in range(l + 1)
-                      for k in range(i + 1, l + 1)]):
+    for i, k in pick(ordered):
         tally.check(car.equal(car.comp(car.comp(lam, i, mu), k + m, nu),
                               car.comp(car.comp(lam, k, nu), i, mu)),
                     f"(x o_{i} y) o_{k}+m z == (x o_{k} z) o_{i} y", inputs)
     if m >= 1:
-        for i, j in pick([(i, j) for i in range(l + 1) for j in range(m + 1)]):
+        for i, j in pick(slots):
             tally.check(car.equal(car.face(i + j, car.comp(lam, i, mu)),
                                   car.comp(lam, i, car.face(j, mu))),
                         f"d_{i}+{j}(x o_{i} y) == x o_{i} d_{j}(y)", inputs)
     if l >= 1:
         # Deleting input i below the insertion slot shifts the slot down.
-        for i, k in pick([(i, k) for i in range(l) for k in range(i + 1, l + 1)]):
+        for i, k in pick(ordered):
             tally.check(car.equal(car.face(i, car.comp(lam, k, nu)),
                                   car.comp(car.face(i, lam), k - 1, nu)),
                         f"d_{i}(x o_{k} z) == d_{i}(x) o_{k}-1 z", inputs)
-        for i, k in pick([(i, k) for i in range(l + 1)
-                          for k in range(i + 1, l + 1)]):
+        for i, k in pick(ordered):
             tally.check(car.equal(car.face(k + m, car.comp(lam, i, mu)),
                                   car.comp(car.face(k, lam), i, mu)),
                         f"d_{k}+m(x o_{i} y) == d_{k}(x) o_{i} y", inputs)

@@ -20,7 +20,7 @@ import dataclasses
 import json
 import random
 import types
-from itertools import product
+from itertools import chain, product
 
 from . import barcx, braids, core, groupoid, kan, operad, perms
 from .core import BRAID, INSTANCES, SYMMETRIC
@@ -102,15 +102,15 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
              "word_len": word_len}
     params = {key: copy.deepcopy(default) if given.get(key) is None else given[key]
               for key, default in defaults.items()}
+    # Only the params the report shows are checked; a flag it does not
+    # list is ignored, whatever its value.
     for key, least in (("max_level", min_level), ("trials", 1), ("word_len", 0)):
-        value = params.get(key, given[key])
-        if value is not None and value < least:
+        if params.get(key, least) < least:
             raise ValueError(f"{key} must be at least {least} for suite {name!r} "
-                             f"on {instance}, got {value}")
-    word_len = params.get("word_len", given["word_len"])
-    if word_len is not None and word_len > MAX_WORD_LEN:
+                             f"on {instance}, got {params[key]}")
+    if params.get("word_len", 0) > MAX_WORD_LEN:
         raise ValueError(f"word_len must be at most {MAX_WORD_LEN} for suite {name!r} "
-                         f"on {instance}, got {word_len}")
+                         f"on {instance}, got {params['word_len']}")
     tally = core.Tally()
     extra = body(INSTANCES[instance], types.SimpleNamespace(**params),
                  random.Random(seed), tally)
@@ -127,9 +127,23 @@ def _arrows(inst, levels):
             for s in perms.all_perms(n) for f in inst.elements(n)]
 
 
-def _elements(inst, levels):
-    """Every element at the given levels, by level."""
-    return [g for n in levels for g in inst.elements(n)]
+def _trial_levels(p, rng, least):
+    """The level of each of p.trials trials, drawn from least to
+    p.max_level as the trial starts."""
+    for _ in range(p.trials):
+        yield rng.randint(least, p.max_level)
+
+
+def _carriers(inst):
+    """The operad's set carrier and groupoid carrier on an instance."""
+    return operad.SetCarrier(inst), operad.GroupoidCarrier(inst)
+
+
+def _operands(inst, p):
+    """Each carrier with its symmetric operands: every element up to
+    p.max_level, by level, and every arrow up to level 1."""
+    elements = [g for n in range(p.max_level + 1) for g in inst.elements(n)]
+    return zip(_carriers(inst), (elements, _arrows(inst, range(min(p.max_level, 1) + 1))))
 
 
 @suite("crossed", symm={"max_level": 3})
@@ -145,8 +159,7 @@ def _crossed_symm(inst, p, rng, tally):
 @suite("crossed", min_level=1,
        braid={"max_level": 5, "trials": 1000, "seed": 0, "word_len": 12})
 def _crossed_braid(inst, p, rng, tally):
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         g = inst.random_element(rng, n, p.word_len)
         h = inst.random_element(rng, n, p.word_len)
         i = rng.randint(0, n)
@@ -164,8 +177,7 @@ def _simplicial_symm(inst, p, rng, tally):
 @suite("simplicial", min_level=1,
        braid={"max_level": 5, "trials": 1000, "seed": 0, "word_len": 12})
 def _simplicial_braid(inst, p, rng, tally):
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         g = inst.random_element(rng, n, p.word_len)
         core.check_simplicial_identities(tally, inst, g, rng)
 
@@ -180,8 +192,7 @@ def _extra_degeneracy_symm(inst, p, rng, tally):
 @suite("extra-degeneracy", min_level=1,
        braid={"max_level": 5, "trials": 1000, "seed": 0, "word_len": 12})
 def _extra_degeneracy_braid(inst, p, rng, tally):
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         core.check_extra_degeneracy(
             tally, inst, inst.random_element(rng, n, p.word_len))
 
@@ -196,8 +207,7 @@ def _monoidal_symm(inst, p, rng, tally):
 
 @suite("monoidal", braid={"max_level": 3, "trials": 500, "seed": 0, "word_len": 6})
 def _monoidal_braid(inst, p, rng, tally):
-    for _ in range(p.trials):
-        n = rng.randint(0, p.max_level)
+    for n in _trial_levels(p, rng, 0):
         m = rng.randint(0, p.max_level)
         core.check_monoidal(tally, inst,
                             inst.random_element(rng, n, p.word_len),
@@ -215,8 +225,7 @@ def _operadic_symm(inst, p, rng, tally):
 @suite("operadic", min_level=1,
        braid={"max_level": 3, "trials": 500, "seed": 0, "word_len": 6})
 def _operadic_braid(inst, p, rng, tally):
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         m = rng.randint(0, p.max_level)
         i = rng.randint(0, n)
         core.check_operadic(tally, inst,
@@ -272,8 +281,7 @@ def _groupoid_simplicial_symm(inst, p, rng, tally):
 @suite("groupoid-simplicial", min_level=1,
        braid={"max_level": 4, "trials": 300, "seed": 0, "word_len": 8})
 def _groupoid_simplicial_braid(inst, p, rng, tally):
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         a = groupoid.random_arrow(inst, rng, n, p.word_len)
         groupoid.check_arrow_simplicial(tally, inst, a, rng)
         groupoid.check_arrow_functorial(
@@ -291,29 +299,21 @@ def _groupoid_simplicial_braid(inst, p, rng, tally):
 
 @suite("shifted-operad", symm={"max_level": 2, "seed": 0})
 def _shifted_operad_symm(inst, p, rng, tally):
-    set_car = operad.SetCarrier(inst)
-    gpd_car = operad.GroupoidCarrier(inst)
-    set_elements = _elements(inst, range(p.max_level + 1))
-    for nu in set_elements:
-        operad.check_shifted_units(tally, set_car, nu)
-    for lam, mu, nu in product(set_elements, repeat=3):
-        operad.check_shifted_axioms(tally, set_car, lam, mu, nu)
-    gpd_elements = _arrows(inst, range(min(p.max_level, 1) + 1))
-    for nu in gpd_elements:
-        operad.check_shifted_units(tally, gpd_car, nu)
-    for lam, mu, nu in product(gpd_elements, repeat=3):
-        operad.check_shifted_axioms(tally, gpd_car, lam, mu, nu)
-    for _ in range(200):
-        lam, mu, nu = (gpd_car.random(rng, rng.randint(0, p.max_level), 8)
+    for car, operands in _operands(inst, p):
+        for nu in operands:
+            operad.check_shifted_units(tally, car, nu)
+        for lam, mu, nu in product(operands, repeat=3):
+            operad.check_shifted_axioms(tally, car, lam, mu, nu)
+    for _ in range(200):  # sampled triples on the last carrier, the groupoid one
+        lam, mu, nu = (car.random(rng, rng.randint(0, p.max_level), 8)
                        for _ in range(3))
-        operad.check_shifted_axioms(tally, gpd_car, lam, mu, nu, rng=rng)
+        operad.check_shifted_axioms(tally, car, lam, mu, nu, rng=rng)
 
 
 @suite("shifted-operad", min_level=1,
        braid={"max_level": 2, "trials": 300, "seed": 0, "word_len": 4})
 def _shifted_operad_braid(inst, p, rng, tally):
-    set_car = operad.SetCarrier(inst)
-    gpd_car = operad.GroupoidCarrier(inst)
+    set_car, gpd_car = _carriers(inst)
     for _ in range(p.trials):
         for car in (set_car, gpd_car):
             lam, mu, nu = (car.random(rng, rng.randint(1, p.max_level), p.word_len)
@@ -325,23 +325,17 @@ def _shifted_operad_braid(inst, p, rng, tally):
 
 @suite("unshifted-operad", symm={"max_level": 2})
 def _unshifted_operad_symm(inst, p, rng, tally):
-    set_view = operad.UnshiftedView(operad.SetCarrier(inst))
-    gpd_view = operad.UnshiftedView(operad.GroupoidCarrier(inst))
-    set_elements = _elements(inst, range(p.max_level + 1))
-    with_star = set_elements + [operad.STAR]
-    for lam, mu, nu in product(set_elements, with_star, with_star):
-        operad.check_unshifted_axioms(tally, set_view, lam, mu, nu)
-    gpd_elements = _arrows(inst, range(min(p.max_level, 1) + 1))
-    with_star = gpd_elements + [operad.STAR]
-    for lam, mu, nu in product(gpd_elements, with_star, with_star):
-        operad.check_unshifted_axioms(tally, gpd_view, lam, mu, nu)
+    for car, operands in _operands(inst, p):
+        view = operad.UnshiftedView(car)
+        with_star = operands + [operad.STAR]
+        for lam, mu, nu in product(operands, with_star, with_star):
+            operad.check_unshifted_axioms(tally, view, lam, mu, nu)
 
 
 @suite("unshifted-operad", min_level=1,
        braid={"max_level": 2, "trials": 300, "seed": 0, "word_len": 4})
 def _unshifted_operad_braid(inst, p, rng, tally):
-    set_car = operad.SetCarrier(inst)
-    gpd_car = operad.GroupoidCarrier(inst)
+    set_car, gpd_car = _carriers(inst)
     # A groupoid operand's level is drawn once more, up to the level drawn for it.
     samplers = ((operad.UnshiftedView(set_car),
                  lambda n: set_car.random(rng, n, p.word_len)),
@@ -375,8 +369,7 @@ def _operadic_mult_symm(inst, p, rng, tally):
        braid={"max_level": 2, "trials": 300, "seed": 0, "word_len": 5})
 def _operadic_mult_braid(inst, p, rng, tally):
     wl = p.word_len
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         m = rng.randint(0, p.max_level)
         i = rng.randint(0, n)
         operad.check_operadic_mult(
@@ -425,8 +418,7 @@ def _verdict_extra(verdicts):
 
 @suite("equivariance", symm={"max_level": 2, "seed": 0})
 def _equivariance_symm(inst, p, rng, tally):
-    set_car = operad.SetCarrier(inst)
-    gpd_car = operad.GroupoidCarrier(inst)
+    set_car, gpd_car = _carriers(inst)
     verdicts: dict[str, bool] = {}
     levels = range(p.max_level + 1)
     for m, n in product(levels, levels):
@@ -447,11 +439,9 @@ def _equivariance_symm(inst, p, rng, tally):
 
 @suite("equivariance", braid={"max_level": 2, "trials": 200, "seed": 0, "word_len": 4})
 def _equivariance_braid(inst, p, rng, tally):
-    set_car = operad.SetCarrier(inst)
-    gpd_car = operad.GroupoidCarrier(inst)
+    set_car, gpd_car = _carriers(inst)
     verdicts: dict[str, bool] = {}
-    for _ in range(p.trials):
-        m = rng.randint(0, p.max_level)
+    for m in _trial_levels(p, rng, 0):
         n = rng.randint(0, p.max_level)
         i = rng.randint(0, m)
         mu_el = inst.random_element(rng, m, p.word_len)
@@ -469,15 +459,11 @@ def _equivariance_braid(inst, p, rng, tally):
                          "trials": 200, "seed": 0})
 def _section(inst, p, rng, tally):
     """The positive-lift squares; inherently about the braid family."""
-    for n in range(p.max_level + 1):
-        for q in perms.all_perms(n):
-            for i in range(n + 1):
-                tally.check(braids.section_is_simplicial(q, i),
-                            f"section square at {i}", lambda: perms.format_perm(q))
-    for _ in range(p.trials):
-        n = rng.choice(p.random_levels)
-        q = perms.random_perm(rng, n)
-        i = rng.randint(0, n)
+    exhaustive = ((q, i) for n in range(p.max_level + 1)
+                  for q in perms.all_perms(n) for i in range(n + 1))
+    drawn = (perms.random_perm(rng, rng.choice(p.random_levels)) for _ in range(p.trials))
+    sampled = ((q, rng.randint(0, len(q) - 1)) for q in drawn)  # q has level len(q) - 1
+    for q, i in chain(exhaustive, sampled):
         tally.check(braids.section_is_simplicial(q, i),
                     f"section square at {i}", lambda: perms.format_perm(q))
 
@@ -542,8 +528,7 @@ def _quotient(inst, p, rng, tally):
                     same = groupoid.chains_equal(SYMMETRIC, groupoid.quotient_map(moved), q)
                     tally.check(same and len(q) == m, "quotient constant on orbits",
                                 lambda: f"{perms.format_perm(start)} m={m}")
-    for _ in range(p.trials):
-        n = rng.randint(1, p.max_level)
+    for n in _trial_levels(p, rng, 1):
         m = rng.randint(0, p.orbit_dim)
         where = lambda: f"level {n} dim {m}"
         s = groupoid.random_simplex(inst, rng, n, m, p.word_len)

@@ -126,6 +126,8 @@ def test_eval_operator_lines(capsys, expression, out):
 
 # Unknown operators first (among them an index where none belongs, or
 # none where one does), then a wrong argument count, then mixed operands.
+# A syntax error names the mark, number or expression it expected; the
+# comma lists of permutation literals and of arguments share one reader.
 @pytest.mark.parametrize("expression, err", [
     ('boxplus(1@1, [0])', 'parse error at position 0: mixed permutation and braid operands\n'),
     ('boxplus([0])', 'parse error at position 0: boxplus takes two arguments\n'),
@@ -163,6 +165,17 @@ def test_eval_operator_lines(capsys, expression, out):
     ('sR(s1@1, s1@1)', 'parse error at position 0: sR takes one argument\n'),
     ('s_0(s1@1, s1@1)', 'parse error at position 0: s_0 takes one argument\n'),
     ('s_5([1,0])', 'parse error at position 0: s_5: degeneracy index 5 out of range at level 1\n'),
+    ('mul 5', "parse error at position 4: expected '(', found '5'\n"),
+    ('s1 5@1', "parse error at position 3: expected '@', found '5'\n"),
+    ('[1 0]', "parse error at position 3: expected ']', found '0'\n"),
+    ('[1,0', "parse error at position 4: expected ']', found ''\n"),
+    ('[1,', "parse error at position 3: expected int, found ''\n"),
+    ('[1,,0]', "parse error at position 3: expected int, found ','\n"),
+    ('[,0]', "parse error at position 1: expected int, found ','\n"),
+    ('mul(,[0])', "parse error at position 4: expected an expression, found ','\n"),
+    ('mul([0],', "parse error at position 8: expected an expression, found ''\n"),
+    ('mul([0] [0])', "parse error at position 8: expected ')', found '['\n"),
+    ('mul([0],[0]', "parse error at position 11: expected ')', found ''\n"),
 ])
 def test_eval_operator_errors(capsys, expression, err):
     assert run(capsys, "eval", expression) == (2, "", err)

@@ -72,3 +72,24 @@ def test_default_instance_is_the_first_declared():
 def test_reports_do_not_share_the_table_defaults():
     suites.run_suite("section", trials=1).params["random_levels"].append(9)
     assert suites.run_suite("section", trials=1).params["random_levels"] == [4, 5]
+
+
+def test_out_of_range_flags_a_report_does_not_list_are_ignored():
+    """run_suite range-checks only the params a report shows: on a suite
+    without trials or word_len, an out-of-range value for it gives the
+    same report as leaving it out."""
+    out_of_range = {"trials": (0, -5), "word_len": (-1, suites.MAX_WORD_LEN + 1)}
+    runs = 0
+    for name, entries in suites.SUITES.items():
+        for inst, (defaults, _, _) in entries.items():
+            unused = [key for key in out_of_range if key not in defaults]
+            if not unused:
+                continue
+            expected = suites.run_suite(name, instance=inst, max_level=1).to_json()
+            for key in unused:
+                for value in out_of_range[key]:
+                    report = suites.run_suite(name, instance=inst, max_level=1,
+                                              **{key: value})
+                    assert report.to_json() == expected, (name, inst, key, value)
+                    runs += 1
+    assert runs >= 2 * 12  # the 11 exhaustive symm suites and braid section
