@@ -16,8 +16,16 @@ inverse(perm)[i]); the degeneracy at i doubles that strand into a
 parallel cable.
 
 A word is checked once, by the BraidWord constructor at the boundary;
-the operations that build words from words build through _word, which
-skips that check.
+the operations that build words from words, and random_word, whose
+letters are valid by construction, build through _word, which skips
+that check and fills the two slots of the word directly.
+
+Operadic insertion pads one word and cables a strand of another into
+m + 1 parallel strands, the degeneracy at one index applied m times.
+cable_word and pad_word do each in one pass over the letters: a letter
+crossing the cabled strand becomes m + 1 letters, and padding shifts
+every letter once.  They give the letters that m calls of
+degeneracy_word, or of s_left_word and s_right_word, give.
 
 Word equality is decided by the left-greedy normal form Delta^d A_1 ...
 A_r (Garside, Q. J. Math. 1969; Elrifai and Morton, Q. J. Math. 1994),
@@ -63,7 +71,7 @@ FreeWord = tuple[int, ...]
 Letter = tuple[int, int]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class BraidWord:
     """A word of letters (k, sign) on `strands` strands, checked when
     built by its constructor; see the module docstring."""
@@ -92,11 +100,18 @@ class BraidWord:
         return f"BraidWord({format_letters(self)}@{self.level})"
 
 
+# _word fills the slots through their descriptors, past the frozen
+# __setattr__.
+_new_word = object.__new__
+_set_strands = BraidWord.strands.__set__
+_set_letters = BraidWord.letters.__set__
+
+
 def _word(strands: int, letters: tuple[Letter, ...]) -> BraidWord:
-    """The word, unchecked: for letters built validly from checked words."""
-    w = object.__new__(BraidWord)
-    object.__setattr__(w, "strands", strands)
-    object.__setattr__(w, "letters", letters)
+    """The word, unchecked: for letters that are valid by construction."""
+    w = _new_word(BraidWord)
+    _set_strands(w, strands)
+    _set_letters(w, letters)
     return w
 
 
@@ -445,6 +460,41 @@ def degeneracy_word(i: int, b: BraidWord) -> BraidWord:
     return _word(b.strands + 1, tuple(out))
 
 
+def cable_word(i: int, m: int, b: BraidWord) -> BraidWord:
+    """
+    Cable the strand with top position i into m + 1 >= 2 parallel
+    strands: degeneracy_word at i applied m times, in one pass.  A
+    letter crossing the tracked strand becomes m + 1 letters carrying
+    the neighbour across the whole cable; letters to its right shift
+    up by m.
+    """
+    i = operator.index(i)
+    n = b.level
+    if not 0 <= i <= n:
+        raise IndexError(f"degeneracy index {i} out of range at level {n}")
+    p = i
+    out: list[Letter] = []
+    for k, sign in b.letters:
+        if k == p:
+            out += [(j, sign) for j in range(p + m, p - 1, -1)]
+            p += 1
+        elif k == p - 1:
+            out += [(j, sign) for j in range(k, p + m)]
+            p = k
+        elif k < p:
+            out.append((k, sign))
+        else:
+            out.append((k + m, sign))
+    return _word(b.strands + m, tuple(out))
+
+
+def pad_word(b: BraidWord, left: int, right: int) -> BraidWord:
+    """New trivial strands, `left` >= 0 at the left end and `right` >= 0
+    at the right end: every letter shifts by `left`, once."""
+    letters = tuple([(k + left, s) for k, s in b.letters]) if left else b.letters
+    return _word(b.strands + left + right, letters)
+
+
 def s_left_word(b: BraidWord) -> BraidWord:
     """New trivial strand at the left end: every letter shifts by one."""
     return _word(b.strands + 1, tuple((k + 1, s) for k, s in b.letters))
@@ -504,7 +554,7 @@ def random_word(rng: random.Random, level: int, max_len: int = 12) -> BraidWord:
     letters = tuple(
         (rng.randrange(level), rng.choice((1, -1))) for _ in range(length)
     )
-    return BraidWord(level + 1, letters)
+    return _word(level + 1, letters)
 
 
 _TOKEN = re.compile(r"^s([0-9]+)(\^-1)?$")

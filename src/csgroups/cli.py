@@ -34,9 +34,10 @@ from .core import BRAID, INSTANCES, SYMMETRIC, CsgElement, CsgInstance
 from .suites import MAX_WORD_LEN, SUITES, run_suite
 
 # Far above any level in use (5 at most); an element's cost grows with
-# it.  A kan-lift at this level compares the horn's faces in pairs: a
-# trivial horn lifted in 3.3-3.4 s, the slowest of three horns cut from
-# 12-letter fillers in 3.7-4.1 s (2-core x86-64, Python 3.11.7).
+# it.  A kan-lift at this level compares the horn's faces in pairs,
+# taking two faces per pair: a trivial horn lifted in 1.4-2.4 s, the
+# slowest of three horns cut from 12-letter fillers in 2.2-3.1 s
+# (2-core x86-64, Python 3.11.7, a busy box).
 MAX_LEVEL = 1000
 # Far above any nesting in use (2 at most); each nested call takes stack.
 MAX_DEPTH = 100
@@ -74,6 +75,12 @@ def _tokenize(text: str):
     return tokens
 
 
+def _found(token) -> str:
+    """How a parse error names the token it found."""
+    kind, text, _ = token
+    return "the end of the input" if kind == "end" else repr(perms.clip(text))
+
+
 class _ExprParser:
     """Permutation literals, braid words with level annotations, and the
     structural operators, as nested calls."""
@@ -92,7 +99,7 @@ class _ExprParser:
         tok = self.tokens[self.idx]
         if tok[0] != kind or mark not in (None, tok[1]):
             expected = kind if mark is None else repr(mark)
-            raise ParseError(f"expected {expected}, found {perms.clip(tok[1])!r}", tok[2])
+            raise ParseError(f"expected {expected}, found {_found(tok)}", tok[2])
         self.idx += 1
         return tok
 
@@ -121,7 +128,7 @@ class _ExprParser:
             return self.braid_literal()
         if kind == "name":
             return self.call(depth + 1)
-        raise ParseError(f"expected an expression, found {perms.clip(text)!r}", pos)
+        raise ParseError(f"expected an expression, found {_found(self.peek())}", pos)
 
     def number(self, what: str, token=None) -> int:
         """An integer token, the next one by default, of at most

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Callable
 
 from . import braids, perms
@@ -192,17 +193,32 @@ class SymmetricCsg(CsgInstance):
         return (self._intern(p) for p in perms.all_perms(n))
 
 
+# BraidCsg._build sets the two fields past the frozen __setattr__.
+_new_element = object.__new__
+_set_field = object.__setattr__
+
+
 class BraidCsg(CsgInstance):
     """Braid groups on level + 1 strands; equality by the left-greedy
     normal form (braids.braids_equal), with the free-group action
     (braids.artin_act) as the reference oracle of the tests.  mul
     concatenates (eval prints the product's letters); reduced is the
-    free reduction (braids.reduced_word)."""
+    free reduction (braids.reduced_word).  degeneracy_power and pad
+    build their word in one pass (braids.cable_word, braids.pad_word)
+    and give the letters and errors of the shared loops.  element checks
+    its payload; every other result is built by _build, unchecked, from
+    a word whose level it is given."""
 
     name = "braid"
 
+    def _build(self, level: int, word: braids.BraidWord) -> CsgElement:
+        g = _new_element(CsgElement)
+        _set_field(g, "level", level)
+        _set_field(g, "payload", word)
+        return g
+
     def one(self, n: int) -> CsgElement:
-        return CsgElement(n, braids.empty_word(n))
+        return self._build(n, braids.empty_word(n))
 
     def element(self, payload) -> CsgElement:
         if not isinstance(payload, braids.BraidWord):
@@ -210,43 +226,57 @@ class BraidCsg(CsgInstance):
         return CsgElement(payload.level, payload)
 
     def mul(self, g, h):
-        return CsgElement(g.level, braids.concat(g.payload, h.payload))
+        return self._build(g.level, braids.concat(g.payload, h.payload))
 
     def reduced(self, g):
-        return CsgElement(g.level, braids.reduced_word(g.payload))
+        return self._build(g.level, braids.reduced_word(g.payload))
 
     def inv(self, g):
-        return CsgElement(g.level, braids.invert_word(g.payload))
+        return self._build(g.level, braids.invert_word(g.payload))
 
     def face(self, i, g):
-        return CsgElement(g.level - 1, braids.face_word(i, g.payload))
+        return self._build(g.level - 1, braids.face_word(i, g.payload))
 
     def degeneracy(self, i, g):
-        return CsgElement(g.level + 1, braids.degeneracy_word(i, g.payload))
+        return self._build(g.level + 1, braids.degeneracy_word(i, g.payload))
+
+    def degeneracy_power(self, i, m, g):
+        # operator.index refuses what range(m) refuses, with its message.
+        m = operator.index(m)
+        if m <= 0:
+            return g
+        return self._build(g.level + m, braids.cable_word(i, m, g.payload))
+
+    def pad(self, g, left, right):
+        # right first, as the shared loop reads them; a negative count is 0.
+        right, left = max(operator.index(right), 0), max(operator.index(left), 0)
+        if not left and not right:
+            return g
+        return self._build(g.level + left + right, braids.pad_word(g.payload, left, right))
 
     def underlying_perm(self, g):
         return braids.underlying_perm_word(g.payload)
 
     def s_left(self, g):
-        return CsgElement(g.level + 1, braids.s_left_word(g.payload))
+        return self._build(g.level + 1, braids.s_left_word(g.payload))
 
     def s_right(self, g):
-        return CsgElement(g.level + 1, braids.s_right_word(g.payload))
+        return self._build(g.level + 1, braids.s_right_word(g.payload))
 
     def equal(self, g, h):
         return braids.braids_equal(g.payload, h.payload)
 
     def section(self, p):
-        return CsgElement(len(p) - 1, braids.permutation_braid(p))
+        return self._build(len(p) - 1, braids.permutation_braid(p))
 
     def format(self, g):
         return f"{braids.format_letters(g.payload)}@{g.level}"
 
     def parse_at(self, text, level):
-        return CsgElement(level, braids.parse_letters(text, level))
+        return self._build(level, braids.parse_letters(text, level))
 
     def random_element(self, rng, n, max_len=12):
-        return CsgElement(n, braids.random_word(rng, n, max_len))
+        return self._build(n, braids.random_word(rng, n, max_len))
 
 
 SYMMETRIC = SymmetricCsg()

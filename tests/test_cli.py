@@ -168,14 +168,16 @@ def test_eval_operator_lines(capsys, expression, out):
     ('mul 5', "parse error at position 4: expected '(', found '5'\n"),
     ('s1 5@1', "parse error at position 3: expected '@', found '5'\n"),
     ('[1 0]', "parse error at position 3: expected ']', found '0'\n"),
-    ('[1,0', "parse error at position 4: expected ']', found ''\n"),
-    ('[1,', "parse error at position 3: expected int, found ''\n"),
+    ('[1,0', "parse error at position 4: expected ']', found the end of the input\n"),
+    ('[1,', "parse error at position 3: expected int, found the end of the input\n"),
     ('[1,,0]', "parse error at position 3: expected int, found ','\n"),
     ('[,0]', "parse error at position 1: expected int, found ','\n"),
     ('mul(,[0])', "parse error at position 4: expected an expression, found ','\n"),
-    ('mul([0],', "parse error at position 8: expected an expression, found ''\n"),
+    ('mul([0],',
+     "parse error at position 8: expected an expression, found the end of the input\n"),
     ('mul([0] [0])', "parse error at position 8: expected ')', found '['\n"),
-    ('mul([0],[0]', "parse error at position 11: expected ')', found ''\n"),
+    ('mul([0],[0]',
+     "parse error at position 11: expected ')', found the end of the input\n"),
 ])
 def test_eval_operator_errors(capsys, expression, err):
     assert run(capsys, "eval", expression) == (2, "", err)

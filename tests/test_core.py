@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csgroups import BRAID, SYMMETRIC
 from csgroups import braids, core, groupoid, operad, perms, suites
@@ -109,6 +110,47 @@ def test_pad_boxplus_frozen_values():
     assert BRAID.s_right(b).payload.letters == ((0, 1),)
     assert BRAID.s_left(b).payload.letters == ((1, 1),)
     assert BRAID.boxplus(b, b).payload.letters == ((0, 1), (2, 1))
+
+
+def _outcome(call):
+    """A call's result as (level, strands, letters), or its error as
+    (type, message).  A result's word must be one the checked
+    constructor accepts."""
+    try:
+        g = call()
+    except (IndexError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    word = g.payload
+    assert braids.BraidWord(word.strands, word.letters) == word
+    return g.level, word.strands, word.letters
+
+
+@st.composite
+def braid_element_st(draw, max_level=5, max_len=12):
+    n = draw(st.integers(min_value=0, max_value=max_level))
+    letters = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=max(n - 1, 0)),
+                                      st.sampled_from((1, -1))), max_size=max_len if n else 0))
+    return BRAID.element(braids.BraidWord(n + 1, tuple(letters)))
+
+
+# Counts 0-5, negative ones (they act as 0) and values range() refuses;
+# indices out of range on both sides and ones operator.index refuses.
+_COUNT = st.one_of(st.integers(min_value=-2, max_value=5), st.sampled_from((1.0, "1", True)))
+_INDEX = st.one_of(st.integers(min_value=-2, max_value=7), st.sampled_from((0.0, True)))
+
+
+@given(braid_element_st(), _INDEX, _COUNT, _COUNT, _COUNT)
+@settings(max_examples=400)
+def test_braid_insertion_kernels_match_the_shared_loops(g, i, m, left, right):
+    """BraidCsg cables and pads in one pass each (braids.cable_word,
+    braids.pad_word); the loops of CsgInstance, which apply the
+    one-strand operations a count of times, are the reference for the
+    letters, the level and the error."""
+    loops = core.CsgInstance
+    assert _outcome(lambda: BRAID.degeneracy_power(i, m, g)) == \
+        _outcome(lambda: loops.degeneracy_power(BRAID, i, m, g))
+    assert _outcome(lambda: BRAID.pad(g, left, right)) == \
+        _outcome(lambda: loops.pad(BRAID, g, left, right))
 
 
 def test_checkers_symm_exhaustive():

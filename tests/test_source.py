@@ -167,31 +167,89 @@ def test_arrows_are_built_only_by_the_interning_helper():
     assert builders == {"groupoid.arrow"}, builders
 
 
+def _label(path, node):
+    """module.name of a top-level statement: the name it defines or
+    first assigns, else its line."""
+    name = getattr(node, "name", None)
+    if name is None and isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+        name = node.targets[0].id
+    return f"{path.stem}.{name or node.lineno}"
+
+
+def _aliases(tree, attrs):
+    """The top-level names a module binds to an expression that reads
+    one of the attributes `attrs`, such as `_new = object.__new__`."""
+    return {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)
+            and any(isinstance(n, ast.Attribute) and n.attr in attrs
+                    for n in ast.walk(node.value))}
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def test_braid_words_are_built_only_by_the_listed_builders():
     """The package checks a `BraidWord` once, at the boundary: the
     checked constructor runs only where letters come from outside, and
-    `braids._word`, which skips the check, only in the builders that
-    make valid words from valid words.  A third construction path, or a
-    builder moving from one list to the other, fails here."""
+    `braids._word`, which skips the check, only in the builders whose
+    letters are valid by construction.  Only `_word` makes a word
+    without its constructor (a call that takes the class, such as
+    `object.__new__(BraidWord)` under any name) or fills its slots (a
+    slot descriptor's `__set__`, a name bound to one, or a call that
+    names the field `strands` or `letters`, such as
+    `object.__setattr__`).  A third construction path, or a builder
+    moving from one list to another, fails here."""
     builders = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        setters = _aliases(tree, ("__set__",))
+        for node in tree.body:
             for n in ast.walk(node):
-                if not isinstance(n, ast.Call):
+                if isinstance(n, ast.Attribute) and n.attr == "__set__":
+                    kind = "slot setter"
+                elif not isinstance(n, ast.Call):
                     continue
-                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
-                if name in ("BraidWord", "_word", "__new__"):
-                    builders.setdefault(name, set()).add(
-                        f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+                elif _name(n.func) in ("BraidWord", "_word"):
+                    kind = _name(n.func)
+                elif _name(n.func) in setters or any(
+                        isinstance(a, ast.Constant) and a.value in ("strands", "letters")
+                        for a in n.args):
+                    kind = "slot setter"
+                elif _name(n.func) != "isinstance" and any(
+                        _name(a) == "BraidWord" for a in n.args):
+                    kind = "no constructor"
+                else:
+                    continue
+                builders.setdefault(kind, set()).add(_label(path, node))
     assert builders == {
         "BraidWord": {f"braids.{name}" for name in (
-            "empty_word", "generator", "permutation_braid", "random_word",
-            "parse_letters")},
+            "empty_word", "generator", "permutation_braid", "parse_letters")},
         "_word": {f"braids.{name}" for name in (
             "concat", "invert_word", "reduced_word", "face_word", "degeneracy_word",
-            "s_left_word", "s_right_word")},
-        "__new__": {"braids._word"},
+            "cable_word", "pad_word", "s_left_word", "s_right_word", "random_word")},
+        "no constructor": {"braids._word"},
+        "slot setter": {"braids._set_strands", "braids._set_letters", "braids._word"},
     }, builders
+
+
+def test_braid_elements_are_built_only_by_the_two_builders():
+    """`BraidCsg` constructs a `CsgElement` only in the checked `element`
+    and the unchecked `_build`: no other method names the class in its
+    body, reads `__new__` or `__setattr__`, or calls a module name bound
+    to one of them, so every other result goes through `_build`."""
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    bypass = _aliases(tree, ("__new__", "__setattr__"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "BraidCsg")
+    builders = set()
+    for item in cls.body:
+        body = item.body if isinstance(item, ast.FunctionDef) else [item]
+        if any(isinstance(n, ast.Name) and n.id in bypass | {"CsgElement"}
+               or isinstance(n, ast.Attribute) and n.attr in ("__new__", "__setattr__")
+               for stmt in body for n in ast.walk(stmt)):
+            builders.add(getattr(item, "name", f"line {item.lineno}"))
+    assert builders == {"element", "_build"}, builders
 
 
 def test_fill_error_is_raised_only_by_lift_horn():
