@@ -37,7 +37,8 @@ class CsgElement:
     level: int
     payload: object
     # Not fields, so not part of the value; SymmetricCsg sets them when
-    # interning.  `arrows` holds the interned arrows (groupoid.arrow).
+    # interning (`rank` on at most perms._FEW_POINTS points).  `arrows`
+    # holds the interned arrows (groupoid.arrow).
     rank = -1
     rows = arrows = None
 
@@ -104,29 +105,38 @@ class CsgInstance:
 
 class SymmetricCsg(CsgInstance):
     """Permutation groups; the projection is the identity.  A permutation
-    that perms.kept admits has one element in the class (so ranks agree
-    across instances), interned on first use and returned by every
-    operation.  Its rows keep the interned results of each perms
-    kernel (a replaced kernel fills its own) by the other operand's rank
-    or the int index; a miss runs the kernel.  Equality is by value."""
+    that perms.kept admits has one element in the class (shared by every
+    instance), interned on first use as perms.spend allows and returned
+    by every operation.  Its rows keep the interned results of each perms
+    kernel (a replaced kernel fills its own), as perms.spend allows, by
+    the int index, or for mul by the other operand's rank.
+    A rank is the lexicographic index of a permutation among those of
+    its level; only elements on at most perms._FEW_POINTS points have
+    one, so a mul row is a dense list of at most 120 entries (on 6 and 7
+    points it would hold 720 and 5,040).  Above that mul answers from
+    perms.compose's table and the intern store.  A miss runs the kernel.
+    Equality is by value."""
 
     name = "symm"
-    _RANKS = sum(map(math.factorial, range(1, perms._TABLE_POINTS + 1)))
     _interned: dict[perms.Perm, CsgElement] = {}
 
     def _intern(self, p):
-        g = self._interned.get(p) or CsgElement(len(p) - 1, p)
-        if g.rank < 0 and perms.kept(p):
-            # Not vars(g): a materialised __dict__ makes every read of them slower.
-            object.__setattr__(g, "rank", len(self._interned))
-            object.__setattr__(g, "rows", {})
-            object.__setattr__(g, "arrows", {})
-            self._interned[p] = g
+        g = self._interned.get(p)
+        if g is None:
+            g = CsgElement(len(p) - 1, p)
+            if perms.kept(p) and perms.spend(len(p)):
+                # Not vars(g): a materialised __dict__ makes every read of them slower.
+                if len(p) <= perms._FEW_POINTS:
+                    object.__setattr__(g, "rank", _rank(p))
+                object.__setattr__(g, "rows", {})
+                object.__setattr__(g, "arrows", {})
+                self._interned[p] = g
         return g
 
     def _fill(self, kernel, g, size, key, *args):
         result = self._intern(kernel(*args))
-        if key >= 0 and g.rank >= 0 and result.rank >= 0:
+        if (key >= 0 and g.rows is not None and result.rows is not None
+                and perms.spend(max(g.level, result.level) + 1)):
             g.rows.setdefault(kernel, [None] * size)[key] = result
         return result
 
@@ -140,9 +150,11 @@ class SymmetricCsg(CsgInstance):
         return self._intern(word)
 
     def mul(self, g, h):
-        row = g.rows and h.rank >= 0 and g.rows.get(perms.compose)
+        # A rank indexes its own level's row only; compose refuses a mismatch.
+        row = g.rows and h.rank >= 0 and g.level == h.level and g.rows.get(perms.compose)
         return (row and row[h.rank]
-                or self._fill(perms.compose, g, self._RANKS, h.rank, g.payload, h.payload))
+                or self._fill(perms.compose, g, h.rank >= 0 and math.factorial(h.level + 1),
+                              h.rank, g.payload, h.payload))
 
     def inv(self, g):
         row = g.rows and g.rows.get(perms.inverse)
@@ -191,6 +203,14 @@ class SymmetricCsg(CsgInstance):
 
     def elements(self, n):
         return (self._intern(p) for p in perms.all_perms(n))
+
+
+def _rank(p: perms.Perm) -> int:
+    """The index of p in the lexicographic order of its level (perms.all_perms)."""
+    rank = 0
+    for k, v in enumerate(p):
+        rank = rank * (len(p) - k) + sum(w < v for w in p[k + 1:])
+    return rank
 
 
 # BraidCsg._build sets the two fields past the frozen __setattr__.

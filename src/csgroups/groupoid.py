@@ -26,14 +26,15 @@ so that forgetting the start object intertwines the operators with the
 bar structure of the opposite group on plain tuples.
 
 Every arrow is built by `arrow`, which interns one per value when the
-group part is an interned symmetric element and perms.kept admits the
-source.  Such an arrow keeps rows of the interned results of target, its
-faces and degeneracies and operad.circ_gpd, keyed by the perms kernels
-they are computed with; a face or degeneracy row is a list, so a bool
-index reads as its int and a float raises TypeError.  So a replaced
-perms kernel fills rows of its own, but a replaced instance method
-(face, degeneracy, mul, pad, ...) is not seen where a row already holds
-the result.  Equality is still by value.
+group part is an interned symmetric element (on at most 7 points) and
+perms.kept admits the source, as perms.spend allows.  Such an arrow
+keeps rows of the interned results of target, its faces and
+degeneracies and operad.circ_gpd, keyed by the perms kernels they are
+computed with, each result as perms.spend allows; a face or
+degeneracy row is a list, so a bool index reads as its int and a float
+raises TypeError.  So a replaced perms kernel fills rows of its own,
+but a replaced instance method (face, degeneracy, mul, pad, ...) is not
+seen where a row already holds the result.  Equality is still by value.
 """
 
 from __future__ import annotations
@@ -71,12 +72,13 @@ _keys = {}
 
 def arrow(source: Perm, f: CsgElement) -> GroupoidArrow:
     """The arrow [source, f]: when f is interned and perms.kept admits
-    source, the interned one, kept in f.arrows; else a fresh arrow."""
+    source, the interned one, kept in f.arrows as perms.spend allows;
+    else a fresh arrow."""
     arrows = f.arrows
     a = arrows.get(source) if arrows is not None else None
     if a is None:
         a = GroupoidArrow(source, f)
-        if arrows is not None and perms.kept(source):
+        if arrows is not None and perms.kept(source) and perms.spend(len(source)):
             object.__setattr__(a, "rows", {})
             arrows[source] = a
     return a
@@ -87,7 +89,7 @@ def target(inst: CsgInstance, a: GroupoidArrow) -> Perm:
     t = kernels and a.rows.get(kernels)
     if not t:
         t = perms.compose(a.source, perms.inverse(inst.underlying_perm(a.f)))
-        if kernels:
+        if kernels and perms.spend(len(t)):
             a.rows[_keys.setdefault(kernels, kernels)] = t
     return t
 
@@ -129,7 +131,8 @@ def _simplicial(inst: CsgInstance, kernel, op, i: int, a: GroupoidArrow) -> Grou
         return row[i]
     source = kernel(i, a.source)
     result = arrow(source, op(inst.underlying_perm(a.f)[a.source.index(i)], a.f))
-    if a.rows is not None and result.rows is not None:
+    if (a.rows is not None and result.rows is not None
+            and perms.spend(max(a.level, result.level) + 1)):
         a.rows.setdefault(kernel, [None] * (a.f.level + 1))[i] = result
     return result
 

@@ -63,8 +63,9 @@ def circ_set(inst: CsgInstance, a: CsgElement, i: int, b: CsgElement) -> CsgElem
 
 def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> GroupoidArrow:
     """Insert arrow b into slot i of arrow a; an interned a keeps interned
-    results by slot and b, in a row keyed by the kernels used.  An interned
-    arrow is never freed (its element keeps it), so its id is a stable key."""
+    results by slot and b, in a row keyed by the kernels used, as
+    perms.spend allows.  An interned arrow is never freed (its
+    element keeps it), so its id is a stable key."""
     n = a.f.level
     kernels = (a.rows is not None and b.rows is not None and type(i) is int and 0 <= i <= n
                and (perms.block_substitute, perms.degeneracy_perm, perms.s_left_perm,
@@ -77,7 +78,7 @@ def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> G
         k = inst.underlying_perm(a.f)[j]
         c = arrow(src, inst.mul(inst.degeneracy_power(k, b.level, a.f),
                                 inst.pad(b.f, j, n - j)))
-        if kernels and c.rows is not None:
+        if kernels and c.rows is not None and perms.spend(c.level + 1):
             a.rows.setdefault(kernels, {})[(n + 1) * id(b) + i] = c
     return c
 

@@ -18,14 +18,26 @@ the direct, table-level form of partial composition and serves as the
 oracle the structural formula is checked against.
 
 Each kernel below that builds a permutation keeps a table of its own
-results on at most 5 points, keyed by its arguments and filled on first
-use: level 4 is the highest level a symmetric acceptance scope reaches,
-and larger levels (an `eval` at level 1000) would only grow the tables.
-They serve the arrow sources (groupoid.target, face_arrow,
-degeneracy_arrow, n_action), block_substitute and the misses of the
-symmetric elements' own rows (core.SymmetricCsg).  A miss runs the
-kernel's body, so every error still raises and nothing that raised is
-kept; the rule `kept` admits only tuples of ints, so sharing is safe.
+results on at most 7 points, keyed by its arguments and filled on first
+use: level 6 is the highest level a symmetric acceptance scope reaches
+(partial composition lands at level n + m, so the operad axioms on
+three level-2 operands reach level 6), and larger levels (an `eval` at
+level 1000) would only grow the tables.  They serve the arrow sources
+(groupoid.target, face_arrow, degeneracy_arrow, n_action),
+block_substitute and the misses of the symmetric elements' own rows
+(core.SymmetricCsg).  A miss runs the kernel's body, so every error
+still raises and nothing that raised is kept; the rule `kept` admits
+only tuples of ints, so sharing is safe.
+
+Every keep of the library goes through `spend`: these tables, the
+symmetric intern store, the arrow store and the rows of elements and
+arrows.  An entry on at most 5 points is always kept: the permutations
+of levels 0 to 4 are few, so each store of them is bounded.  An entry
+on 6 or 7 points takes one entry of one shared budget; once it is spent
+such a result is computed fresh and not kept, as a result on more than
+7 points always is.  So memory stays bounded however many levels and
+seeds a process checks, and a caller that spends the budget on large
+results leaves the small ones kept.
 """
 
 from __future__ import annotations
@@ -38,9 +50,17 @@ from typing import Iterator, Sequence
 
 Perm = tuple[int, ...]
 
-_TABLE_POINTS = 5
-# One shared tuple per kept permutation: the 153 permutations on at most
-# 5 points fill thousands of table entries.
+_TABLE_POINTS = 7
+# Entries on at most _FEW_POINTS points are kept without limit.
+_FEW_POINTS = 5
+# The entries on more points that all keeps together may add, for the
+# life of the process.  The symmetric suites at their acceptance scopes
+# spend 26k in one pass and 31k in 14; `check crossed --max-level 6`
+# spends it all and then stays flat.
+_BUDGET = 2 ** 17
+_spent = 0
+# One shared tuple per kept permutation: the 5,913 permutations on at
+# most 7 points fill many more table entries.
 _KEPT: dict[Perm, Perm] = {}
 
 
@@ -51,12 +71,26 @@ def kept(p) -> bool:
     return type(p) is tuple and len(p) <= _TABLE_POINTS and all(type(v) is int for v in p)
 
 
+def spend(points: int) -> bool:
+    """Whether an entry on `points` points may be kept: always on at
+    most _FEW_POINTS, else while the shared budget lasts, taking one
+    entry of it; False, taking nothing, once _BUDGET entries are taken."""
+    global _spent
+    if points <= _FEW_POINTS:
+        return True
+    if _spent >= _BUDGET:
+        return False
+    _spent += 1
+    return True
+
+
 def _tabled(kernel):
-    """Keep kernel's results that `kept` admits, keyed by its positional
-    arguments.  An argument annotated `int` that is not an int always runs
-    the body, which refuses a float.  The untabled body stays reachable as
-    `body`; the wrapper takes no `__wrapped__`, which marks a wrapper
-    installed from outside the library."""
+    """Keep kernel's results that `kept` admits, as `spend` allows,
+    keyed by its positional arguments.  An argument annotated `int` that
+    is not an int always runs the body, which refuses a float.  The
+    untabled body stays reachable as `body`; the wrapper takes no
+    `__wrapped__`, which marks a wrapper installed from outside the
+    library."""
     table, code = {}, kernel.__code__
     at = next((k for k, name in enumerate(code.co_varnames[:code.co_argcount])
                if kernel.__annotations__.get(name) == "int"), None)
@@ -65,7 +99,7 @@ def _tabled(kernel):
         result = table.get(args)
         if result is None or at is not None and args[at].__class__ is not int:
             result = kernel(*args)
-            if kept(result):
+            if kept(result) and spend(len(result)):
                 result = table[args] = _KEPT.setdefault(result, result)
         return result
     for attr in functools.WRAPPER_ASSIGNMENTS:

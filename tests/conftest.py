@@ -3,11 +3,18 @@
 The acceptance-scope suite reports are the slowest thing tier-1
 builds, and both the acceptance gate and the golden digests read them;
 `run_suite` builds each one once per session.
+
+The library's stores (the perms kernel tables, the symmetric intern
+store, the arrow store and their rows) share one budget for the whole
+process, for their entries on more than perms._FEW_POINTS points.  A
+test of what they keep takes `kept_entries`, so that it neither finds
+the budget spent by the tests before it nor spends it for the tests
+after it.
 """
 
 import pytest
 
-from csgroups import suites
+from csgroups import core, perms, suites
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +30,43 @@ def run_suite():
             reports[key] = suites.run_suite(name, instance=instance, seed=seed)
         return reports[key]
     return run
+
+
+TABLED = [f for f in vars(perms).values() if hasattr(f, "table")]
+
+
+def _count():
+    def big(*levels):
+        return max(levels) + 1 > perms._FEW_POINTS
+
+    count = sum(big(len(v) - 1) for f in TABLED for v in f.table.values())
+    for g in core.SymmetricCsg._interned.values():
+        count += big(g.level) + sum(big(g.level, r.level) for row in g.rows.values()
+                                    for r in row if r is not None)
+        for a in g.arrows.values():
+            count += big(a.level)
+            for row in a.rows.values():
+                if isinstance(row, tuple):  # a target, on a's own points
+                    count += big(a.level)
+                else:
+                    entries = row.values() if isinstance(row, dict) else row
+                    count += sum(big(a.level, b.level) for b in entries if b is not None)
+    return count
+
+
+@pytest.fixture
+def kept_entries(monkeypatch):
+    """Empty stores and an unspent budget for one test, which gets a
+    function counting the entries the budget pays for: each kernel table
+    entry, each interned element and arrow, and each entry of their rows,
+    on more than perms._FEW_POINTS points.  The session's stores and
+    budget come back after the test."""
+    saved = [dict(f.table) for f in TABLED]
+    for f in TABLED:
+        f.table.clear()
+    monkeypatch.setattr(core.SymmetricCsg, "_interned", {})
+    monkeypatch.setattr(perms, "_spent", 0)
+    yield _count
+    for f, table in zip(TABLED, saved):
+        f.table.clear()
+        f.table.update(table)

@@ -432,6 +432,17 @@ def test_packed_factors_agree_with_the_free_group_action(pair):
     assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
 
 
+def test_the_pair_table_keeps_five_strands_not_six(monkeypatch):
+    """braids._PAIRS has a strand bound of its own, whatever perms
+    keeps: it keeps a pair step on 5 strands and not one on 6."""
+    monkeypatch.setattr(braids, "_PAIRS", {})
+    a5, b5 = (1, 0, 2, 4, 3), (0, 2, 1, 3, 4)
+    a6, b6 = a5 + (5,), b5 + (5,)
+    for a, b in ((a5, b5), (a6, b6)):
+        assert braids._left_weight(a, b) == braids._left_weight_body(a, b)
+    assert list(braids._PAIRS) == [(a5, b5)]
+
+
 def test_a_permutation_lift_is_one_factor(monkeypatch):
     """The letters of permutation_braid(p) pack into the one simple
     factor p, and those of its inverse into Delta^-1 (w0 p^-1), with no

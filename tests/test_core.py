@@ -338,19 +338,40 @@ def test_interned_operations_agree_with_the_kernel_bodies():
                 assert result is SYMMETRIC.element(expected), (g, expected)
 
 
+@pytest.mark.usefixtures("kept_entries")
 def test_only_small_results_are_interned():
     """A result on at most perms._TABLE_POINTS points is the interned
     element; a larger one is a fresh element that still equals by value."""
-    g = SYMMETRIC.element((1, 0, 3, 2, 4))
-    identity = SYMMETRIC.parse_at("[0,1,2,3,4]", 4)
-    assert SYMMETRIC.mul(g, g) is SYMMETRIC.one(4) is identity
-    assert SYMMETRIC.s_left(SYMMETRIC.element((1, 0, 2))) is SYMMETRIC.section((0, 2, 1, 3))
+    g = SYMMETRIC.element((1, 0, 3, 2, 5, 4, 6))
+    identity = SYMMETRIC.parse_at("[0,1,2,3,4,5,6]", 6)
+    assert len(g.payload) == perms._TABLE_POINTS
+    assert SYMMETRIC.mul(g, g) is SYMMETRIC.one(6) is identity
+    assert SYMMETRIC.s_left(SYMMETRIC.element((1, 0, 2, 3, 4, 5))) is SYMMETRIC.section(
+        (0, 2, 1, 3, 4, 5, 6))
     big = [SYMMETRIC.degeneracy(0, g) for _ in range(2)]
     assert big[0] is not big[1] and big[0] == big[1]
     assert SYMMETRIC.equal(*big) and big[0].rows is None and big[0].rank == -1
     assert SYMMETRIC.face(0, big[0]) is g
     assert SYMMETRIC.element((1, 0)) == core.CsgElement(1, (1, 0))
     assert SYMMETRIC.equal(SYMMETRIC.element((1, 0)), core.CsgElement(1, (1, 0)))
+
+
+def test_a_small_budget_bounds_every_store(kept_entries, monkeypatch):
+    """With a budget of 1,000 entries, every product of two 6-point
+    permutations is the kernel body's, and all the stores together keep
+    exactly the 1,000 entries the budget holds.  Results on at most
+    perms._FEW_POINTS points are still kept once it is spent."""
+    monkeypatch.setattr(perms, "_BUDGET", 1000)
+    els = list(SYMMETRIC.elements(5))
+    for g in els:
+        for h in els:
+            assert SYMMETRIC.mul(g, h).payload == perms.compose.body(g.payload, h.payload)
+    assert kept_entries() == perms._spent == 1000
+    g = SYMMETRIC.element((1, 0, 3, 2, 4))
+    assert SYMMETRIC.mul(g, g) is SYMMETRIC.one(4) and g.rank >= 0
+    a = groupoid.arrow((4, 3, 2, 1, 0), g)
+    assert groupoid.face_arrow(SYMMETRIC, 0, a).rows is not None
+    assert kept_entries() == 1000
 
 
 @pytest.mark.parametrize("op", ["face", "degeneracy"])

@@ -118,28 +118,31 @@ def test_face_degeneracy_formulas():
                                if len(r.source) <= perms._TABLE_POINTS)
 
 
+@pytest.mark.usefixtures("kept_entries")
 def test_only_small_arrows_are_interned():
     """Every constructor returns the interned arrow when the result is on
-    at most perms._TABLE_POINTS points; a level-5 result, like a braid
+    at most perms._TABLE_POINTS points; a level-7 result, like a braid
     arrow, is a fresh arrow that still equals by value."""
-    g = SYMMETRIC.element((1, 0, 3, 2, 4))
-    a = groupoid.arrow((4, 3, 2, 1, 0), g)
+    g = SYMMETRIC.element((1, 0, 3, 2, 5, 4, 6))
+    a = groupoid.arrow((6, 5, 4, 3, 2, 1, 0), g)
+    assert len(a.source) == perms._TABLE_POINTS
     swap = groupoid.arrow((1, 0), SYMMETRIC.element((1, 0)))
     small = [groupoid.face_arrow(SYMMETRIC, 1, a),
              groupoid.degeneracy_arrow(SYMMETRIC, 1, groupoid.face_arrow(SYMMETRIC, 0, a)),
-             groupoid.identity_arrow(SYMMETRIC, (0, 1, 2, 3, 4)),
-             groupoid.n_action((1, 0, 2, 3, 4), a),
+             groupoid.identity_arrow(SYMMETRIC, (0, 1, 2, 3, 4, 5, 6)),
+             groupoid.n_action((1, 0, 2, 3, 4, 5, 6), a),
              groupoid.hom_arrow(SYMMETRIC, (1, 0, 2), (0, 2, 1)),
-             groupoid.random_arrow(SYMMETRIC, random.Random(0), 4),
+             groupoid.random_arrow(SYMMETRIC, random.Random(0), 6),
              *groupoid.continue_arrow(SYMMETRIC, a, g),
              operad.circ_gpd(SYMMETRIC, swap, 1,
-                             groupoid.arrow((0, 2, 1), SYMMETRIC.element((1, 2, 0))))]
-    assert groupoid.arrow((4, 3, 2, 1, 0), g) is a and a.rows is not None
+                             groupoid.arrow((0, 2, 1, 3, 4, 5),
+                                            SYMMETRIC.element((1, 2, 0, 3, 5, 4))))]
+    assert groupoid.arrow((6, 5, 4, 3, 2, 1, 0), g) is a and a.rows is not None
     for b in small:
         assert b is groupoid.arrow(b.source, b.f) and b.rows is not None, b
     for big in ([groupoid.degeneracy_arrow(SYMMETRIC, 0, a) for _ in range(2)],
                 [operad.circ_gpd(SYMMETRIC, a, 0, swap) for _ in range(2)]):
-        assert big[0] is not big[1] and big[0] == big[1] and big[0].level == 5
+        assert big[0] is not big[1] and big[0] == big[1] and big[0].level == 7
         assert big[0].rows is None
         assert groupoid.arrows_equal(SYMMETRIC, *big)
     assert groupoid.face_arrow(SYMMETRIC, 0, big[0]).rows is not None

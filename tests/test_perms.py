@@ -195,16 +195,36 @@ def _calls(top):
                     yield "block_substitute", (p, i, q)
 
 
+def _calls_past_the_bound():
+    """(kernel name, arguments) for 20 seeded calls of each kernel whose
+    result has perms._TABLE_POINTS + 1 points."""
+    rng = random.Random(0)
+    top = perms._TABLE_POINTS  # the level of such a result
+    for _ in range(20):
+        p, small = perms.random_perm(rng, top), perms.random_perm(rng, top - 1)
+        i = rng.randint(0, top - 1)
+        yield "identity", (top,)
+        yield "compose", (p, perms.random_perm(rng, top))
+        yield "inverse", (p,)
+        yield "face_perm", (i, perms.random_perm(rng, top + 1))
+        yield "degeneracy_perm", (i, small)
+        yield "s_left_perm", (small,)
+        yield "s_right_perm", (small,)
+        yield "block_substitute", (perms.random_perm(rng, 3), rng.randint(0, 3),
+                                   perms.random_perm(rng, top - 3))
+
+
+@pytest.mark.usefixtures("kept_entries")
 def test_tables_agree_with_the_kernel_bodies():
-    """A miss and then a hit both return what the untabled body computes."""
-    _clear_tables()
-    for name, args in _calls(3):
+    """A miss and then a hit both return what the untabled body computes,
+    the same object exactly when it has at most perms._TABLE_POINTS points."""
+    for name, args in itertools.chain(_calls(3), _calls_past_the_bound()):
         kernel = getattr(perms, name)
         expected = kernel.body(*args)
         first, second = kernel(*args), kernel(*args)
         assert first == second == expected, (name, args)
         assert all(type(v) is int for v in second)
-        assert (second is first) == (len(expected) <= 5), (name, args)
+        assert (second is first) == (len(expected) <= perms._TABLE_POINTS), (name, args)
 
 
 def test_errors_still_raise_next_to_table_entries():
@@ -229,20 +249,28 @@ def test_errors_still_raise_next_to_table_entries():
     assert _table_sizes() == sizes
 
 
+@pytest.mark.usefixtures("kept_entries")
 def test_larger_permutations_are_not_kept():
+    """No result on more than perms._TABLE_POINTS points is kept, though
+    the budget has room: a result on that many is."""
+    p7, p8, p9 = (5, 3, 1, 0, 2, 4, 6), (7, 5, 3, 1, 0, 2, 4, 6), (8, 7, 5, 3, 1, 0, 2, 4, 6)
+    assert len(p8) == perms._TABLE_POINTS + 1
     for _ in range(2):
         sizes = _table_sizes()
-        p6, p7 = (5, 3, 1, 0, 2, 4), (6, 5, 3, 1, 0, 2, 4)
-        perms.identity(5)
-        perms.compose(p6, p6)
-        perms.inverse(p6)
-        perms.face_perm(2, p7)
-        perms.degeneracy_perm(2, p6)
-        perms.s_left_perm(p6)
-        perms.s_right_perm(p6)
-        perms.block_substitute(p6, 1, (1, 0))
-        perms.block_substitute((1, 0), 1, p6)
+        perms.identity(7)
+        perms.compose(p8, p8)
+        perms.inverse(p8)
+        perms.face_perm(2, p9)
+        perms.degeneracy_perm(2, p7)
+        perms.degeneracy_perm(2, p8)
+        perms.s_left_perm(p7)
+        perms.s_right_perm(p8)
+        perms.block_substitute(p7, 1, (1, 0))
+        perms.block_substitute((1, 0), 1, p7)
+        perms.block_substitute(p8, 1, (0,))
         assert _table_sizes() == sizes
+    assert perms.face_perm(2, p8) is perms.face_perm(2, p8)
+    assert perms.compose(p7, p7) is perms.compose(p7, p7)
 
 
 def test_bool_arguments_leave_no_bool_in_a_table():
@@ -317,45 +345,64 @@ def test_float_index_is_refused_by_a_warm_table(kernel, before, after, order):
     assert kernel(*before, 1, *after) is result
 
 
-def test_full_tables_stay_small():
-    """Every call a table can keep, kept: results on at most 5 points,
-    in under 4 MB."""
-    _clear_tables()
+def test_no_store_keeps_past_the_budget(kept_entries):
+    """Every call a table can keep is kept: results on at most
+    perms._FEW_POINTS points always, larger ones on at most
+    perms._TABLE_POINTS while the shared budget lasts and none once it is
+    spent, perms._BUDGET of them in all; under 18 MB together."""
     tracemalloc.start()
     try:
-        for name, args in _calls(4):
-            getattr(perms, name)(*args)
-        for p in perms.all_perms(5):
-            for i in range(6):
-                perms.face_perm(i, p)
+        for n in range(5):
+            for p, q in itertools.product(perms.all_perms(n), repeat=2):
+                perms.compose(p, q)
+        for n in range(1, 6):
+            for p in perms.all_perms(n):
+                for i in range(n + 1):
+                    perms.face_perm(i, p)
+        # compose: sum of (n+1)!^2 for n <= 4; face_perm: (n+1)!(n+1) for 1 <= n <= 5.
+        assert len(perms.compose.table) == 1 + 4 + 36 + 576 + 14400
+        assert len(perms.face_perm.table) == 4 + 18 + 96 + 600 + 4320
+        assert kept_entries() == 0
+        # More 7-point results than the budget holds.
+        pairs = itertools.product(perms.all_perms(6), repeat=2)
+        for p, q in itertools.islice(pairs, perms._BUDGET + 1000):
+            perms.compose(p, q)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    assert kept_entries() == perms._spent == perms._BUDGET
+    assert len(perms.compose.table) == 1 + 4 + 36 + 576 + 14400 + perms._BUDGET
     tables = {name: getattr(perms, name).table for name in KERNELS}
-    assert all(len(v) <= 5 for table in tables.values() for v in table.values())
-    # compose: sum of (n+1)!^2 for n <= 4; face_perm: (n+1)!(n+1) for 1 <= n <= 5.
-    assert len(tables["compose"]) == 1 + 4 + 36 + 576 + 14400
-    assert len(tables["face_perm"]) == 4 + 18 + 96 + 600 + 4320
-    assert size < 4_000_000, size
+    assert all(len(v) <= perms._TABLE_POINTS for table in tables.values()
+               for v in table.values())
+    # Once the budget is spent, small results are still kept.
+    assert perms.s_left_perm((1, 0, 3, 2)) is perms.s_left_perm((1, 0, 3, 2))
+    assert kept_entries() == perms._BUDGET
+    assert size < 18_000_000, size
 
 
 def _keep_candidates():
-    """Every permutation on at most 6 points, and its bool, float and
+    """Every permutation on at most 6 points and seeded ones on 7 and 8
+    (perms._TABLE_POINTS and one more), each with its bool, float and
     list variants."""
-    for n in range(6):
-        for p in perms.all_perms(n):
-            yield p
-            yield tuple(bool(v) if v < 2 else v for v in p)
-            yield (float(p[0]),) + p[1:]
-            yield list(p)
+    rng = random.Random(0)
+    samples = [perms.random_perm(rng, n) for n in (6, 7) for _ in range(200)]
+    for p in itertools.chain(*map(perms.all_perms, range(6)), samples):
+        yield p
+        yield tuple(bool(v) if v < 2 else v for v in p)
+        yield (float(p[0]),) + p[1:]
+        yield list(p)
 
 
+@pytest.mark.usefixtures("kept_entries")
 def test_one_keep_rule_for_tables_elements_and_arrows():
-    """perms.kept is the one keep rule: a kernel table keeps a result,
-    the symmetric family interns a permutation, and groupoid.arrow
-    interns an arrow with it as source (over an interned group part)
-    exactly when kept admits it."""
+    """perms.kept is the one keep rule: while the budget lasts, a kernel
+    table keeps a result, the symmetric family interns a permutation, and
+    groupoid.arrow interns an arrow with it as source (over an interned
+    group part) exactly when kept admits it.  Only interned elements on
+    at most perms._FEW_POINTS points have a rank."""
     candidates = list(_keep_candidates())
+    assert {len(p) for p in candidates} == set(range(1, perms._TABLE_POINTS + 2))
     echo = perms._tabled(lambda i: candidates[i])
     seen = set()
     for i, p in enumerate(candidates):
@@ -370,14 +417,17 @@ def test_one_keep_rule_for_tables_elements_and_arrows():
             with pytest.raises(TypeError, match="unhashable"):
                 inst._intern(p)
         else:
-            assert (inst._intern(p).rank >= 0) == kept, p
+            g = inst._intern(p)
+            assert (g.rows is not None) == kept, p
+            assert (g.rank >= 0) == (kept and len(p) <= perms._FEW_POINTS), p
         f = inst.one(len(p) - 1)
-        assert (f.rank >= 0) == (len(p) <= perms._TABLE_POINTS)
+        assert (f.rows is not None) == (len(p) <= perms._TABLE_POINTS)
+        assert (f.rank >= 0) == (len(p) <= perms._FEW_POINTS)
         if type(p) is list and f.arrows is not None:
             with pytest.raises(TypeError, match="unhashable"):
                 groupoid.arrow(p, f)
         else:
             assert (groupoid.arrow(p, f).rows is not None) == kept, p
         if type(p) is tuple and perms.is_perm(p):
-            assert (SymmetricCsg().element(p).rank >= 0) == kept
+            assert (SymmetricCsg().element(p).rows is not None) == kept
     assert seen == {True, False}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from csgroups import suites
+from csgroups import perms, suites
 
 HERE = Path(__file__).resolve().parent
 SMALL = json.loads((HERE / "suite_golden.json").read_text())
@@ -60,6 +60,34 @@ def test_acceptance_scope_reports_match_digests(run_suite):
             if digest(report.to_json()) != expected:
                 mismatched.append((name, inst))
     assert mismatched == []
+
+
+# Symmetric suites whose acceptance scope takes seconds with nothing
+# kept (on a 2-core x86-64 box: operadic-mult about 30 s,
+# groupoid-simplicial 10 s, equivariance 3 s, shifted- and
+# unshifted-operad 1-2 s); their small scopes run.
+SLOW_UNKEPT = {"operadic-mult", "groupoid-simplicial", "equivariance",
+               "shifted-operad", "unshifted-operad"}
+
+
+def test_reports_are_the_same_with_nothing_kept(kept_entries, monkeypatch):
+    """The stores never change a result: with them empty and nothing to
+    keep (no budget, and no entries kept without one), every symmetric
+    suite gives its small-scope digests, and every symmetric suite
+    outside SLOW_UNKEPT its acceptance-scope digest."""
+    monkeypatch.setattr(perms, "_BUDGET", 0)
+    monkeypatch.setattr(perms, "_FEW_POINTS", 0)
+    mismatched = []
+    for e in SMALL:
+        if e["instance"] == "symm":
+            report = suites.run_suite(e["suite"], instance="symm", **e["kwargs"])
+            if digest(report.to_json() + report.to_text()) != e["digest"]:
+                mismatched.append((e["suite"], e["kwargs"]))
+    for name, expected in ACCEPTANCE_GOLDEN["symm"].items():
+        if name not in SLOW_UNKEPT:
+            if digest(suites.run_suite(name, instance="symm").to_json()) != expected:
+                mismatched.append((name, "acceptance"))
+    assert mismatched == [] and kept_entries() == 0
 
 
 def test_default_instance_is_the_first_declared():
