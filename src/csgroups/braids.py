@@ -22,10 +22,11 @@ that check and fills the two slots of the word directly.
 
 Operadic insertion pads one word and cables a strand of another into
 m + 1 parallel strands, the degeneracy at one index applied m times.
-cable_word and pad_word do each in one pass over the letters: a letter
-crossing the cabled strand becomes m + 1 letters, and padding shifts
-every letter once.  They give the letters that m calls of
-degeneracy_word, or of s_left_word and s_right_word, give.
+cable_word and pad_word, the only insertion kernels, do each in one
+pass over the letters: a letter crossing the cabled strand becomes
+m + 1 letters, and padding shifts every letter once.  The degeneracy
+is cable_word at m = 1, and the end insertions s_left and s_right are
+pad_word with one strand on the left or on the right.
 
 Word equality is decided by the left-greedy normal form Delta^d A_1 ...
 A_r (Garside, Q. J. Math. 1969; Elrifai and Morton, Q. J. Math. 1994),
@@ -434,42 +435,14 @@ def face_word(i: int, b: BraidWord) -> BraidWord:
     return _word(b.strands - 1, tuple(out))
 
 
-def degeneracy_word(i: int, b: BraidWord) -> BraidWord:
-    """
-    Double the strand with top position i into a parallel cable.  A
-    letter crossing the tracked strand becomes two letters carrying the
-    neighbour across both cable strands; the cable strands never cross
-    each other.
-    """
-    i = operator.index(i)
-    n = b.level
-    if not 0 <= i <= n:
-        raise IndexError(f"degeneracy index {i} out of range at level {n}")
-    p = i
-    out: list[Letter] = []
-    for k, sign in b.letters:
-        if k == p:
-            out.append((p + 1, sign))
-            out.append((p, sign))
-            p += 1
-        elif k == p - 1:
-            out.append((p - 1, sign))
-            out.append((p, sign))
-            p -= 1
-        elif k < p:
-            out.append((k, sign))
-        else:
-            out.append((k + 1, sign))
-    return _word(b.strands + 1, tuple(out))
-
-
 def cable_word(i: int, m: int, b: BraidWord) -> BraidWord:
     """
     Cable the strand with top position i into m + 1 >= 2 parallel
-    strands: degeneracy_word at i applied m times, in one pass.  A
-    letter crossing the tracked strand becomes m + 1 letters carrying
-    the neighbour across the whole cable; letters to its right shift
-    up by m.
+    strands: the degeneracy at i applied m times, in one pass, and at
+    m = 1 the degeneracy itself.  A letter crossing the tracked strand
+    becomes m + 1 letters carrying the neighbour across the whole cable;
+    the cable strands never cross each other, and letters to its right
+    shift up by m.
     """
     i = operator.index(i)
     n = b.level
@@ -479,10 +452,12 @@ def cable_word(i: int, m: int, b: BraidWord) -> BraidWord:
     out: list[Letter] = []
     for k, sign in b.letters:
         if k == p:
-            out += [(j, sign) for j in range(p + m, p - 1, -1)]
+            for j in range(p + m, p - 1, -1):
+                out.append((j, sign))
             p += 1
         elif k == p - 1:
-            out += [(j, sign) for j in range(k, p + m)]
+            for j in range(k, p + m):
+                out.append((j, sign))
             p = k
         elif k < p:
             out.append((k, sign))
@@ -496,16 +471,6 @@ def pad_word(b: BraidWord, left: int, right: int) -> BraidWord:
     at the right end: every letter shifts by `left`, once."""
     letters = tuple([(k + left, s) for k, s in b.letters]) if left else b.letters
     return _word(b.strands + left + right, letters)
-
-
-def s_left_word(b: BraidWord) -> BraidWord:
-    """New trivial strand at the left end: every letter shifts by one."""
-    return _word(b.strands + 1, tuple((k + 1, s) for k, s in b.letters))
-
-
-def s_right_word(b: BraidWord) -> BraidWord:
-    """New trivial strand at the right end: letters are untouched."""
-    return _word(b.strands + 1, b.letters)
 
 
 def permutation_braid(p: Perm) -> BraidWord:
@@ -540,7 +505,7 @@ def section_is_simplicial(p: Perm, i: int) -> bool:
     n = len(p) - 1
     lifted = permutation_braid(p)
     ok = braids_equal(
-        permutation_braid(degeneracy_perm(i, p)), degeneracy_word(i, lifted)
+        permutation_braid(degeneracy_perm(i, p)), cable_word(i, 1, lifted)
     )
     if n >= 1:
         ok = ok and braids_equal(

@@ -23,7 +23,6 @@ case into it, naming the failing identity and its inputs.
 from __future__ import annotations
 
 import dataclasses
-import math
 import operator
 from typing import Callable
 
@@ -37,9 +36,8 @@ class CsgElement:
     level: int
     payload: object
     # Not fields, so not part of the value; SymmetricCsg sets them when
-    # interning (`rank` on at most perms._FEW_POINTS points).  `arrows`
-    # holds the interned arrows (groupoid.arrow).
-    rank = -1
+    # interning.  `rows` holds the element's kept results, `arrows` the
+    # interned arrows (groupoid.arrow).
     rows = arrows = None
 
 
@@ -108,14 +106,12 @@ class SymmetricCsg(CsgInstance):
     that perms.kept admits has one element in the class (shared by every
     instance), interned on first use as perms.spend allows and returned
     by every operation.  Its rows keep the interned results of each perms
-    kernel (a replaced kernel fills its own), as perms.spend allows, by
-    the int index, or for mul by the other operand's rank.
-    A rank is the lexicographic index of a permutation among those of
-    its level; only elements on at most perms._FEW_POINTS points have
-    one, so a mul row is a dense list of at most 120 entries (on 6 and 7
-    points it would hold 720 and 5,040).  Above that mul answers from
-    perms.compose's table and the intern store.  A miss runs the kernel.
-    Equality is by value."""
+    kernel (a replaced kernel fills its own), as perms.spend allows: a
+    list by the int index, or for mul a dict by the other operand's id,
+    as operad.circ_gpd keys its row.  Only an interned operand has an
+    id key, since an interned element is never freed.  So every kept
+    element, on up to perms._TABLE_POINTS points, answers its products
+    from its own row.  A miss runs the kernel.  Equality is by value."""
 
     name = "symm"
     _interned: dict[perms.Perm, CsgElement] = {}
@@ -126,18 +122,18 @@ class SymmetricCsg(CsgInstance):
             g = CsgElement(len(p) - 1, p)
             if perms.kept(p) and perms.spend(len(p)):
                 # Not vars(g): a materialised __dict__ makes every read of them slower.
-                if len(p) <= perms._FEW_POINTS:
-                    object.__setattr__(g, "rank", _rank(p))
                 object.__setattr__(g, "rows", {})
                 object.__setattr__(g, "arrows", {})
                 self._interned[p] = g
         return g
 
-    def _fill(self, kernel, g, size, key, *args):
+    def _fill(self, kernel, g, empty, key, *args):
+        """The interned kernel(*args), kept at `key` of g's row for kernel
+        (the `empty` row while g has none) as perms.spend allows."""
         result = self._intern(kernel(*args))
-        if (key >= 0 and g.rows is not None and result.rows is not None
+        if (g.rows is not None and result.rows is not None
                 and perms.spend(max(g.level, result.level) + 1)):
-            g.rows.setdefault(kernel, [None] * size)[key] = result
+            g.rows.setdefault(kernel, empty)[key] = result
         return result
 
     def one(self, n: int) -> CsgElement:
@@ -150,36 +146,37 @@ class SymmetricCsg(CsgInstance):
         return self._intern(word)
 
     def mul(self, g, h):
-        # A rank indexes its own level's row only; compose refuses a mismatch.
-        row = g.rows and h.rank >= 0 and g.level == h.level and g.rows.get(perms.compose)
-        return (row and row[h.rank]
-                or self._fill(perms.compose, g, h.rank >= 0 and math.factorial(h.level + 1),
-                              h.rank, g.payload, h.payload))
+        # compose refuses another level, so the row holds no key for one.
+        if h.rows is None:
+            return self._intern(perms.compose(g.payload, h.payload))
+        row = g.rows and g.rows.get(perms.compose)
+        return (row and row.get(id(h))
+                or self._fill(perms.compose, g, {}, id(h), g.payload, h.payload))
 
     def inv(self, g):
         row = g.rows and g.rows.get(perms.inverse)
-        return row[0] if row else self._fill(perms.inverse, g, 1, 0, g.payload)
+        return row[0] if row else self._fill(perms.inverse, g, [None], 0, g.payload)
 
     def face(self, i, g):
         row = g.rows and 0 <= i <= g.level and g.rows.get(perms.face_perm)
         return (row and row[i]
-                or self._fill(perms.face_perm, g, g.level + 1, i, i, g.payload))
+                or self._fill(perms.face_perm, g, [None] * (g.level + 1), i, i, g.payload))
 
     def degeneracy(self, i, g):
         row = g.rows and 0 <= i <= g.level and g.rows.get(perms.degeneracy_perm)
         return (row and row[i]
-                or self._fill(perms.degeneracy_perm, g, g.level + 1, i, i, g.payload))
+                or self._fill(perms.degeneracy_perm, g, [None] * (g.level + 1), i, i, g.payload))
 
     def underlying_perm(self, g):
         return g.payload
 
     def s_left(self, g):
         row = g.rows and g.rows.get(perms.s_left_perm)
-        return row[0] if row else self._fill(perms.s_left_perm, g, 1, 0, g.payload)
+        return row[0] if row else self._fill(perms.s_left_perm, g, [None], 0, g.payload)
 
     def s_right(self, g):
         row = g.rows and g.rows.get(perms.s_right_perm)
-        return row[0] if row else self._fill(perms.s_right_perm, g, 1, 0, g.payload)
+        return row[0] if row else self._fill(perms.s_right_perm, g, [None], 0, g.payload)
 
     def equal(self, g, h):
         if g is not h and g.level != h.level:
@@ -205,14 +202,6 @@ class SymmetricCsg(CsgInstance):
         return (self._intern(p) for p in perms.all_perms(n))
 
 
-def _rank(p: perms.Perm) -> int:
-    """The index of p in the lexicographic order of its level (perms.all_perms)."""
-    rank = 0
-    for k, v in enumerate(p):
-        rank = rank * (len(p) - k) + sum(w < v for w in p[k + 1:])
-    return rank
-
-
 # BraidCsg._build sets the two fields past the frozen __setattr__.
 _new_element = object.__new__
 _set_field = object.__setattr__
@@ -223,11 +212,13 @@ class BraidCsg(CsgInstance):
     normal form (braids.braids_equal), with the free-group action
     (braids.artin_act) as the reference oracle of the tests.  mul
     concatenates (eval prints the product's letters); reduced is the
-    free reduction (braids.reduced_word).  degeneracy_power and pad
-    build their word in one pass (braids.cable_word, braids.pad_word)
-    and give the letters and errors of the shared loops.  element checks
-    its payload; every other result is built by _build, unchecked, from
-    a word whose level it is given."""
+    free reduction (braids.reduced_word).  Every insertion goes through
+    braids.cable_word or braids.pad_word: degeneracy is cable_word at
+    m = 1 and degeneracy_power at m, s_left and s_right are pad_word
+    with one strand, and pad builds its word in one pass, giving the
+    letters and errors of the shared loops.  element checks its payload;
+    every other result is built by _build, unchecked, from a word whose
+    level it is given."""
 
     name = "braid"
 
@@ -258,7 +249,7 @@ class BraidCsg(CsgInstance):
         return self._build(g.level - 1, braids.face_word(i, g.payload))
 
     def degeneracy(self, i, g):
-        return self._build(g.level + 1, braids.degeneracy_word(i, g.payload))
+        return self._build(g.level + 1, braids.cable_word(i, 1, g.payload))
 
     def degeneracy_power(self, i, m, g):
         # operator.index refuses what range(m) refuses, with its message.
@@ -278,10 +269,10 @@ class BraidCsg(CsgInstance):
         return braids.underlying_perm_word(g.payload)
 
     def s_left(self, g):
-        return self._build(g.level + 1, braids.s_left_word(g.payload))
+        return self._build(g.level + 1, braids.pad_word(g.payload, 1, 0))
 
     def s_right(self, g):
-        return self._build(g.level + 1, braids.s_right_word(g.payload))
+        return self._build(g.level + 1, braids.pad_word(g.payload, 0, 1))
 
     def equal(self, g, h):
         return braids.braids_equal(g.payload, h.payload)

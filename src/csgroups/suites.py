@@ -100,10 +100,13 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
     defaults, body, min_level = entries[instance]
     given = {"max_level": max_level, "trials": trials, "seed": seed,
              "word_len": word_len}
+    for key, value in given.items():
+        if value is not None and type(value) is not int:
+            raise ValueError(f"{key} must be an int, got {perms.clip(repr(value))}")
     params = {key: copy.deepcopy(default) if given.get(key) is None else given[key]
               for key, default in defaults.items()}
-    # Only the params the report shows are checked; a flag it does not
-    # list is ignored, whatever its value.
+    # Only the params the report shows are range-checked; a flag it does
+    # not list is ignored, whatever its int value.
     for key, least in (("max_level", min_level), ("trials", 1), ("word_len", 0)):
         if params.get(key, least) < least:
             raise ValueError(f"{key} must be at least {least} for suite {name!r} "
@@ -112,8 +115,9 @@ def run_suite(name: str, instance: str | None = None, max_level: int | None = No
         raise ValueError(f"word_len must be at most {MAX_WORD_LEN} for suite {name!r} "
                          f"on {instance}, got {params['word_len']}")
     tally = core.Tally()
+    # The seed the report shows; a suite that lists none draws nothing.
     extra = body(INSTANCES[instance], types.SimpleNamespace(**params),
-                 random.Random(seed), tally)
+                 random.Random(params.get("seed", 0)), tally)
     bad = sorted(tally.violations)
     return SuiteReport(name, instance, params, tally.cases, len(bad),
                        [{"identity": identity, "inputs": inputs}

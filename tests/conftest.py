@@ -33,24 +33,29 @@ def run_suite():
 
 
 TABLED = [f for f in vars(perms).values() if hasattr(f, "table")]
+_RETIRED = []
 
 
 def _count():
     def big(*levels):
         return max(levels) + 1 > perms._FEW_POINTS
 
+    def entries(row):
+        """A row is a list by index, or a dict by the other operand's id
+        for products and partial compositions."""
+        return [r for r in (row.values() if isinstance(row, dict) else row) if r is not None]
+
     count = sum(big(len(v) - 1) for f in TABLED for v in f.table.values())
     for g in core.SymmetricCsg._interned.values():
         count += big(g.level) + sum(big(g.level, r.level) for row in g.rows.values()
-                                    for r in row if r is not None)
+                                    for r in entries(row))
         for a in g.arrows.values():
             count += big(a.level)
             for row in a.rows.values():
                 if isinstance(row, tuple):  # a target, on a's own points
                     count += big(a.level)
                 else:
-                    entries = row.values() if isinstance(row, dict) else row
-                    count += sum(big(a.level, b.level) for b in entries if b is not None)
+                    count += sum(big(a.level, b.level) for b in entries(row))
     return count
 
 
@@ -67,6 +72,9 @@ def kept_entries(monkeypatch):
     monkeypatch.setattr(core.SymmetricCsg, "_interned", {})
     monkeypatch.setattr(perms, "_spent", 0)
     yield _count
+    # Rows key interned operands by id, which stays theirs only while
+    # they live; so the test's elements live on, as the library's do.
+    _RETIRED.append(core.SymmetricCsg._interned)
     for f, table in zip(TABLED, saved):
         f.table.clear()
         f.table.update(table)

@@ -99,6 +99,9 @@ def test_face_frozen_values():
 
 
 def test_face_degeneracy_projection_squares():
+    """The strand kernels project onto the permutation kernels: a face
+    onto face_perm, cabling at m onto degeneracy_perm applied m times,
+    and padding by one strand onto s_left_perm and s_right_perm."""
     rng = random.Random(1)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -107,23 +110,27 @@ def test_face_degeneracy_projection_squares():
         for i in range(n + 1):
             assert braids.underlying_perm_word(braids.face_word(i, b)) == \
                 perms.face_perm(i, p)
-            assert braids.underlying_perm_word(braids.degeneracy_word(i, b)) == \
-                perms.degeneracy_perm(i, p)
+            q = p
+            for m in range(1, 4):
+                q = perms.degeneracy_perm(i, q)
+                assert braids.underlying_perm_word(braids.cable_word(i, m, b)) == q
+        assert braids.underlying_perm_word(braids.pad_word(b, 1, 0)) == perms.s_left_perm(p)
+        assert braids.underlying_perm_word(braids.pad_word(b, 0, 1)) == perms.s_right_perm(p)
 
 
 def test_degeneracy_frozen_value():
-    d = braids.degeneracy_word(0, generator(1, 0))
+    d = braids.cable_word(0, 1, generator(1, 0))
     assert d.letters == ((1, 1), (0, 1))
     assert braids.underlying_perm_word(d) == (2, 0, 1)
-    assert braids.degeneracy_word(1, empty_word(1)).letters == ()
+    assert braids.cable_word(1, 1, empty_word(1)).letters == ()
 
 
 def test_end_insertions():
     g0 = generator(1, 0)
-    assert braids.s_right_word(g0).letters == ((0, 1),)
-    assert braids.s_right_word(g0).strands == 3
-    assert braids.s_left_word(g0).letters == ((1, 1),)
-    assert braids.s_left_word(empty_word(1)).letters == ()
+    assert braids.pad_word(g0, 0, 1).letters == ((0, 1),)
+    assert braids.pad_word(g0, 0, 1).strands == 3
+    assert braids.pad_word(g0, 1, 0).letters == ((1, 1),)
+    assert braids.pad_word(empty_word(1), 1, 0).letters == ()
 
 
 def test_permutation_braid_properties():
@@ -157,10 +164,10 @@ def test_equality_is_congruence(u, v):
     assert braids.braids_equal(slack, u)
     for i in range(n + 1):
         assert braids.braids_equal(braids.face_word(i, slack), braids.face_word(i, u))
-        assert braids.braids_equal(braids.degeneracy_word(i, slack),
-                                   braids.degeneracy_word(i, u))
-    assert braids.braids_equal(braids.s_left_word(slack), braids.s_left_word(u))
-    assert braids.braids_equal(braids.s_right_word(slack), braids.s_right_word(u))
+        assert braids.braids_equal(braids.cable_word(i, 1, slack),
+                                   braids.cable_word(i, 1, u))
+    assert braids.braids_equal(braids.pad_word(slack, 1, 0), braids.pad_word(u, 1, 0))
+    assert braids.braids_equal(braids.pad_word(slack, 0, 1), braids.pad_word(u, 0, 1))
 
 
 def test_fingerprint_tracks_equality():
@@ -244,8 +251,8 @@ def test_builders_return_words_the_constructor_accepts(words):
     """The builders skip the constructor's check; what they build from
     checked words must pass it and equal the checked copy."""
     u, v, i = words
-    built = [braids.concat(u, v), braids.invert_word(u), braids.s_left_word(u),
-             braids.s_right_word(u), braids.degeneracy_word(i, u)]
+    built = [braids.concat(u, v), braids.invert_word(u), braids.pad_word(u, 1, 0),
+             braids.pad_word(u, 0, 1), braids.cable_word(i, 1, u)]
     if u.level:
         built.append(braids.face_word(i, u))
     for w in built:
@@ -354,8 +361,12 @@ def test_reduced_word_is_the_free_reduction(w):
     assert braids.artin_act(r) == braids.artin_act(w)
     assert braids.reduced_word(r) == r
     assert all(a != (b[0], -b[1]) for a, b in zip(r.letters, r.letters[1:]))
+
+    def degeneracy(i, b):
+        return braids.cable_word(i, 1, b)
+
     for i in range(w.strands):
-        ops = (braids.face_word, braids.degeneracy_word) if w.level else (braids.degeneracy_word,)
+        ops = (braids.face_word, degeneracy) if w.level else (degeneracy,)
         for op in ops:
             assert braids.reduced_word(op(i, r)) == braids.reduced_word(op(i, w))
 
@@ -387,7 +398,7 @@ def run_blocks(draw, strands, max_len):
             short = draw(st.lists(st.integers(min_value=0, max_value=strands - 3),
                                   min_size=1, max_size=3))
             i = draw(st.integers(min_value=0, max_value=strands - 2))
-            p, letters = None, braids.degeneracy_word(i, BraidWord(strands - 1, tuple(
+            p, letters = None, braids.cable_word(i, 1, BraidWord(strands - 1, tuple(
                 (k, 1) for k in short))).letters
         else:
             p = tuple(draw(st.permutations(range(strands))))

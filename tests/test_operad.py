@@ -5,7 +5,7 @@ import random
 import pytest
 
 from csgroups import BRAID, SYMMETRIC, Tally
-from csgroups.core import CsgInstance
+from csgroups.core import BraidCsg, CsgInstance
 from csgroups import braids, groupoid, operad, perms
 from csgroups.groupoid import GroupoidArrow
 
@@ -47,18 +47,18 @@ def test_circ_braid_levels_and_projection():
 
 def test_braid_insertion_takes_no_per_strand_step(monkeypatch):
     """circ_set on braids cables the outer word and pads the inner one
-    in one pass each: with the one-strand kernels patched to fail it
-    still answers at m = 500, with the letters the loops of
-    CsgInstance give."""
+    in one pass each: with the one-strand operations (the degeneracy and
+    the end insertions) patched to fail it still answers at m = 500,
+    with the letters the loops of CsgInstance give."""
     a = BRAID.element(braids.parse_letters("s1 s2^-1 s1 s2", 2))
     b = BRAID.element(braids.parse_letters("s1 s500 s2^-1", 500))
     expected = [BRAID.mul(CsgInstance.pad(BRAID, b, i, 2 - i),
                           CsgInstance.degeneracy_power(BRAID, i, 500, a)) for i in range(3)]
 
     def fail(*args):
-        raise AssertionError("a one-strand kernel ran")
-    for name in ("degeneracy_word", "s_left_word", "s_right_word"):
-        monkeypatch.setattr(braids, name, fail)
+        raise AssertionError("a one-strand operation ran")
+    for name in ("degeneracy", "s_left", "s_right"):
+        monkeypatch.setattr(BraidCsg, name, fail)
     for i in range(3):
         c = operad.circ_set(BRAID, a, i, b)
         assert (c.level, c.payload) == (502, expected[i].payload)

@@ -305,7 +305,7 @@ INDEXED = [
     (perms.degeneracy_perm, (), ((1, 0),)),
     (perms.block_substitute, ((1, 0),), ((1, 0),)),
     (braids.face_word, (), (braids.parse_letters("s1 s2", 2),)),
-    (braids.degeneracy_word, (), (braids.parse_letters("s1 s2", 2),)),
+    (braids.cable_word, (), (1, braids.parse_letters("s1 s2", 2))),
 ]
 
 
@@ -314,8 +314,8 @@ INDEXED = [
 def test_indices_are_read_as_ints(kernel, before, after):
     """A bool index acts as its int and a float one is refused.  Before,
     degeneracy_perm(True, (1, 0)) was (True, 2, 0), block_substitute
-    put 1.0 + q(j) in its block, and degeneracy_word made the letter
-    (True, 1)."""
+    put 1.0 + q(j) in its block, and the braid degeneracy made the
+    letter (True, 1)."""
     _clear_tables()
     body = getattr(kernel, "body", kernel)
     result = body(*before, True, *after)
@@ -399,8 +399,7 @@ def test_one_keep_rule_for_tables_elements_and_arrows():
     """perms.kept is the one keep rule: while the budget lasts, a kernel
     table keeps a result, the symmetric family interns a permutation, and
     groupoid.arrow interns an arrow with it as source (over an interned
-    group part) exactly when kept admits it.  Only interned elements on
-    at most perms._FEW_POINTS points have a rank."""
+    group part) exactly when kept admits it."""
     candidates = list(_keep_candidates())
     assert {len(p) for p in candidates} == set(range(1, perms._TABLE_POINTS + 2))
     echo = perms._tabled(lambda i: candidates[i])
@@ -419,10 +418,8 @@ def test_one_keep_rule_for_tables_elements_and_arrows():
         else:
             g = inst._intern(p)
             assert (g.rows is not None) == kept, p
-            assert (g.rank >= 0) == (kept and len(p) <= perms._FEW_POINTS), p
         f = inst.one(len(p) - 1)
         assert (f.rows is not None) == (len(p) <= perms._TABLE_POINTS)
-        assert (f.rank >= 0) == (len(p) <= perms._FEW_POINTS)
         if type(p) is list and f.arrows is not None:
             with pytest.raises(TypeError, match="unhashable"):
                 groupoid.arrow(p, f)

@@ -226,8 +226,8 @@ def test_braid_words_are_built_only_by_the_listed_builders():
         "BraidWord": {f"braids.{name}" for name in (
             "empty_word", "generator", "permutation_braid", "parse_letters")},
         "_word": {f"braids.{name}" for name in (
-            "concat", "invert_word", "reduced_word", "face_word", "degeneracy_word",
-            "cable_word", "pad_word", "s_left_word", "s_right_word", "random_word")},
+            "concat", "invert_word", "reduced_word", "face_word", "cable_word",
+            "pad_word", "random_word")},
         "no constructor": {"braids._word"},
         "slot setter": {"braids._set_strands", "braids._set_letters", "braids._word"},
     }, builders

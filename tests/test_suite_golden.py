@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from csgroups import perms, suites
+from csgroups import braids, core, perms, suites
 
 HERE = Path(__file__).resolve().parent
 SMALL = json.loads((HERE / "suite_golden.json").read_text())
@@ -121,3 +121,27 @@ def test_out_of_range_flags_a_report_does_not_list_are_ignored():
                     assert report.to_json() == expected, (name, inst, key, value)
                     runs += 1
     assert runs >= 2 * 12  # the 11 exhaustive symm suites and braid section
+
+
+def test_no_seed_draws_from_the_seed_the_report_shows(monkeypatch):
+    """With seed=None a report shows its default seed and draws from it.
+    Before, the generator drew from the system's entropy, so a failing
+    sampled run reported seed 0 with inputs that no seed-0 run gives."""
+    monkeypatch.setattr(braids, "braids_equal", lambda a, b: False)
+    expected = suites.run_suite("crossed", "braid", trials=50, seed=0).to_json()
+    for _ in range(2):
+        report = suites.run_suite("crossed", "braid", trials=50, seed=None)
+        assert report.params["seed"] == 0 and report.to_json() == expected
+
+
+@pytest.mark.parametrize("key", ["max_level", "trials", "word_len", "seed"])
+@pytest.mark.parametrize("value", [2.5, True, "2"])
+def test_non_int_params_are_refused_before_any_work(monkeypatch, key, value):
+    """Each numeric param is an int or None, whether or not the report
+    lists it; anything else is one ValueError line before the suite
+    runs.  Before, trials=2.5 raised TypeError deep inside, max_level='2'
+    a comparison TypeError, and trials=True ran and reported true."""
+    monkeypatch.setattr(core, "Tally", None)  # a suite that ran would fail on it
+    with pytest.raises(ValueError) as refused:
+        suites.run_suite("crossed", "braid", **{key: value})
+    assert str(refused.value) == f"{key} must be an int, got {value!r}"
