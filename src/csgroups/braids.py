@@ -22,11 +22,11 @@ that check and fills the two slots of the word directly.
 
 Operadic insertion pads one word and cables a strand of another into
 m + 1 parallel strands, the degeneracy at one index applied m times.
-cable_word and pad_word, the only insertion kernels, do each in one
+_cable_word and _pad_word, the only insertion kernels, do each in one
 pass over the letters: a letter crossing the cabled strand becomes
 m + 1 letters, and padding shifts every letter once.  The degeneracy
-is cable_word at m = 1, and the end insertions s_left and s_right are
-pad_word with one strand on the left or on the right.
+is _cable_word at m = 1, and the end insertions s_left and s_right are
+_pad_word with one strand on the left or on the right.
 
 Word equality is decided by the left-greedy normal form Delta^d A_1 ...
 A_r (Garside, Q. J. Math. 1969; Elrifai and Morton, Q. J. Math. 1994),
@@ -435,7 +435,7 @@ def face_word(i: int, b: BraidWord) -> BraidWord:
     return _word(b.strands - 1, tuple(out))
 
 
-def cable_word(i: int, m: int, b: BraidWord) -> BraidWord:
+def _cable_word(i: int, m: int, b: BraidWord) -> BraidWord:
     """
     Cable the strand with top position i into m + 1 >= 2 parallel
     strands: the degeneracy at i applied m times, in one pass, and at
@@ -466,7 +466,7 @@ def cable_word(i: int, m: int, b: BraidWord) -> BraidWord:
     return _word(b.strands + m, tuple(out))
 
 
-def pad_word(b: BraidWord, left: int, right: int) -> BraidWord:
+def _pad_word(b: BraidWord, left: int, right: int) -> BraidWord:
     """New trivial strands, `left` >= 0 at the left end and `right` >= 0
     at the right end: every letter shifts by `left`, once."""
     letters = tuple([(k + left, s) for k, s in b.letters]) if left else b.letters
@@ -505,7 +505,7 @@ def section_is_simplicial(p: Perm, i: int) -> bool:
     n = len(p) - 1
     lifted = permutation_braid(p)
     ok = braids_equal(
-        permutation_braid(degeneracy_perm(i, p)), cable_word(i, 1, lifted)
+        permutation_braid(degeneracy_perm(i, p)), _cable_word(i, 1, lifted)
     )
     if n >= 1:
         ok = ok and braids_equal(

@@ -2,13 +2,13 @@
 The two crossed simplicial group families and their law checkers.
 
 SymmetricCsg and BraidCsg each bundle the group operations of one
-family at every level, together with the face and degeneracy maps, the
-two end insertions s_left and s_right, and the projection onto
-permutations; only the symmetric family enumerates its levels.  Their
-common base CsgInstance names these primitives and holds the
-operations derived from them (purity, padding, the juxtaposition
-product).  Faces and degeneracies are not homomorphisms; instead
-they satisfy the crossed identities
+family at every level, the face and degeneracy maps, the end
+insertions s_left and s_right, the projection onto permutations, and
+one kernel for each insertion of partial composition; only the
+symmetric family enumerates its levels.  Their common base CsgInstance
+names these, owns the count rule of the insertions, and derives purity
+and the juxtaposition product.  Faces and degeneracies are not
+homomorphisms; instead they satisfy the crossed identities
 
     d_i(g h) = d_i(g) d_{a}(h),   s_i(g h) = s_i(g) s_{a}(h),
 
@@ -70,6 +70,8 @@ class CsgInstance:
     faces and degeneracies), format, parse_at(text, level) and
     random_element(rng, n, max_len); an enumerable one also defines
     elements(n).  mul and equal raise ValueError on levels that differ.
+    A family also defines _cable(i, m, g), s_i applied m >= 1 times, and
+    _pad(g, left, right), left + right >= 1 points, each in one step.
     The operations derived from these are shared; a family may override
     reduced(g), which returns g by default, with a shorter name for the
     same element (kan keeps its horn filler short with it)."""
@@ -81,19 +83,14 @@ class CsgInstance:
         return self.underlying_perm(g) == perms.identity(g.level)
 
     def degeneracy_power(self, i: int, m: int, g: CsgElement) -> CsgElement:
-        """Apply the degeneracy at the literal index i, m times."""
-        for _ in range(m):
-            g = self.degeneracy(i, g)
-        return g
+        """s_i at the literal index i applied m times; g if m <= 0, i unchecked."""
+        m = operator.index(m)
+        return self._cable(i, m, g) if m > 0 else g
 
     def pad(self, g: CsgElement, left: int, right: int) -> CsgElement:
-        """Insert `left` trivial points on the left and `right` on the
-        right, landing at level g.level + left + right."""
-        for _ in range(right):
-            g = self.s_right(g)
-        for _ in range(left):
-            g = self.s_left(g)
-        return g
+        """`left` and `right` (read first) trivial points at the ends; a count < 0 is 0."""
+        right, left = max(operator.index(right), 0), max(operator.index(left), 0)
+        return self._pad(g, left, right) if left or right else g
 
     def boxplus(self, g: CsgElement, h: CsgElement) -> CsgElement:
         """Juxtaposition product at level n + m + 1."""
@@ -105,13 +102,15 @@ class SymmetricCsg(CsgInstance):
     """Permutation groups; the projection is the identity.  A permutation
     that perms.kept admits has one element in the class (shared by every
     instance), interned on first use as perms.spend allows and returned
-    by every operation.  Its rows keep the interned results of each perms
-    kernel (a replaced kernel fills its own), as perms.spend allows: a
-    list by the int index, or for mul a dict by the other operand's id,
-    as operad.circ_gpd keys its row.  Only an interned operand has an
-    id key, since an interned element is never freed.  So every kept
-    element, on up to perms._TABLE_POINTS points, answers its products
-    from its own row.  A miss runs the kernel.  Equality is by value."""
+    by every operation.  Its rows keep the interned results of each
+    operation, keyed by the perms kernels it calls (a replaced kernel
+    fills its own) and an insertion's name, as perms.spend allows: a list
+    by the int index; for mul a dict by the other operand's id, as
+    operad.circ_gpd keys its row (only an interned operand, never freed,
+    has one); for _cable and _pad, one block_substitute each, a dict by
+    the counts, read only for an int index.  So every kept element, on up
+    to perms._TABLE_POINTS points, answers its products from its own row.
+    A miss runs the kernel.  Equality is by value."""
 
     name = "symm"
     _interned: dict[perms.Perm, CsgElement] = {}
@@ -127,13 +126,13 @@ class SymmetricCsg(CsgInstance):
                 self._interned[p] = g
         return g
 
-    def _fill(self, kernel, g, empty, key, *args):
-        """The interned kernel(*args), kept at `key` of g's row for kernel
-        (the `empty` row while g has none) as perms.spend allows."""
+    def _fill(self, kernel, g, empty, key, *args, row=None):
+        """The interned kernel(*args), kept at `key` of g's row `row` or
+        kernel's (the `empty` row while g has none) as perms.spend allows."""
         result = self._intern(kernel(*args))
         if (g.rows is not None and result.rows is not None
                 and perms.spend(max(g.level, result.level) + 1)):
-            g.rows.setdefault(kernel, empty)[key] = result
+            g.rows.setdefault(row or kernel, empty)[key] = result
         return result
 
     def one(self, n: int) -> CsgElement:
@@ -166,6 +165,17 @@ class SymmetricCsg(CsgInstance):
         row = g.rows and 0 <= i <= g.level and g.rows.get(perms.degeneracy_perm)
         return (row and row[i]
                 or self._fill(perms.degeneracy_perm, g, [None] * (g.level + 1), i, i, g.payload))
+
+    def _cable(self, i, m, g):
+        row = (perms.block_substitute, perms.identity, "cable")
+        return (type(i) is int and g.rows and g.rows.get(row, {}).get((i, m)) or self._fill(
+            perms.block_substitute, g, {}, (i, m), g.payload, i, perms.identity(m), row=row))
+
+    def _pad(self, g, left, right):
+        row = (perms.block_substitute, perms.identity, "pad")
+        return (g.rows and g.rows.get(row, {}).get((left, right)) or self._fill(
+            perms.block_substitute, g, {}, (left, right),
+            perms.identity(left + right), left, g.payload, row=row))
 
     def underlying_perm(self, g):
         return g.payload
@@ -212,13 +222,11 @@ class BraidCsg(CsgInstance):
     normal form (braids.braids_equal), with the free-group action
     (braids.artin_act) as the reference oracle of the tests.  mul
     concatenates (eval prints the product's letters); reduced is the
-    free reduction (braids.reduced_word).  Every insertion goes through
-    braids.cable_word or braids.pad_word: degeneracy is cable_word at
-    m = 1 and degeneracy_power at m, s_left and s_right are pad_word
-    with one strand, and pad builds its word in one pass, giving the
-    letters and errors of the shared loops.  element checks its payload;
-    every other result is built by _build, unchecked, from a word whose
-    level it is given."""
+    free reduction (braids.reduced_word).  _cable and _pad are one pass
+    each (braids._cable_word, _pad_word); degeneracy is _cable_word at
+    m = 1, and s_left and s_right are _pad_word by one strand.  element
+    checks its payload; every other result is built by _build,
+    unchecked, from a word whose level it is given."""
 
     name = "braid"
 
@@ -249,30 +257,22 @@ class BraidCsg(CsgInstance):
         return self._build(g.level - 1, braids.face_word(i, g.payload))
 
     def degeneracy(self, i, g):
-        return self._build(g.level + 1, braids.cable_word(i, 1, g.payload))
+        return self._build(g.level + 1, braids._cable_word(i, 1, g.payload))
 
-    def degeneracy_power(self, i, m, g):
-        # operator.index refuses what range(m) refuses, with its message.
-        m = operator.index(m)
-        if m <= 0:
-            return g
-        return self._build(g.level + m, braids.cable_word(i, m, g.payload))
+    def _cable(self, i, m, g):
+        return self._build(g.level + m, braids._cable_word(i, m, g.payload))
 
-    def pad(self, g, left, right):
-        # right first, as the shared loop reads them; a negative count is 0.
-        right, left = max(operator.index(right), 0), max(operator.index(left), 0)
-        if not left and not right:
-            return g
-        return self._build(g.level + left + right, braids.pad_word(g.payload, left, right))
+    def _pad(self, g, left, right):
+        return self._build(g.level + left + right, braids._pad_word(g.payload, left, right))
 
     def underlying_perm(self, g):
         return braids.underlying_perm_word(g.payload)
 
     def s_left(self, g):
-        return self._build(g.level + 1, braids.pad_word(g.payload, 1, 0))
+        return self._build(g.level + 1, braids._pad_word(g.payload, 1, 0))
 
     def s_right(self, g):
-        return self._build(g.level + 1, braids.pad_word(g.payload, 0, 1))
+        return self._build(g.level + 1, braids._pad_word(g.payload, 0, 1))
 
     def equal(self, g, h):
         return braids.braids_equal(g.payload, h.payload)

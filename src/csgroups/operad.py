@@ -63,13 +63,13 @@ def circ_set(inst: CsgInstance, a: CsgElement, i: int, b: CsgElement) -> CsgElem
 
 def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> GroupoidArrow:
     """Insert arrow b into slot i of arrow a; an interned a keeps interned
-    results by slot and b, in a row keyed by the kernels used, as
-    perms.spend allows.  An interned arrow is never freed (its
-    element keeps it), so its id is a stable key."""
+    results by slot and b, as perms.spend allows, in a row keyed by the
+    kernels of the symmetric path (block_substitute, identity, compose).
+    An interned arrow is never freed (its element keeps it), so its id
+    is a stable key."""
     n = a.f.level
     kernels = (a.rows is not None and b.rows is not None and type(i) is int and 0 <= i <= n
-               and (perms.block_substitute, perms.degeneracy_perm, perms.s_left_perm,
-                    perms.s_right_perm, perms.compose))
+               and (perms.block_substitute, perms.identity, perms.compose))
     row = kernels and a.rows.get(kernels)
     c = row and row.get((n + 1) * id(b) + i)
     if not c:

@@ -13,9 +13,9 @@ degeneracy at i doubles that point.  s_left and s_right insert a fresh
 fixed point at the left or right end and are group homomorphisms.
 
 block_substitute expands the point i of the outer permutation into a
-block of m + 1 consecutive points carrying an inner permutation; it is
-the direct, table-level form of partial composition and serves as the
-oracle the structural formula is checked against.
+block of m + 1 consecutive points carrying an inner permutation.  Each
+symmetric insertion is one, and so is the whole partial composition:
+the oracle the structural formula is checked against.
 
 Each kernel below that builds a permutation keeps a table of its own
 results on at most 7 points, keyed by its arguments and filled on first
@@ -23,8 +23,8 @@ use: level 6 is the highest level a symmetric acceptance scope reaches
 (partial composition lands at level n + m, so the operad axioms on
 three level-2 operands reach level 6), and larger levels (an `eval` at
 level 1000) would only grow the tables.  They serve the arrow sources
-(groupoid.target, face_arrow, degeneracy_arrow, n_action),
-block_substitute and the misses of the symmetric elements' own rows
+(groupoid.target, face_arrow, degeneracy_arrow, n_action), the
+symmetric insertions and the misses of the symmetric elements' own rows
 (core.SymmetricCsg).  A miss runs the kernel's body, so every error
 still raises and nothing that raised is kept; the rule `kept` admits
 only tuples of ints, so sharing is safe.

@@ -113,24 +113,24 @@ def test_face_degeneracy_projection_squares():
             q = p
             for m in range(1, 4):
                 q = perms.degeneracy_perm(i, q)
-                assert braids.underlying_perm_word(braids.cable_word(i, m, b)) == q
-        assert braids.underlying_perm_word(braids.pad_word(b, 1, 0)) == perms.s_left_perm(p)
-        assert braids.underlying_perm_word(braids.pad_word(b, 0, 1)) == perms.s_right_perm(p)
+                assert braids.underlying_perm_word(braids._cable_word(i, m, b)) == q
+        assert braids.underlying_perm_word(braids._pad_word(b, 1, 0)) == perms.s_left_perm(p)
+        assert braids.underlying_perm_word(braids._pad_word(b, 0, 1)) == perms.s_right_perm(p)
 
 
 def test_degeneracy_frozen_value():
-    d = braids.cable_word(0, 1, generator(1, 0))
+    d = braids._cable_word(0, 1, generator(1, 0))
     assert d.letters == ((1, 1), (0, 1))
     assert braids.underlying_perm_word(d) == (2, 0, 1)
-    assert braids.cable_word(1, 1, empty_word(1)).letters == ()
+    assert braids._cable_word(1, 1, empty_word(1)).letters == ()
 
 
 def test_end_insertions():
     g0 = generator(1, 0)
-    assert braids.pad_word(g0, 0, 1).letters == ((0, 1),)
-    assert braids.pad_word(g0, 0, 1).strands == 3
-    assert braids.pad_word(g0, 1, 0).letters == ((1, 1),)
-    assert braids.pad_word(empty_word(1), 1, 0).letters == ()
+    assert braids._pad_word(g0, 0, 1).letters == ((0, 1),)
+    assert braids._pad_word(g0, 0, 1).strands == 3
+    assert braids._pad_word(g0, 1, 0).letters == ((1, 1),)
+    assert braids._pad_word(empty_word(1), 1, 0).letters == ()
 
 
 def test_permutation_braid_properties():
@@ -164,10 +164,10 @@ def test_equality_is_congruence(u, v):
     assert braids.braids_equal(slack, u)
     for i in range(n + 1):
         assert braids.braids_equal(braids.face_word(i, slack), braids.face_word(i, u))
-        assert braids.braids_equal(braids.cable_word(i, 1, slack),
-                                   braids.cable_word(i, 1, u))
-    assert braids.braids_equal(braids.pad_word(slack, 1, 0), braids.pad_word(u, 1, 0))
-    assert braids.braids_equal(braids.pad_word(slack, 0, 1), braids.pad_word(u, 0, 1))
+        assert braids.braids_equal(braids._cable_word(i, 1, slack),
+                                   braids._cable_word(i, 1, u))
+    assert braids.braids_equal(braids._pad_word(slack, 1, 0), braids._pad_word(u, 1, 0))
+    assert braids.braids_equal(braids._pad_word(slack, 0, 1), braids._pad_word(u, 0, 1))
 
 
 def test_fingerprint_tracks_equality():
@@ -251,8 +251,8 @@ def test_builders_return_words_the_constructor_accepts(words):
     """The builders skip the constructor's check; what they build from
     checked words must pass it and equal the checked copy."""
     u, v, i = words
-    built = [braids.concat(u, v), braids.invert_word(u), braids.pad_word(u, 1, 0),
-             braids.pad_word(u, 0, 1), braids.cable_word(i, 1, u)]
+    built = [braids.concat(u, v), braids.invert_word(u), braids._pad_word(u, 1, 0),
+             braids._pad_word(u, 0, 1), braids._cable_word(i, 1, u)]
     if u.level:
         built.append(braids.face_word(i, u))
     for w in built:
@@ -363,7 +363,7 @@ def test_reduced_word_is_the_free_reduction(w):
     assert all(a != (b[0], -b[1]) for a, b in zip(r.letters, r.letters[1:]))
 
     def degeneracy(i, b):
-        return braids.cable_word(i, 1, b)
+        return braids._cable_word(i, 1, b)
 
     for i in range(w.strands):
         ops = (braids.face_word, degeneracy) if w.level else (degeneracy,)
@@ -398,7 +398,7 @@ def run_blocks(draw, strands, max_len):
             short = draw(st.lists(st.integers(min_value=0, max_value=strands - 3),
                                   min_size=1, max_size=3))
             i = draw(st.integers(min_value=0, max_value=strands - 2))
-            p, letters = None, braids.cable_word(i, 1, BraidWord(strands - 1, tuple(
+            p, letters = None, braids._cable_word(i, 1, BraidWord(strands - 1, tuple(
                 (k, 1) for k in short))).letters
         else:
             p = tuple(draw(st.permutations(range(strands))))

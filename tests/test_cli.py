@@ -592,36 +592,44 @@ def test_injected_fault_fails_crossed(monkeypatch, capsys):
     assert code == 1 and out.startswith("suite crossed [symm] fail")
 
 
-# The shifted degeneracy fault of test_injected_fault_fails_crossed, as
-# source for a fresh interpreter.
+# The index shift of test_injected_fault_fails_crossed, put into the
+# kernel that each suite's symmetric path calls: partial composition
+# substitutes blocks, and the arrow degeneracy doubles a point.  The
+# block index stops at the last point instead of wrapping: wrapped, the
+# shift relabels the two slots of level 1 consistently, and the laws
+# hold.  Each fault is source, for this process and a fresh interpreter.
+SHIFTED_FAULTS = {
+    "operadic-mult": ("block_substitute", "lambda p, i, q: right(p, min(i + 1, len(p) - 1), q)"),
+    "groupoid-simplicial": ("degeneracy_perm", "lambda i, p: right((i + 1) % len(p), p)"),
+}
 SHIFTED_FAULT = """
 import sys
 sys.path.insert(0, {src!r})
 from csgroups import perms, suites
-right = perms.degeneracy_perm
-perms.degeneracy_perm = lambda i, p: right((i + 1) % len(p), p)
+right = perms.{kernel}
+perms.{kernel} = {fault}
 print(suites.run_suite({suite!r}, "symm", max_level={level}).to_json())
 """
 
 
 @pytest.mark.parametrize("suite, level, failures", [
-    ("operadic-mult", 1, 136), ("groupoid-simplicial", 2, 1020)])
+    ("operadic-mult", 1, 144), ("groupoid-simplicial", 2, 1020)])
 def test_fault_after_warm_up_matches_a_fresh_run(monkeypatch, suite, level, failures):
     """Rows filled before a kernel is replaced never answer for the
     replacement: a warm run with the fault reports what a fresh
     interpreter with the same fault reports."""
     suites.run_suite("operadic-mult", "symm", max_level=1)
     suites.run_suite("groupoid-simplicial", "symm", max_level=2)
-    right = perms.degeneracy_perm
-    monkeypatch.setattr(perms, "degeneracy_perm",
-                        lambda i, p: right((i + 1) % len(p), p))
+    kernel, fault = SHIFTED_FAULTS[suite]
+    monkeypatch.setattr(perms, kernel, eval(fault, {"right": getattr(perms, kernel)}))
     warm = suites.run_suite(suite, "symm", max_level=level)
     src = str(pathlib.Path(suites.__file__).parents[1])
     fresh = subprocess.run(
-        [sys.executable, "-c", SHIFTED_FAULT.format(src=src, suite=suite, level=level)],
+        [sys.executable, "-c", SHIFTED_FAULT.format(src=src, kernel=kernel, fault=fault,
+                                                    suite=suite, level=level)],
         capture_output=True, text=True, check=True, timeout=120).stdout
     assert warm.to_json() + "\n" == fresh
-    assert warm.failures == failures
+    assert warm.failures == failures > 0
     if suite == "operadic-mult":
         assert "(y.x) o_i (w.v) == (y o_i w).(x o_i v)" in {
             ce["identity"] for ce in warm.counterexamples}

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from csgroups import BRAID, SYMMETRIC
 from csgroups import braids, core, groupoid, operad, perms, suites
 
+import loops
+
 
 def test_group_axioms_exhaustive_symm():
     for n in range(4):
@@ -142,15 +144,67 @@ _INDEX = st.one_of(st.integers(min_value=-2, max_value=7), st.sampled_from((0.0,
 @given(braid_element_st(), _INDEX, _COUNT, _COUNT, _COUNT)
 @settings(max_examples=400)
 def test_braid_insertion_kernels_match_the_shared_loops(g, i, m, left, right):
-    """BraidCsg cables and pads in one pass each (braids.cable_word,
-    braids.pad_word); the loops of CsgInstance, which apply the
-    one-strand operations a count of times, are the reference for the
-    letters, the level and the error."""
-    loops = core.CsgInstance
+    """BraidCsg cables and pads in one pass each (braids._cable_word,
+    braids._pad_word); the test-side loops, which apply the one-strand
+    operations a count of times, are the reference for the letters, the
+    level and the error."""
     assert _outcome(lambda: BRAID.degeneracy_power(i, m, g)) == \
         _outcome(lambda: loops.degeneracy_power(BRAID, i, m, g))
     assert _outcome(lambda: BRAID.pad(g, left, right)) == \
         _outcome(lambda: loops.pad(BRAID, g, left, right))
+
+
+def _symm_outcome(call, message):
+    """A call's result as (level, payload), or its error's type, and its
+    message when `message` is true.  A count's error has the loops'
+    message; an index's does not, since block_substitute names it."""
+    try:
+        g = call()
+    except (IndexError, TypeError, ValueError) as exc:
+        return (type(exc), str(exc)) if message else type(exc)
+    return g.level, g.payload
+
+
+# Levels 0-4, and level 8, on more points than an interned element has.
+@given(st.one_of(st.integers(min_value=0, max_value=4), st.just(8))
+       .flatmap(lambda n: st.permutations(range(n + 1))), _INDEX, _COUNT, _COUNT, _COUNT)
+@settings(max_examples=400)
+def test_symmetric_insertion_kernels_match_the_shared_loops(p, i, m, left, right):
+    """SymmetricCsg inserts with one block substitution each; the same
+    test-side loops are the reference for the payload, the level, the
+    type of the error and, for a count's error, its message."""
+    g = SYMMETRIC.element(p)
+    count_error = not isinstance(m, int)
+    assert _symm_outcome(lambda: SYMMETRIC.degeneracy_power(i, m, g), count_error) == \
+        _symm_outcome(lambda: loops.degeneracy_power(SYMMETRIC, i, m, g), count_error)
+    assert _symm_outcome(lambda: SYMMETRIC.pad(g, left, right), True) == \
+        _symm_outcome(lambda: loops.pad(SYMMETRIC, g, left, right), True)
+
+
+def test_insertion_rows_answer_only_their_own_operation():
+    """Each symmetric insertion keeps its results in a row of its own,
+    by its counts: degeneracy_power(0, 1, g) and pad(g, 0, 1) share
+    their counts but not their row, and a float index, which equals its
+    int as a key, reads no row, warm or cold."""
+    g = SYMMETRIC.element((1, 0, 2))
+    for _ in range(2):
+        assert SYMMETRIC.degeneracy_power(0, 1, g).payload == (2, 0, 1, 3)
+        assert SYMMETRIC.pad(g, 0, 1).payload == (1, 0, 2, 3)
+        for m in (1, 2):
+            assert SYMMETRIC.degeneracy_power(True, m, g) is SYMMETRIC.degeneracy_power(1, m, g)
+            with pytest.raises(TypeError):
+                SYMMETRIC.degeneracy_power(1.0, m, g)
+
+
+def test_insertion_counts_are_read_before_a_word_is_built():
+    """A float count is refused and a negative one inserts nothing, so
+    no insertion returns a word the BraidWord constructor refuses; the
+    kernels that take counts unchecked are private."""
+    g = BRAID.element(braids.generator(2, 1))
+    with pytest.raises(TypeError):
+        BRAID.degeneracy_power(0, 1.0, g)
+    assert BRAID.pad(g, 0, -2) is g
+    assert not hasattr(braids, "cable_word") and not hasattr(braids, "pad_word")
 
 
 def test_checkers_symm_exhaustive():
@@ -184,7 +238,7 @@ def _s_left_as_s_right(p):
     return p + (len(p),)
 
 
-def _degeneracy_one_strand_over(i, m, b, right=braids.cable_word):
+def _degeneracy_one_strand_over(i, m, b, right=braids._cable_word):
     return right((i + 1) % b.strands, m, b)
 
 
@@ -204,7 +258,7 @@ def _braid_cases():
     (perms, "s_left_perm", _s_left_as_s_right, SYMMETRIC, _symm_cases, (606, 178),
      (606, 178), ["d_0 sL == id"] + [f"d_{i + 1} sL == sL d_{i}" for i in range(4)]
      + [f"s_{i + 1} sL == sL s_{i}" for i in range(4)]),
-    (braids, "cable_word", _degeneracy_one_strand_over, BRAID, _braid_cases,
+    (braids, "_cable_word", _degeneracy_one_strand_over, BRAID, _braid_cases,
      (20140, 1545), (4032, 312), [f"s_{i} sR == sR s_{i}" for i in range(1, 6)]
      + [f"s_{i + 1} sL == sL s_{i}" for i in range(1, 6)]),
 ], ids=["sL-symm", "degeneracy-braid"])

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from csgroups import BRAID, SYMMETRIC, Tally
-from csgroups.core import BraidCsg, CsgInstance
+from csgroups.core import BraidCsg, SymmetricCsg
 from csgroups import braids, groupoid, operad, perms
 from csgroups.groupoid import GroupoidArrow
+
+import loops
 
 
 def test_circ_frozen_values():
@@ -49,11 +51,11 @@ def test_braid_insertion_takes_no_per_strand_step(monkeypatch):
     """circ_set on braids cables the outer word and pads the inner one
     in one pass each: with the one-strand operations (the degeneracy and
     the end insertions) patched to fail it still answers at m = 500,
-    with the letters the loops of CsgInstance give."""
+    with the letters the test-side loops give."""
     a = BRAID.element(braids.parse_letters("s1 s2^-1 s1 s2", 2))
     b = BRAID.element(braids.parse_letters("s1 s500 s2^-1", 500))
-    expected = [BRAID.mul(CsgInstance.pad(BRAID, b, i, 2 - i),
-                          CsgInstance.degeneracy_power(BRAID, i, 500, a)) for i in range(3)]
+    expected = [BRAID.mul(loops.pad(BRAID, b, i, 2 - i),
+                          loops.degeneracy_power(BRAID, i, 500, a)) for i in range(3)]
 
     def fail(*args):
         raise AssertionError("a one-strand operation ran")
@@ -62,6 +64,23 @@ def test_braid_insertion_takes_no_per_strand_step(monkeypatch):
     for i in range(3):
         c = operad.circ_set(BRAID, a, i, b)
         assert (c.level, c.payload) == (502, expected[i].payload)
+
+
+def test_symmetric_insertion_takes_no_per_strand_step(monkeypatch):
+    """circ_set on permutations substitutes blocks: with the one-strand
+    operations patched to fail it still answers, with block_substitute
+    of the operands, on interned operands and on ones above 7 points."""
+    def fail(*args):
+        raise AssertionError("a one-strand operation ran")
+    for name in ("degeneracy", "s_left", "s_right"):
+        monkeypatch.setattr(SymmetricCsg, name, fail)
+    rng = random.Random(5)
+    for n, m in [(0, 3), (2, 2), (3, 0), (4, 5)]:
+        for _ in range(5):
+            a, b = SYMMETRIC.random_element(rng, n), SYMMETRIC.random_element(rng, m)
+            for i in range(n + 1):
+                assert operad.circ_set(SYMMETRIC, a, i, b).payload == \
+                    perms.block_substitute(a.payload, i, b.payload)
 
 
 def test_operadic_mult_identity():

@@ -305,7 +305,7 @@ INDEXED = [
     (perms.degeneracy_perm, (), ((1, 0),)),
     (perms.block_substitute, ((1, 0),), ((1, 0),)),
     (braids.face_word, (), (braids.parse_letters("s1 s2", 2),)),
-    (braids.cable_word, (), (1, braids.parse_letters("s1 s2", 2))),
+    (braids._cable_word, (), (1, braids.parse_letters("s1 s2", 2))),
 ]
 
 

@@ -154,6 +154,19 @@ def test_symmetric_elements_are_built_only_by_the_interning_helper():
     assert builders == {"_intern"}, builders
 
 
+def test_shared_instance_operations_keep_no_loop():
+    """No method of `CsgInstance` loops: each family inserts with one
+    kernel per operation, so a per-strand loop cannot come back into
+    the shared operations unnoticed."""
+    tree = ast.parse((PACKAGE / "core.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "CsgInstance")
+    looping = {item.name for item in cls.body if isinstance(item, ast.FunctionDef)
+               and any(isinstance(n, (ast.For, ast.While, ast.comprehension))
+                       for n in ast.walk(item))}
+    assert looping == set(), looping
+
+
 def test_arrows_are_built_only_by_the_interning_helper():
     """The package constructs a `GroupoidArrow` only in `groupoid.arrow`,
     so no second construction path bypasses the interned arrows."""
@@ -226,8 +239,8 @@ def test_braid_words_are_built_only_by_the_listed_builders():
         "BraidWord": {f"braids.{name}" for name in (
             "empty_word", "generator", "permutation_braid", "parse_letters")},
         "_word": {f"braids.{name}" for name in (
-            "concat", "invert_word", "reduced_word", "face_word", "cable_word",
-            "pad_word", "random_word")},
+            "concat", "invert_word", "reduced_word", "face_word", "_cable_word",
+            "_pad_word", "random_word")},
         "no constructor": {"braids._word"},
         "slot setter": {"braids._set_strands", "braids._set_letters", "braids._word"},
     }, builders
