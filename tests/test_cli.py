@@ -756,9 +756,9 @@ def test_check_word_len_above_the_limit(monkeypatch, capsys):
 
 
 def test_kan_lift_lifts_a_trivial_horn_at_the_limit(tmp_path, capsys):
-    """Validation compares the faces in pairs, so its cost grows with
-    the square of the level; a trivial braid horn at cli.MAX_LEVEL still
-    lifts."""
+    """A compatible horn is not compared in pairs: the lift checks the n
+    faces of its product, so a trivial braid horn at cli.MAX_LEVEL lifts
+    at a cost linear in the level."""
     code, out, _ = run(capsys, "kan-lift", _trivial_horn_file(tmp_path, cli.MAX_LEVEL))
     assert code == 0 and "FAIL" not in out and "identity=true" in out
 

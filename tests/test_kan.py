@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import lifts
 from csgroups import BRAID, SYMMETRIC, BraidCsg
 from csgroups import braids, cli, kan, perms
 from csgroups.braids import BraidWord, generator
@@ -72,7 +73,8 @@ def test_wrong_filler_is_refused_by_lift_horn(monkeypatch, tmp_path, capsys, j, 
     """moore_fill does not check its filler; lift_horn's check of the
     product is the one face check of a lift.  A filler times s_j^2, a
     pure braid that changes face r of a level-2 filler and no other, is
-    refused there, and kan-lift reports it in one line."""
+    refused there, on the capped fill and again on the uncapped one, and
+    kan-lift reports it in one line."""
     horn = kan.horn_from_filler(BRAID, BRAID.random_element(random.Random(9), 2, 4), 1)
     path = tmp_path / "horn.json"
     path.write_text(json.dumps({
@@ -81,8 +83,8 @@ def test_wrong_filler_is_refused_by_lift_horn(monkeypatch, tmp_path, capsys, j, 
         "faces": {str(t): braids.format_letters(y.payload) for t, y in horn.faces}}))
     square = BRAID.mul(BRAID.element(generator(2, j)), BRAID.element(generator(2, j)))
     fill = kan.moore_fill
-    monkeypatch.setattr(kan, "moore_fill", lambda inst, faces, n, k: inst.mul(
-        fill(inst, faces, n, k), square))
+    monkeypatch.setattr(kan, "moore_fill", lambda inst, *args: inst.mul(
+        fill(inst, *args), square))
     message = f"lift face {r} does not match the horn"
     with pytest.raises(kan.FillError, match=f"^{message}$"):
         kan.lift_horn(BRAID, horn)
@@ -91,19 +93,34 @@ def test_wrong_filler_is_refused_by_lift_horn(monkeypatch, tmp_path, capsys, j, 
 
 
 def test_a_lift_compares_each_face_once(monkeypatch):
-    """A level-n braid lift makes n(n-1)/2 equality checks in
-    validate_horn and n in lift_horn's check of the product; moore_fill
-    made n more when it re-checked the filler."""
-    calls = []
-    equal = BraidCsg.equal
-    monkeypatch.setattr(BraidCsg, "equal", lambda self, g, h: calls.append(1) or equal(
-        self, g, h))
+    """A compatible level-n braid lift makes n equality checks, those of
+    lift_horn's check of the product; validate_horn's n(n-1)/2 pairwise
+    checks ran before the fill until the capped fill came first, and
+    moore_fill made n more when it re-checked the filler.  On the trivial
+    level-1000 horn, the pairwise check took two faces per pair, 999,000
+    in all; the lift now takes three per face."""
+    calls = {"equal": 0, "face": 0}
+
+    def counting(name):
+        method = getattr(BraidCsg, name)
+
+        def counted(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(BraidCsg, name, counting(name))
     rng = random.Random(20)
-    for n in range(1, 8):
-        horn = kan.horn_from_filler(BRAID, BRAID.random_element(rng, n, 8), rng.randint(0, n))
-        calls.clear()
+    horns = [kan.horn_from_filler(BRAID, BRAID.random_element(rng, n, 8), rng.randint(0, n))
+             for n in range(1, 8)]
+    n = cli.MAX_LEVEL
+    horns.append(kan.horn_from_faces(n, 0, {r: BRAID.one(n - 1) for r in range(1, n + 1)},
+                                     perms.identity(n)))
+    for horn in horns:
+        calls.update(equal=0, face=0)
         kan.lift_horn(BRAID, horn)
-        assert len(calls) == n * (n - 1) // 2 + n
+        assert calls["equal"] == horn.n
+        assert calls["face"] <= 3 * horn.n
 
 
 def test_validate_horn_stops_at_the_first_violation(monkeypatch):
@@ -121,28 +138,52 @@ def test_validate_horn_stops_at_the_first_violation(monkeypatch):
     assert len(calls) == 49
 
 
-def test_an_incompatible_horn_never_reaches_the_fill(monkeypatch):
-    """The two-sweep fill is sound only on a compatible horn.  Filling
-    this level-16 horn, cut from a 12-letter filler with each face times
-    two squared generators, built a 1,085,944-letter product in 143 s;
-    validate_horn refuses it first."""
-    rng = random.Random(16)
-    horn = kan.horn_from_filler(BRAID, BRAID.random_element(rng, 16, 12), rng.randint(0, 16))
+def _cap(horn):
+    """The letter cap of lift_horn's first fill."""
+    letters = sum(len(y.payload.letters) for _, y in horn.faces)
+    return kan._CAP_PER_LETTER * (letters + horn.n + 1)
+
+
+def _incompatible_horn(n, seed):
+    """The horn cut from a 12-letter level-n filler with each face times
+    two squared generators: every projection is right, and the faces
+    disagree."""
+    rng = random.Random(seed)
+    horn = kan.horn_from_filler(BRAID, BRAID.random_element(rng, n, 12), rng.randint(0, n))
     faces = {}
     for r, y in horn.faces:
         for _ in range(2):
-            square = BRAID.element(generator(15, rng.randrange(15)))
+            square = BRAID.element(generator(n - 1, rng.randrange(n - 1)))
             y = BRAID.mul(y, BRAID.mul(square, square))
         faces[r] = y
-    bad = kan.horn_from_faces(horn.n, horn.k, faces, horn.base)
+    return kan.horn_from_faces(horn.n, horn.k, faces, horn.base)
 
-    def must_not_fill(*args):
-        raise AssertionError("an incompatible horn reached the fill")
-    monkeypatch.setattr(kan, "moore_fill", must_not_fill)
+
+def _counting_products(monkeypatch):
+    """Wrap BraidCsg.mul; the list it returns gets each product's letters."""
+    letters = []
+    mul = BraidCsg.mul
+
+    def counted(self, g, h):
+        gh = mul(self, g, h)
+        letters.append(len(gh.payload.letters))
+        return gh
+    monkeypatch.setattr(BraidCsg, "mul", counted)
+    return letters
+
+
+def test_an_incompatible_horn_never_builds_a_product_past_the_cap(monkeypatch):
+    """The two-sweep fill is sound only on a compatible horn.  Filling
+    this level-16 horn uncapped built a 1,085,944-letter product in
+    143 s; the capped fill gives up before it builds a product past the
+    cap, and validate_horn then refuses the horn."""
+    bad = _incompatible_horn(16, 16)
+    products = _counting_products(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(kan.IncompatibleHorn, match=r"^d_0\(y_1\) != d_0\(y_0\)$"):
         kan.lift_horn(BRAID, bad)
     assert time.perf_counter() - start < 1
+    assert products and max(products) <= _cap(bad)
 
 
 def test_moore_fill_trivial_and_from_filler():
@@ -285,3 +326,98 @@ def test_lift_of_a_long_horn_stays_short(monkeypatch):
         horn = kan.horn_from_filler(BRAID, g, level // 2)
         assert len(kan.lift_horn(BRAID, horn).payload.letters) <= lift_bound
         assert max(longest) <= product_bound
+
+
+
+def _outcome(lift, inst, horn):
+    """The lift's payload, or the type and message of its refusal."""
+    try:
+        return lift(inst, horn).payload
+    except (kan.IncompatibleHorn, kan.FillError) as exc:
+        return type(exc), str(exc)
+
+
+def _perturbed(inst, horn, rng, factors):
+    """The horn with one face, drawn by rng, times `factors` in turn."""
+    faces = dict(horn.faces)
+    r = horn.faces[rng.randrange(horn.n)][0]
+    for factor in factors:
+        faces[r] = inst.mul(faces[r], factor)
+    return kan.horn_from_faces(horn.n, horn.k, faces, horn.base)
+
+
+def test_lift_horn_matches_the_checked_first_reference(monkeypatch):
+    """lift_horn gives what the reference gives, which checks the horn's
+    equations in pairs before it fills (tests/lifts.py): the same lift,
+    letter for letter, on compatible horns of both families at levels
+    1-8 and every k; the same refusal, type and message, on a face times
+    a squared generator, a face off its projection, the guard test's
+    incompatible horns up to level 200 (none builds a product past the
+    cap), an impure kernel face and a wrong filler."""
+    rng = random.Random(27)
+    compatible = {inst: [kan.horn_from_filler(inst, inst.random_element(rng, n, 8), k)
+                         for n in range(1, 9) for k in range(n + 1)]
+                  for inst in (BRAID, SYMMETRIC)}
+    for inst, horns in compatible.items():
+        for horn in horns:
+            assert kan.lift_horn(inst, horn).payload == lifts.lift_horn(inst, horn).payload
+    refused = []  # or lifted, for a face times a squared generator
+    for horn in compatible[BRAID][2:]:
+        j = rng.randrange(horn.n - 1)
+        s = BRAID.element(generator(horn.n - 1, j))
+        refused += [(BRAID, _perturbed(BRAID, horn, rng, [s, s])),
+                    (BRAID, _perturbed(BRAID, horn, rng, [s]))]
+    for horn in compatible[SYMMETRIC][2:]:
+        swap = SYMMETRIC.element((1, 0) + tuple(range(2, horn.n)))
+        refused.append((SYMMETRIC, _perturbed(SYMMETRIC, horn, rng, [swap])))
+    # A squared generator leaves every face of a level-1 face trivial, and
+    # may change only comparisons with the missing face at level 3.
+    outcomes = [_outcome(lifts.lift_horn, inst, horn) for inst, horn in refused]
+    assert [_outcome(kan.lift_horn, inst, horn) for inst, horn in refused] == outcomes
+    assert sum(type(o) is tuple and o[0] is kan.IncompatibleHorn for o in outcomes) >= 100
+    for n in (12, 16, 20, 50, 200):
+        bad = _incompatible_horn(n, n)
+        expected = _outcome(lifts.lift_horn, BRAID, bad)
+        products = _counting_products(monkeypatch)
+        assert _outcome(kan.lift_horn, BRAID, bad) == expected
+        assert expected[0] is kan.IncompatibleHorn and max(products) <= _cap(bad)
+        monkeypatch.undo()
+    # Horns whose base the patched section does not lift: an impure
+    # kernel face, or at level 1 a lift off the base; then a wrong filler
+    # on horns at level 2.
+    horns = [h for h in compatible[BRAID] if h.base != perms.identity(h.n)]
+    monkeypatch.setattr(BraidCsg, "section", lambda self, p: BRAID.one(len(p) - 1))
+    outcomes = [_outcome(lifts.lift_horn, BRAID, horn) for horn in horns]
+    assert [_outcome(kan.lift_horn, BRAID, horn) for horn in horns] == outcomes
+    assert all(type(o) is tuple for o in outcomes)
+    assert sum(o[1].endswith(" is not pure") for o in outcomes) >= 20
+    monkeypatch.undo()
+    fill = kan.moore_fill
+    refusals = 0
+    for j in (0, 1):
+        square = BRAID.mul(BRAID.element(generator(2, j)), BRAID.element(generator(2, j)))
+        monkeypatch.setattr(kan, "moore_fill", lambda inst, *args: inst.mul(
+            fill(inst, *args), square))
+        for horn in compatible[BRAID][2:5]:
+            expected = _outcome(lifts.lift_horn, BRAID, horn)
+            assert _outcome(kan.lift_horn, BRAID, horn) == expected
+            refusals += type(expected) is tuple and expected[0] is kan.FillError
+    # s_j^2 changes face 2 - 2j of a level-2 filler and no other, so the
+    # horn missing that face still lifts.
+    assert refusals == 4
+
+
+def test_horns_like_the_benchmarks_lift_without_the_pairwise_check(monkeypatch):
+    """On 500 horns per level 2-4, cut from fillers of at most 12
+    letters as horn-requests cuts its horns, the capped fill never gives
+    up: no lift runs validate_horn."""
+    calls = []
+    validate = kan.validate_horn
+    monkeypatch.setattr(kan, "validate_horn", lambda *args: calls.append(args) or validate(
+        *args))
+    rng = random.Random(12)
+    for n in (2, 3, 4):
+        for _ in range(500):
+            g = BRAID.random_element(rng, n, 12)
+            kan.lift_horn(BRAID, kan.horn_from_filler(BRAID, g, rng.randint(0, n)))
+    assert calls == []
