@@ -16,9 +16,9 @@ before anything that size is built (a horn's once its faces are read).
 An error line echoes at most perms.MAX_ECHO characters of any input.
 kan-lift prints the checks kan.lift_horn made, without making them again.
 
-main builds one argparse parser per process, on its first call, and
-reuses it; it looks each command's cmd_<name> function up when called,
-so a wrapper installed on one after the first call still sees its calls.
+main sends eval or kan-lift with one argument to its command, building
+no parser; other lines share one argparse parser, built on first use.
+main looks cmd_<name> up when called, so a later wrapper sees its calls.
 """
 
 from __future__ import annotations
@@ -58,19 +58,17 @@ _TOKEN = re.compile(
     r"|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z]+(?:_[0-9]+)?)"
     r"|(?P<punct>[()\[\],@])"
+    r"|(?P<bad>.)", re.DOTALL
 )
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+            tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -363,10 +361,12 @@ _parser: argparse.ArgumentParser | None = None
 def main(argv=None) -> int:
     global _parser
     argv = list(sys.argv[1:] if argv is None else argv)
-    # eval and kan-lift read their one argument even if it starts with '-'.
+    # eval and kan-lift read one argument as after '--', with no parser.
     if (len(argv) == 2 and argv[0] in ("eval", "kan-lift")
             and argv[1] not in ("-h", "--help", "--")):
-        argv.insert(1, "--")
+        if argv[0] == "eval":
+            return cmd_eval(argparse.Namespace(expression=argv[1]))
+        return cmd_kan_lift(argparse.Namespace(horn=argv[1]))
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)

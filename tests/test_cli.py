@@ -4,6 +4,7 @@ horn lifting, exit codes, and report determinism."""
 import hashlib
 import itertools
 import json
+import os
 import pathlib
 import random
 import re
@@ -11,12 +12,15 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from csgroups import braids, cli, core, groupoid, kan, operad, perms, suites
 from csgroups.core import SymmetricCsg
 from csgroups.groupoid import GroupoidArrow
+from test_fuzz import _expression, _horns, _soup, run_cli
 
 
 def run(capsys, *argv):
@@ -824,3 +828,101 @@ def test_help_flags_still_print_help(capsys, command, flag):
         cli.main([command, flag])
     assert exited.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: csgroups {command} [-h]")
+
+
+def _builds_no_parser():
+    raise AssertionError("a one-argument eval or kan-lift line built a parser")
+
+
+def _same_as_after_dashes(command, argument):
+    """main([command, argument]) builds no parser and gives the exit
+    code, stdout and stderr of main([command, "--", argument]), which
+    goes through argparse."""
+    expected = run_cli(command, "--", argument)
+    with mock.patch.object(cli, "_parser", None), \
+            mock.patch.object(cli, "build_parser", _builds_no_parser):
+        assert run_cli(command, argument) == expected
+    return expected
+
+
+@pytest.mark.parametrize("command, argument, code", [
+    ("eval", "-x", 2), ("eval", "--he", 2), ("eval", "-", 2), ("eval", "", 2),
+    ("eval", "[1,0", 2), ("eval", " [1,0 ", 2), ("eval", "mul(s1 s2^-1 s1@2, inv(s2 s1@2))", 0),
+    ("eval", "circ_0([1,0],[1,0])", 0), ("kan-lift", "missing.json", 2),
+    ("kan-lift", "-horn.json", 0)])
+def test_one_argument_lines_skip_the_parser(tmp_path, monkeypatch, command, argument, code):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path(_trivial_horn_file(tmp_path, 2)).rename(tmp_path / "-horn.json")
+    assert _same_as_after_dashes(command, argument)[0] == code
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from(["", "-", "--"]), _expression | _soup)
+def test_one_argument_eval_matches_argparse(dashes, expression):
+    assume(dashes + expression not in ("-h", "--help", "--"))
+    _same_as_after_dashes("eval", dashes + expression)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_horns())
+def test_one_argument_kan_lift_matches_argparse(tmp_path_factory, horn):
+    path = tmp_path_factory.getbasetemp() / "differential-horn.json"
+    path.write_text(json.dumps(horn))
+    _same_as_after_dashes("kan-lift", str(path))
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["eval", "circ_0([1,0],[1,0])"], 0, "[2,1,0]\n", ""),
+    (["eval", "[1,0"], 2, "",
+     "parse error at position 4: expected ']', found the end of the input\n"),
+    (["check", "crossed", "--max-level", "1"], 0, None, "")], ids=["eval", "eval-error", "check"])
+def test_main_reads_the_process_command_line(argv, code, out, err):
+    """main() with no argv reads sys.argv, as the installed script does."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-m", "csgroups.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)}, cwd=src.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (code, err)
+    assert done.stdout == out if out is not None else done.stdout.startswith(
+        "suite crossed [symm] pass")
+
+
+def _tokenize_per_position(text):
+    """The per-position loop the single scan replaced, as the reference
+    for tokens, positions and error messages."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = cli._TOKEN.match(text, pos)
+        if m is None or m.lastgroup == "bad":
+            raise cli.ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except cli.ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("s1\ns2@2", [("braid", "s1", 0), ("braid", "s2", 3), ("punct", "@", 5),
+                  ("int", "2", 6), ("end", "", 7)]),
+    ("[1,\t0]", [("punct", "[", 0), ("int", "1", 1), ("punct", ",", 2),
+                 ("int", "0", 4), ("punct", "]", 5), ("end", "", 6)]),
+    ("s\u0661@1", "at position 1: unexpected character '\u0661'"),
+    ("mul(x\x00)", "at position 5: unexpected character '\\x00'")])
+def test_tokenize_pins_tokens_and_positions(text, expected):
+    assert _tokens_or_error(cli._tokenize, text) == expected
+    assert _tokens_or_error(_tokenize_per_position, text) == expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_soup | st.text(max_size=12))
+def test_tokenize_matches_the_per_position_loop(text):
+    assert _tokens_or_error(cli._tokenize, text) == _tokens_or_error(_tokenize_per_position, text)
