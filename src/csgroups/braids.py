@@ -64,7 +64,6 @@ import dataclasses
 import hashlib
 import operator
 import random
-import re
 
 from .perms import Perm, clip, degeneracy_perm, face_perm, inverse
 
@@ -525,36 +524,8 @@ def random_word(rng: random.Random, level: int, max_len: int = 12) -> BraidWord:
     return _word(level + 1, letters)
 
 
-_TOKEN = re.compile(r"^s([0-9]+)(\^-1)?$")
-
-
 def format_letters(b: BraidWord) -> str:
     """Surface syntax, 1-indexed: generator 0 prints as s1; empty word is 1."""
     if not b.letters:
         return "1"
     return " ".join(f"s{k + 1}" + ("^-1" if s < 0 else "") for k, s in b.letters)
-
-
-def parse_letters(text: str, level: int) -> BraidWord:
-    """
-    Parse whitespace-separated tokens s<k> and s<k>^-1 (1-indexed) at
-    the given level; the token 1 denotes the empty word.
-
-    >>> parse_letters("s1 s2^-1", 2).letters
-    ((0, 1), (1, -1))
-    """
-    tokens = text.split()
-    if tokens == ["1"] or not tokens:
-        return empty_word(level)
-    letters: list[Letter] = []
-    for tok in tokens:
-        m = _TOKEN.match(tok)
-        if m is None:
-            raise ValueError(f"bad braid token {clip(tok)!r}")
-        digits = m.group(1).lstrip("0") or "0"
-        # A digit string longer than the level's cannot be in range, and
-        # int() refuses one of more than 4300 digits.
-        if len(digits) > len(str(level)) or not 1 <= int(digits) <= level:
-            raise ValueError(f"generator {clip(tok)!r} out of range at level {level}")
-        letters.append((int(digits) - 1, -1 if m.group(2) else 1))
-    return BraidWord(level + 1, tuple(letters))

@@ -12,9 +12,14 @@ horn cannot be lifted, 2 on usage or parse errors, among them calls
 nested more than MAX_DEPTH deep, an eval or nerve level or index above
 MAX_LEVEL, a nerve size above MAX_COUNT, MAX_DIMENSION or
 suites.MAX_WORD_LEN, and a horn level above MAX_LEVEL, each caught
-before anything that size is built (a horn's once its faces are read).
-An error line echoes at most perms.MAX_ECHO characters of any input.
-kan-lift prints the checks kan.lift_horn made, without making them again.
+before anything that size is built (a horn's before its base and faces
+are read).  An error line echoes at most perms.MAX_ECHO characters of
+any input.  kan-lift prints the checks kan.lift_horn made, without
+making them again.
+
+This module alone turns text into elements, by one grammar: eval reads
+an expression with _ExprParser, and read_horn reads a kan-lift file's
+base and faces with the same parser, as literals without their @level.
 
 main sends eval or kan-lift with one argument to its command, building
 no parser; other lines share one argparse parser, built on first use.
@@ -81,7 +86,8 @@ def _found(token) -> str:
 
 class _ExprParser:
     """Permutation literals, braid words with level annotations, and the
-    structural operators, as nested calls."""
+    structural operators, as nested calls; literal_at reads one literal
+    without its @level, for read_horn."""
 
     def __init__(self, text: str):
         self.text = text
@@ -113,15 +119,19 @@ class _ExprParser:
 
     def parse(self):
         value = self.expr()
+        self.end()
+        return value
+
+    def end(self):
+        """Refuse any input left after what was read."""
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {perms.clip(text)!r}", pos)
-        return value
 
     def expr(self, depth=0):
         kind, text, pos = self.peek()
         if kind == "punct" and text == "[":
-            return self.perm_literal()
+            return SYMMETRIC, SYMMETRIC.element(self.perm_word())
         if kind == "braid" or (kind == "int" and text == "1"):
             return self.braid_literal()
         if kind == "name":
@@ -138,28 +148,53 @@ class _ExprParser:
             raise ParseError(f"{what} is above the limit {MAX_LEVEL}", pos)
         return int(digits)
 
-    def perm_literal(self):
+    def perm_word(self):
+        """A permutation literal's entries, checked to be a permutation."""
         _, _, pos = self.take("punct", "[")
         word = tuple(self.items(lambda: self.number("entry"), "]"))
         if not perms.is_perm(word):
             raise ParseError(f"not a permutation of 0..{len(word) - 1}", pos)
-        return SYMMETRIC, SYMMETRIC.element(word)
+        return word
 
     def braid_literal(self):
-        kind, text, pos = self.peek()
-        tokens = []
-        if kind == "int" and text == "1":
-            self.take("int")
-        else:
-            while self.peek()[0] == "braid":
-                tokens.append(self.take("braid")[1])
+        pos = self.peek()[2]
+        letters = self.braid_letters()
         self.take("punct", "@")
-        level = self.number("level")
-        try:
-            word = braids.parse_letters(" ".join(tokens) or "1", level)
-        except ValueError as exc:
-            raise ParseError(str(exc), pos) from None
-        return BRAID, BRAID.element(word)
+        return BRAID, self.braid_word(letters, self.number("level"), pos)
+
+    def literal_at(self, inst, level):
+        """An element literal of `inst` written without its @level: a
+        permutation, whose length gives its level, or braid letters at
+        `level` (1, or none, for the empty word)."""
+        if inst is SYMMETRIC:
+            return SYMMETRIC.element(self.perm_word())
+        pos = self.peek()[2]
+        return self.braid_word(self.braid_letters(), level, pos)
+
+    def braid_letters(self):
+        """The letter tokens of a braid word; none for the literal 1."""
+        if self.peek()[:2] == ("int", "1"):
+            self.take("int")
+            return []
+        letters = []
+        while self.peek()[0] == "braid":
+            letters.append(self.take("braid")[1])
+        return letters
+
+    def braid_word(self, letters, level, pos):
+        """The element of the letter tokens at `level`, each generator
+        checked to be in range, or a ParseError at `pos`."""
+        word = []
+        for text in letters:
+            digits, inverse, _ = text[1:].partition("^")
+            digits = digits.lstrip("0") or "0"
+            # A digit string longer than the level's cannot be in range,
+            # and int() refuses one of more than 4300 digits.
+            if len(digits) > len(str(level)) or not 1 <= int(digits) <= level:
+                raise ParseError(f"generator {perms.clip(text)!r} out of range "
+                                 f"at level {level}", pos)
+            word.append((int(digits) - 1, -1 if inverse else 1))
+        return BRAID.element(braids.BraidWord(level + 1, tuple(word)))
 
     def call(self, depth):
         _, name, pos = self.take("name")
@@ -275,6 +310,57 @@ def cmd_nerve(args) -> int:
     return 0
 
 
+def _read(text: str, what: str, read):
+    """read(parser) over the whole of `text`; a parse error names `what`."""
+    try:
+        parser = _ExprParser(text)
+        value = read(parser)
+        parser.end()
+    except ParseError as exc:
+        raise ValueError(f"{what} {exc}") from None
+    return value
+
+
+def read_horn(inst: CsgInstance, data: dict) -> kan.Horn:
+    """The horn of a kan-lift file's object.  `level` and `k` must be
+    JSON integers, and a level above MAX_LEVEL is refused before
+    anything else is read.  `base` is a permutation literal, and each
+    face, under a key that is the plain decimal text of an index, an
+    eval literal without its @level; nothing is coerced.  A bad face set
+    is reported before any face is read.  A malformed horn is a
+    ValueError (IndexError for k > n or k < 0)."""
+    try:
+        n, k, base, raw = data["level"], data["k"], data["base"], data["faces"]
+        for field, value in (("level", n), ("k", k)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{field} must be an integer, not {type(value).__name__}")
+        if not isinstance(base, str):
+            raise TypeError(f"base must be a string, not {type(base).__name__}")
+        if not isinstance(raw, dict):
+            raise TypeError("faces must be an object")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed horn description: {exc}") from None
+    if n > MAX_LEVEL:
+        raise ValueError(f"level is above the limit {MAX_LEVEL}")
+    base = _read(base, "base", _ExprParser.perm_word)
+    faces = {}
+    for key, text in raw.items():
+        if not re.fullmatch(r"0|[1-9][0-9]*", key):
+            raise ValueError(f"face key {perms.clip(key)!r} is not an index")
+        if not isinstance(text, str):
+            raise ValueError(f"face {perms.clip(key)} must be a string, "
+                             f"not {type(text).__name__}")
+        # A key longer than the level is out of range; int() refuses 4301 digits.
+        if len(key) > len(str(n)):
+            raise ValueError(f"face key {perms.clip(key)!r} out of range at level {n}")
+        # The text stands in for the face until Horn has checked the face set.
+        faces[int(key)] = CsgElement(n - 1, text)
+    unread = kan.horn_from_faces(n, k, faces, base)
+    return kan.Horn(n, k, tuple((r, _read(y.payload, f"face {r}",
+                                          lambda p: p.literal_at(inst, n - 1)))
+                                for r, y in unread.faces), base)
+
+
 def cmd_kan_lift(args) -> int:
     try:
         with open(args.horn) as fh:
@@ -294,12 +380,9 @@ def cmd_kan_lift(args) -> int:
         return 2
     inst = INSTANCES[name]
     try:
-        horn = kan.horn_from_json(inst, data)
+        horn = read_horn(inst, data)
     except (ValueError, IndexError) as exc:
         print(f"malformed horn: {exc}", file=sys.stderr)
-        return 2
-    if horn.n > MAX_LEVEL:
-        print(f"malformed horn: level is above the limit {MAX_LEVEL}", file=sys.stderr)
         return 2
     try:
         lift = kan.lift_horn(inst, horn)

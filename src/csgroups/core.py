@@ -67,14 +67,15 @@ class CsgInstance:
     `name` and defines one(n), element(payload), mul, inv, face(i, g),
     degeneracy(i, g), underlying_perm, s_left, s_right, equal,
     section(p) (a positive lift through the projection, compatible with
-    faces and degeneracies), format, parse_at(text, level) and
-    random_element(rng, n, max_len); an enumerable one also defines
-    elements(n).  mul and equal raise ValueError on levels that differ.
-    A family also defines _cable(i, m, g), s_i applied m >= 1 times, and
-    _pad(g, left, right), left + right >= 1 points, each in one step.
-    The operations derived from these are shared; a family may override
-    reduced(g), which returns g by default, with a shorter name for the
-    same element (kan keeps its horn filler short with it)."""
+    faces and degeneracies), format and random_element(rng, n, max_len);
+    an enumerable one also defines elements(n).  A family reads no text:
+    element literals are read by cli alone, for eval and kan-lift.  mul
+    and equal raise ValueError on levels that differ.  A family also
+    defines _cable(i, m, g), s_i applied m >= 1 times, and _pad(g, left,
+    right), left + right >= 1 points, each in one step.  The operations
+    derived from these are shared; a family may override reduced(g),
+    which returns g by default, with a shorter name for the same element
+    (kan keeps its horn filler short with it)."""
 
     def reduced(self, g: CsgElement) -> CsgElement:
         return g
@@ -198,13 +199,6 @@ class SymmetricCsg(CsgInstance):
     def format(self, g):
         return perms.format_perm(g.payload)
 
-    def parse_at(self, text, level):
-        word = perms.parse_perm(text)
-        if len(word) - 1 != level:
-            raise ValueError(f"{perms.clip(text)!r} has level {len(word) - 1}, "
-                             f"expected {level}")
-        return self._intern(word)
-
     def random_element(self, rng, n, max_len=12):
         return self._intern(perms.random_perm(rng, n))
 
@@ -282,9 +276,6 @@ class BraidCsg(CsgInstance):
 
     def format(self, g):
         return f"{braids.format_letters(g.payload)}@{g.level}"
-
-    def parse_at(self, text, level):
-        return self._build(level, braids.parse_letters(text, level))
 
     def random_element(self, rng, n, max_len=12):
         return self._build(n, braids.random_word(rng, n, max_len))

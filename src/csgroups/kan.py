@@ -25,16 +25,14 @@ horn's equations (validate_horn), then the uncapped fill, then the same
 checks, whose first failure is the error.  So a convention slip is an
 error rather than a wrong answer; the filler needs no check of its own,
 because for pure p the r-th face of p * s is d_r(p) * d_r(s), which is
-y_r exactly when d_r(p) is the r-th kernel face.  horn_from_json reads a
-`csgroups kan-lift` horn file strictly: a malformed horn is a
-ValueError (IndexError for k > n or k < 0).
+y_r exactly when d_r(p) is the r-th kernel face.  A horn file is read
+by cli.read_horn; this module reads no text.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import re
 from typing import Mapping
 
 from . import braids, perms
@@ -212,39 +210,3 @@ def lift_horn(inst: CsgInstance, horn: Horn) -> CsgElement:
     if problem is not None:
         raise FillError(problem)
     return phi
-
-
-def horn_from_json(inst: CsgInstance, data: dict) -> Horn:
-    """`level` and `k` must be JSON integers and each face key the plain
-    decimal text of an index; nothing is coerced.  A bad face set is
-    reported before any face is parsed."""
-    try:
-        n, k = data["level"], data["k"]
-        for field, value in (("level", n), ("k", k)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{field} must be an integer, not {type(value).__name__}")
-        base = data["base"]
-        if not isinstance(base, str):
-            raise TypeError(f"base must be a string, not {type(base).__name__}")
-        base = perms.parse_perm(base)
-        raw = data["faces"]
-        if not isinstance(raw, dict):
-            raise TypeError("faces must be an object")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed horn description: {exc}") from None
-    level_digits = len(str(n))
-    faces = {}
-    for key, text in raw.items():
-        if not re.fullmatch(r"0|[1-9][0-9]*", key):
-            raise ValueError(f"face key {perms.clip(key)!r} is not an index")
-        if not isinstance(text, str):
-            raise ValueError(f"face {perms.clip(key)} must be a string, "
-                             f"not {type(text).__name__}")
-        # A key longer than the level is out of range; int() refuses 4301 digits.
-        if len(key) > level_digits:
-            raise ValueError(f"face key {perms.clip(key)!r} out of range at level {n}")
-        # The text stands in for the face until Horn has checked the face set.
-        faces[int(key)] = CsgElement(n - 1, text)
-    unparsed = horn_from_faces(n, k, faces, base)
-    return dataclasses.replace(unparsed, faces=tuple(
-        (r, inst.parse_at(y.payload, n - 1)) for r, y in unparsed.faces))

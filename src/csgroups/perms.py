@@ -289,29 +289,3 @@ def random_perm(rng: random.Random, n: int) -> Perm:
 def format_perm(p: Perm) -> str:
     """Bracketed comma list, e.g. '[1,0,2]'."""
     return "[" + ",".join(str(v) for v in p) + "]"
-
-
-def parse_perm(text: str) -> Perm:
-    """
-    Parse '[1,0,2]' (whitespace tolerated) into a permutation.
-
-    >>> parse_perm("[1, 0, 2]")
-    (1, 0, 2)
-    """
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"permutation literal must be bracketed: {clip(text)!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        raise ValueError("empty permutation literal; the smallest level is [0]")
-    parts = [part.strip() for part in inner.split(",")]
-    try:
-        # int() alone also takes signs, underscores and non-ASCII digits.
-        if not all(part.isascii() and part.isdigit() for part in parts):
-            raise ValueError
-        word = tuple(int(part) for part in parts)
-    except ValueError:
-        raise ValueError(f"bad permutation literal {clip(text)!r}") from None
-    if not is_perm(word):
-        raise ValueError(f"{clip(text)!r} is not a permutation of 0..{len(word) - 1}")
-    return word

@@ -11,8 +11,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csgroups import braids, perms
+from csgroups import BRAID, braids, cli, perms
 from csgroups.braids import BraidWord, empty_word, generator
+from words import face, word
 
 
 @st.composite
@@ -180,22 +181,30 @@ def test_fingerprint_tracks_equality():
 
 
 def test_parse_format():
-    w = braids.parse_letters("s1 s2^-1", 2)
-    assert w.letters == ((0, 1), (1, -1))
-    assert braids.format_letters(w) == "s1 s2^-1"
-    assert braids.parse_letters("1", 3).letters == ()
-    assert braids.parse_letters("s01", 1).letters == ((0, 1),)
+    """Braid literals are read by cli alone, the same as an eval literal
+    at `@level` and as a kan-lift face at that level, and print back
+    through format_letters."""
+    for text, level, letters in [("s1 s2^-1", 2, ((0, 1), (1, -1))), ("1", 3, ()),
+                                 ("s01", 1, ((0, 1),))]:
+        _, g = cli._ExprParser(f"{text}@{level}").parse()
+        assert g.level == level and g.payload.letters == letters
+        assert face(BRAID, text, level) == g
+    assert braids.format_letters(word("s1 s2^-1", 2)) == "s1 s2^-1"
     assert braids.format_letters(empty_word(3)) == "1"
-    with pytest.raises(ValueError):
-        braids.parse_letters("s3", 2)
-    with pytest.raises(ValueError):
-        braids.parse_letters("x1", 2)
+    for text in ("s3", "x1"):
+        with pytest.raises(ValueError):
+            cli._ExprParser(f"{text}@2").parse()
+        with pytest.raises(ValueError):
+            face(BRAID, text, 2)
 
 
 @pytest.mark.parametrize("text", ["s\u0661", "s\U0001d7cf", "s+1", "s1_0"])
 def test_parse_letters_reads_only_ascii_digits(text):
-    with pytest.raises(ValueError, match="bad braid token"):
-        braids.parse_letters(text, 1)
+    """A generator number is ASCII digits, in eval and in a horn face."""
+    with pytest.raises(ValueError, match="unexpected character"):
+        cli._ExprParser(f"{text}@1").parse()
+    with pytest.raises(ValueError, match="unexpected character"):
+        face(BRAID, text, 1)
 
 
 def test_validation():
@@ -483,12 +492,12 @@ def test_canonical_value_tracks_equality():
             ("s1 s2 s1 s3 s3^-1", "s2 s1 s2"), ("s3^-1 s1", "s1 s3^-1"),
             ("s1^-1 s2 s2^-1", "s1^-1"), ("s2^-1 s1^-1 s2", "s1 s2^-1 s1^-1")]
     for left, right in same:
-        a, b = braids.parse_letters(left, 3), braids.parse_letters(right, 3)
+        a, b = word(left, 3), word(right, 3)
         assert braids.braids_equal(a, b)
         assert braids.canonical_value(a) == braids.canonical_value(b)
         assert braids.artin_fingerprint(braids.canonical_value(a)) == \
             braids.artin_fingerprint(braids.canonical_value(b))
-    _, x, y = braids.canonical_value(braids.parse_letters("s2 s2^-1", 3))
+    _, x, y = braids.canonical_value(word("s2 s2^-1", 3))
     assert x == y == ()
     rng = random.Random(11)
     agreed = {True: 0, False: 0}

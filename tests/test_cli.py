@@ -21,6 +21,7 @@ from csgroups import braids, cli, core, groupoid, kan, operad, perms, suites
 from csgroups.core import SymmetricCsg
 from csgroups.groupoid import GroupoidArrow
 from test_fuzz import _expression, _horns, _soup, run_cli
+from words import face, word
 
 
 def run(capsys, *argv):
@@ -121,9 +122,8 @@ def test_eval_operator_lines(capsys, expression, out):
     if "artin=" in out:
         word_part, _, _ = out.partition("  perm=")
         letters, _, level = word_part.partition(" @ ")
-        word = braids.parse_letters(letters, int(level))
         pinned = re.search(r"artin=(\w+)", out).group(1)
-        assert braids.artin_fingerprint(braids.artin_act(word)) == pinned
+        assert braids.artin_fingerprint(braids.artin_act(word(letters, int(level)))) == pinned
         out = out.replace(pinned, _NORMAL_FORM_ARTIN[expression])
     assert run(capsys, "eval", expression) == (0, out, "")
 
@@ -405,7 +405,7 @@ def test_kan_lift_checks_only_what_lift_horn_checks(monkeypatch, tmp_path, capsy
         return counted
     for name in ("equal", "face", "underlying_perm"):
         monkeypatch.setattr(core.BraidCsg, name, counting(name))
-    kan.lift_horn(core.BRAID, kan.horn_from_json(core.BRAID, horn))
+    kan.lift_horn(core.BRAID, cli.read_horn(core.BRAID, horn))
     alone, calls = calls, {}
     assert run(capsys, "kan-lift", str(path))[0] == 0
     assert calls == alone and alone["equal"] > 0
@@ -543,14 +543,82 @@ def _trivial_horn_file(tmp_path, level):
 
 def test_kan_lift_level_above_the_limit(monkeypatch, tmp_path, capsys):
     """A horn level above cli.MAX_LEVEL, the one level bound of eval,
-    nerve and kan-lift, is refused once the faces are read, before the
-    horn is validated or lifted."""
+    nerve and kan-lift, is refused before the base and faces are read,
+    so before the horn is validated or lifted."""
     monkeypatch.setattr(kan, "lift_horn", _must_not_run)
     monkeypatch.setattr(kan, "validate_horn", _must_not_run)
     start = time.perf_counter()
     result = run(capsys, "kan-lift", _trivial_horn_file(tmp_path, cli.MAX_LEVEL + 1))
     assert time.perf_counter() - start < 5
     assert result == (2, "", "malformed horn: level is above the limit 1000\n")
+
+
+def test_kan_lift_refuses_a_level_above_the_limit_before_reading_literals(
+        monkeypatch, tmp_path, capsys):
+    """The level bound comes before the base and the faces: with the
+    expression reader patched to fail, a level-1001 horn whose base and
+    faces are not literals is still refused for its level."""
+    monkeypatch.setattr(cli, "_ExprParser", _must_not_run)
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps({"instance": "braid", "level": cli.MAX_LEVEL + 1, "k": 0,
+                                "base": "not a permutation", "faces": {"1": "s1 ^ s2"}}))
+    assert run(capsys, "kan-lift", str(path)) == (
+        2, "", "malformed horn: level is above the limit 1000\n")
+
+
+# A level-3 horn cut from the filler s1 s2 s3; face 3 read as s2 s1
+# makes it incompatible.
+_S1S2_HORN = {"instance": "braid", "level": 3, "k": 1, "base": "[1,2,3,0]",
+              "faces": {"0": "1", "2": "s1 s2", "3": "s1 s2"}}
+
+
+@pytest.mark.parametrize("key, juxtaposed, spaced, code", [
+    ("2", "s1s2", "s1 s2", 0), ("0", "s1s1^-1", "s1 s1^-1", 0),
+    ("3", "s2^-1s1s1^-1s2s1s2", "s2^-1 s1 s1^-1 s2 s1 s2", 0), ("3", "s2s1", "s2 s1", 1)])
+def test_a_face_of_juxtaposed_letters_reads_as_spaced_letters(
+        tmp_path, capsys, key, juxtaposed, spaced, code):
+    """A face is an eval literal without its @level, so letters written
+    together read as they do in eval: the horn gives the stdout, stderr
+    and exit code it gives with the letters apart."""
+    results = []
+    for text in (juxtaposed, spaced):
+        path = tmp_path / "horn.json"
+        path.write_text(json.dumps(dict(_S1S2_HORN, faces={**_S1S2_HORN["faces"], key: text})))
+        results.append(run(capsys, "kan-lift", str(path)))
+    assert results[0] == results[1] and results[0][0] == code
+    assert run(capsys, "eval", f"{juxtaposed}@2") == run(capsys, "eval", f"{spaced}@2")
+
+
+@pytest.mark.parametrize("text", ["", "  ", "1", " 1\t"])
+def test_an_empty_face_is_the_empty_word(tmp_path, capsys, text):
+    for level in range(4):
+        assert face(core.BRAID, text, level) == core.BRAID.one(level)
+    trivial = {"instance": "braid", "level": 2, "k": 0, "base": "[0,1,2]"}
+    path = tmp_path / "horn.json"
+    path.write_text(json.dumps(dict(trivial, faces={"1": text, "2": text})))
+    empty = run(capsys, "kan-lift", str(path))
+    path.write_text(json.dumps(dict(trivial, faces={"1": "1", "2": "1"})))
+    assert empty == run(capsys, "kan-lift", str(path)) and empty[0] == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sampled_from([core.BRAID, core.SYMMETRIC]), st.integers(0, 6),
+       st.randoms(use_true_random=False))
+def test_a_formatted_element_reads_back_as_a_face(inst, level, rng):
+    """inst.format(g) without its @level, read as a kan-lift face, is g."""
+    g = inst.random_element(rng, level, 12)
+    assert face(inst, inst.format(g).partition("@")[0], level) == g
+
+
+def test_the_readme_horn_lifts(tmp_path, capsys):
+    """The kan-lift example of the README lifts: the lift, then its
+    projection and its two faces, each ok."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    path = tmp_path / "horn.json"
+    path.write_text(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
+    code, out, err = run(capsys, "kan-lift", str(path))
+    assert (code, err) == (0, "") and len(out.splitlines()) == 4
+    assert out.startswith("lift: s2 @ 2  perm=[0,2,1]")
 
 
 def test_overlong_generator_number_is_out_of_range(tmp_path, capsys):

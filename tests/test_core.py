@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csgroups import BRAID, SYMMETRIC
-from csgroups import braids, core, groupoid, operad, perms, suites
+from csgroups import braids, cli, core, groupoid, operad, perms, suites
 
 import loops
+from words import face
 
 
 def test_group_axioms_exhaustive_symm():
@@ -339,10 +340,12 @@ def test_tally_describes_only_failures():
 def test_section_and_parse():
     assert SYMMETRIC.section((1, 0, 2)).payload == (1, 0, 2)
     assert BRAID.section((1, 0, 2)).payload.letters == ((0, 1),)
-    assert SYMMETRIC.parse_at("[1,0]", 1).payload == (1, 0)
-    with pytest.raises(ValueError):
-        SYMMETRIC.parse_at("[1,0]", 2)
-    assert BRAID.parse_at("s1 s1", 2).payload.letters == ((0, 1), (0, 1))
+    # Literals are read by cli alone: as kan-lift faces, and in eval.
+    assert face(SYMMETRIC, "[1,0]", 1).payload == (1, 0)
+    with pytest.raises(ValueError, match="face 1 has level 1, expected 2"):
+        face(SYMMETRIC, "[1,0]", 2)
+    assert face(BRAID, "s1 s1", 2).payload.letters == ((0, 1), (0, 1))
+    assert cli._ExprParser("s1 s1@2").parse() == (BRAID, face(BRAID, "s1 s1", 2))
     assert BRAID.format(BRAID.one(2)) == "1@2"
     assert SYMMETRIC.format(SYMMETRIC.one(1)) == "[0,1]"
 
@@ -397,7 +400,7 @@ def test_only_small_results_are_interned():
     """A result on at most perms._TABLE_POINTS points is the interned
     element; a larger one is a fresh element that still equals by value."""
     g = SYMMETRIC.element((1, 0, 3, 2, 5, 4, 6))
-    identity = SYMMETRIC.parse_at("[0,1,2,3,4,5,6]", 6)
+    _, identity = cli._ExprParser("[0,1,2,3,4,5,6]").parse()
     assert len(g.payload) == perms._TABLE_POINTS
     assert SYMMETRIC.mul(g, g) is SYMMETRIC.one(6) is identity
     assert SYMMETRIC.s_left(SYMMETRIC.element((1, 0, 2, 3, 4, 5))) is SYMMETRIC.section(

@@ -271,13 +271,13 @@ def test_horn_json_roundtrip():
             "base": perms.format_perm(horn.base),
             "faces": {str(r): braids.format_letters(y.payload)
                       for r, y in horn.face_items()}}
-    back = kan.horn_from_json(BRAID, json.loads(json.dumps(data)))
+    back = cli.read_horn(BRAID, json.loads(json.dumps(data)))
     assert back.n == horn.n and back.k == horn.k and back.base == horn.base
     for (r, y), (r2, y2) in zip(horn.face_items(), back.face_items()):
         assert r == r2 and BRAID.equal(y, y2)
     with pytest.raises(ValueError):
-        kan.horn_from_json(BRAID, {"level": 2, "k": 0, "base": "[0,1,2]",
-                                   "faces": {"1": "1"}})
+        cli.read_horn(BRAID, {"level": 2, "k": 0, "base": "[0,1,2]",
+                              "faces": {"1": "1"}})
 
 
 def _horns(inst, rng, levels, max_len, per_level):

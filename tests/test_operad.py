@@ -10,6 +10,7 @@ from csgroups import braids, groupoid, operad, perms
 from csgroups.groupoid import GroupoidArrow
 
 import loops
+from words import word
 
 
 def test_circ_frozen_values():
@@ -52,8 +53,8 @@ def test_braid_insertion_takes_no_per_strand_step(monkeypatch):
     in one pass each: with the one-strand operations (the degeneracy and
     the end insertions) patched to fail it still answers at m = 500,
     with the letters the test-side loops give."""
-    a = BRAID.element(braids.parse_letters("s1 s2^-1 s1 s2", 2))
-    b = BRAID.element(braids.parse_letters("s1 s500 s2^-1", 500))
+    a = BRAID.element(word("s1 s2^-1 s1 s2", 2))
+    b = BRAID.element(word("s1 s500 s2^-1", 500))
     expected = [BRAID.mul(loops.pad(BRAID, b, i, 2 - i),
                           loops.degeneracy_power(BRAID, i, 500, a)) for i in range(3)]
 

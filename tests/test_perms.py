@@ -7,8 +7,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from csgroups import braids, groupoid, perms
+from csgroups import SYMMETRIC, braids, cli, groupoid, perms
 from csgroups.core import SymmetricCsg
+from words import base, face, word
 
 
 def face_table(i, p):
@@ -136,19 +137,32 @@ def test_transport_block_exhaustive():
 
 
 def test_parse_format_roundtrip():
-    assert perms.parse_perm("[1, 0, 2]") == (1, 0, 2)
-    assert perms.parse_perm("[ 01 ,\t00 ]") == (1, 0)
+    """Permutation literals are read by cli alone, the same as an eval
+    literal, a kan-lift face and a kan-lift base, and print back through
+    format_perm."""
+    for text, p in [("[1, 0, 2]", (1, 0, 2)), ("[ 01 ,\t00 ]", (1, 0))]:
+        assert cli._ExprParser(text).parse() == (SYMMETRIC, SYMMETRIC.element(p))
+        assert face(SYMMETRIC, text, len(p) - 1).payload == p
+        assert base(text, len(p) - 1) == p
     assert perms.format_perm((1, 0, 2)) == "[1,0,2]"
-    with pytest.raises(ValueError):
-        perms.parse_perm("[0, 0]")
-    with pytest.raises(ValueError):
-        perms.parse_perm("1,0")
+    for text in ("[0, 0]", "1,0"):
+        with pytest.raises(ValueError):
+            cli._ExprParser(text).parse()
+        with pytest.raises(ValueError):
+            face(SYMMETRIC, text, 1)
+        with pytest.raises(ValueError):
+            base(text, 1)
 
 
 @pytest.mark.parametrize("text", ["[+1,0]", "[1,0_0]", "[\u0661,\u0660]", "[1,-0]"])
 def test_parse_perm_reads_only_ascii_digits(text):
-    with pytest.raises(ValueError, match="bad permutation literal"):
-        perms.parse_perm(text)
+    """An entry is ASCII digits, in eval, a horn face and a horn base."""
+    with pytest.raises(ValueError, match="unexpected character"):
+        cli._ExprParser(text).parse()
+    with pytest.raises(ValueError, match="unexpected character"):
+        face(SYMMETRIC, text, 1)
+    with pytest.raises(ValueError, match="unexpected character"):
+        base(text, 1)
 
 
 def test_index_errors():
@@ -304,8 +318,8 @@ INDEXED = [
     (perms.face_perm, (), ((1, 0, 2),)),
     (perms.degeneracy_perm, (), ((1, 0),)),
     (perms.block_substitute, ((1, 0),), ((1, 0),)),
-    (braids.face_word, (), (braids.parse_letters("s1 s2", 2),)),
-    (braids._cable_word, (), (1, braids.parse_letters("s1 s2", 2))),
+    (braids.face_word, (), (word("s1 s2", 2),)),
+    (braids._cable_word, (), (1, word("s1 s2", 2))),
 ]
 
 
