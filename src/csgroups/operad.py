@@ -29,9 +29,10 @@ a functor in both variables.
 Right G-actions are equivariance data for the compositions.  The
 literal right translation does not commute with the compositions at a
 fixed padding slot (the slot drifts along the outer element's inverse
-permutation), so equivariance_verdicts enumerates candidate
-readings (which action, which slot index, where the degeneracies that
-inflate the acting element go) and reports which ones hold.
+permutation), so READINGS enumerates candidate readings (which action,
+which slot index, where the degeneracies that inflate the acting
+element go), and equivariance_verdicts reports which of the readings it
+is asked for hold on one input, building only the sides they need.
 """
 
 from __future__ import annotations
@@ -284,13 +285,20 @@ def check_unshifted_axioms(tally: Tally, view: UnshiftedView, lam, mu, nu):
 # Candidate readings for the equivariance conditions.
 
 ACTIONS = ("right-mul", "left-inv")
+SLOT_RULES = ("literal", "sigma", "sigma-inv")
+# Every reading in table order, with its action and, for condition (2),
+# the rules that give its slot j and its inflation index k.
+READINGS = {f"cond1/{action}": (action, None, None) for action in ACTIONS}
+READINGS.update((f"cond2/{action}/slot={slot}/deg={deg}", (action, slot, deg))
+                for action in ACTIONS for slot in SLOT_RULES for deg in SLOT_RULES)
 
 
 def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
-                          beta_outer: CsgElement) -> dict[str, bool]:
+                          beta_outer: CsgElement, readings=READINGS) -> dict[str, bool]:
     """
-    Verdicts for one input tuple under every candidate reading.
-    beta_inner acts at nu's level, beta_outer at mu's level.
+    Verdicts for one input tuple under the given candidate readings
+    (every reading by default), keyed in table order.  beta_inner acts
+    at nu's level, beta_outer at mu's level.
 
     Condition (1), under each action: mu o_i (nu acted by beta_inner)
     == (mu o_i nu) acted by the padding of beta_inner into slot i.
@@ -300,6 +308,11 @@ def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
     degeneracy inflation s_k^n(beta_outer), where the slot j and the
     inflation index k are each i itself, sigma(i) or sigma^-1(i) for
     sigma = pi(beta_outer).
+
+    A side is built only when a requested reading first needs it, and
+    once per call: each action's left-hand side, the padding, and the
+    composite and the inflation by the value of j and of k, which
+    several rules may share.
     """
     inst = car.inst
     m, n = mu.level, nu.level
@@ -307,26 +320,33 @@ def equivariance_verdicts(car, mu, i: int, nu, beta_inner: CsgElement,
         raise ValueError("beta must live at the inner element's level")
     if beta_outer.level != m:
         raise ValueError("beta must live at the outer element's level")
+    wanted = set(readings)
+    if not wanted <= READINGS.keys():
+        raise ValueError(f"unknown readings: {', '.join(sorted(wanted - READINGS.keys()))}")
     sigma = inst.underlying_perm(beta_outer)
     slots = {"literal": i, "sigma": sigma[i], "sigma-inv": sigma.index(i)}
-    # Every side that several readings share is built once.
-    composites = {rule: car.comp(mu, j, nu) for rule, j in slots.items()}
-    inflated = {rule: inst.degeneracy_power(k, n, beta_outer)
-                for rule, k in slots.items()}
-    padded = inst.pad(beta_inner, i, m - i)
+    sides = {}
+
+    def side(key, build):
+        if key not in sides:
+            sides[key] = build()
+        return sides[key]
 
     verdicts: dict[str, bool] = {}
-    for action in ACTIONS:
-        lhs = car.comp(mu, i, car.act(nu, beta_inner, action))
-        verdicts[f"cond1/{action}"] = car.equal(
-            lhs, car.act(composites["literal"], padded, action))
-    for action in ACTIONS:
-        lhs = car.comp(car.act(mu, beta_outer, action), i, nu)
-        for slot_rule in slots:
-            for placement in slots:
-                key = f"cond2/{action}/slot={slot_rule}/deg={placement}"
-                verdicts[key] = car.equal(
-                    lhs, car.act(composites[slot_rule], inflated[placement], action))
+    for reading, (action, slot_rule, placement) in READINGS.items():
+        if reading not in wanted:
+            continue
+        if slot_rule is None:
+            lhs = side(("cond1", action),
+                       lambda: car.comp(mu, i, car.act(nu, beta_inner, action)))
+            j, acting = i, side("pad", lambda: inst.pad(beta_inner, i, m - i))
+        else:
+            lhs = side(("cond2", action),
+                       lambda: car.comp(car.act(mu, beta_outer, action), i, nu))
+            j, k = slots[slot_rule], slots[placement]
+            acting = side(("deg", k), lambda: inst.degeneracy_power(k, n, beta_outer))
+        composite = side(("comp", j), lambda: car.comp(mu, j, nu))
+        verdicts[reading] = car.equal(lhs, car.act(composite, acting, action))
     return verdicts
 
 

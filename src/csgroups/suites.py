@@ -394,28 +394,39 @@ def _operadic_mult_braid(inst, p, rng, tally):
 # left translation, with the acting element's slot and degeneracy index
 # transported through its own permutation) hold on every tested input;
 # the verdict table for all readings lands in the report's extra field.
+# The calibrated readings are the suite's cases, so they are evaluated
+# on every input; any other reading only until its first failure, since
+# only whether it holds is kept, as in barcx.calibrate_conventions.
 CALIBRATED_COND1 = "cond1/left-inv"
 CALIBRATED_COND2 = "cond2/left-inv/slot=sigma/deg=sigma"
 
 
-def _record_equivariance(tally, verdicts, car, mu, i, nu, beta_inner, beta_outer):
-    """Fold every reading's verdict on one input into `verdicts`; the
-    calibrated readings count as the suite's cases."""
+def _record_equivariance(tally, search, car, mu, i, nu, beta_inner, beta_outer):
+    """Fold the verdicts on one input into `search`, which keeps per
+    carrier kind the verdict table and the readings still asked for;
+    the calibrated readings count as the suite's cases."""
     describe = lambda beta: (f"{car.format(mu)}, {car.format(nu)}, "
                              f"{car.inst.format(beta)}, i={i}")
+    if car.kind not in search:
+        search[car.kind] = (dict.fromkeys(operad.READINGS, True), set(operad.READINGS))
+    verdicts, asked = search[car.kind]
     for reading, ok in operad.equivariance_verdicts(
-            car, mu, i, nu, beta_inner, beta_outer).items():
-        key = f"{car.kind}/{reading}"
-        verdicts[key] = verdicts.get(key, True) and ok
+            car, mu, i, nu, beta_inner, beta_outer, asked).items():
         if reading == CALIBRATED_COND1:
             tally.check(ok, "equivariance cond1 [left-inv]",
                         lambda: describe(beta_inner))
         elif reading == CALIBRATED_COND2:
             tally.check(ok, "equivariance cond2 [calibrated]",
                         lambda: describe(beta_outer))
+        elif not ok:
+            asked.discard(reading)
+        if not ok:
+            verdicts[reading] = False
 
 
-def _verdict_extra(verdicts):
+def _verdict_extra(search):
+    verdicts = {f"{kind}/{reading}": ok for kind, (table, _) in search.items()
+                for reading, ok in table.items()}
     return {"verdicts": dict(sorted(verdicts.items())),
             "surviving": sorted(k for k, v in verdicts.items() if v)}
 
@@ -423,28 +434,28 @@ def _verdict_extra(verdicts):
 @suite("equivariance", symm={"max_level": 2, "seed": 0})
 def _equivariance_symm(inst, p, rng, tally):
     set_car, gpd_car = _carriers(inst)
-    verdicts: dict[str, bool] = {}
+    search: dict = {}
     levels = range(p.max_level + 1)
     for m, n in product(levels, levels):
         for mu, nu, i, beta_inner, beta_outer in product(
                 inst.elements(m), inst.elements(n), range(m + 1),
                 inst.elements(n), inst.elements(m)):
-            _record_equivariance(tally, verdicts, set_car, mu, i, nu,
+            _record_equivariance(tally, search, set_car, mu, i, nu,
                                  beta_inner, beta_outer)
     for _ in range(150):
         m = rng.randint(0, p.max_level)
         n = rng.randint(0, p.max_level)
         mu = groupoid.random_arrow(inst, rng, m)
         nu = groupoid.random_arrow(inst, rng, n)
-        _record_equivariance(tally, verdicts, gpd_car, mu, rng.randint(0, m), nu,
+        _record_equivariance(tally, search, gpd_car, mu, rng.randint(0, m), nu,
                              inst.random_element(rng, n), inst.random_element(rng, m))
-    return _verdict_extra(verdicts)
+    return _verdict_extra(search)
 
 
 @suite("equivariance", braid={"max_level": 2, "trials": 200, "seed": 0, "word_len": 4})
 def _equivariance_braid(inst, p, rng, tally):
     set_car, gpd_car = _carriers(inst)
-    verdicts: dict[str, bool] = {}
+    search: dict = {}
     for m in _trial_levels(p, rng, 0):
         n = rng.randint(0, p.max_level)
         i = rng.randint(0, m)
@@ -452,11 +463,11 @@ def _equivariance_braid(inst, p, rng, tally):
         nu_el = inst.random_element(rng, n, p.word_len)
         bi = inst.random_element(rng, n, p.word_len)
         bo = inst.random_element(rng, m, p.word_len)
-        _record_equivariance(tally, verdicts, set_car, mu_el, i, nu_el, bi, bo)
+        _record_equivariance(tally, search, set_car, mu_el, i, nu_el, bi, bo)
         mu_ar = groupoid.arrow(perms.random_perm(rng, m), mu_el)
         nu_ar = groupoid.arrow(perms.random_perm(rng, n), nu_el)
-        _record_equivariance(tally, verdicts, gpd_car, mu_ar, i, nu_ar, bi, bo)
-    return _verdict_extra(verdicts)
+        _record_equivariance(tally, search, gpd_car, mu_ar, i, nu_ar, bi, bo)
+    return _verdict_extra(search)
 
 
 @suite("section", braid={"max_level": 3, "random_levels": [4, 5],

@@ -1,15 +1,17 @@
 """Partial compositions, their axioms, and the equivariance search."""
 
+import collections
 import random
 
 import pytest
 
 from csgroups import BRAID, SYMMETRIC, Tally
 from csgroups.core import BraidCsg, SymmetricCsg
-from csgroups import braids, groupoid, operad, perms
+from csgroups import braids, groupoid, operad, perms, suites
 from csgroups.groupoid import GroupoidArrow
 
 import loops
+from test_cli import SHIFTED_FAULTS
 from words import word
 
 
@@ -322,13 +324,119 @@ def test_equivariance_verdicts_match_per_reading_oracle():
         assert any(k.startswith("cond2/") for k in seen)
 
 
+class _NoWork(operad.SetCarrier):
+    """A carrier that fails on any composition, action or comparison."""
+    comp = act = equal = None
+
+
 def test_equivariance_verdicts_reject_betas_at_the_wrong_level():
-    car = operad.SetCarrier(SYMMETRIC)
+    """Before any side is built."""
+    car = _NoWork(SYMMETRIC)
     one0, one1 = SYMMETRIC.one(0), SYMMETRIC.one(1)
     with pytest.raises(ValueError, match="inner element's level"):
         operad.equivariance_verdicts(car, one1, 0, one0, one1, one1)
     with pytest.raises(ValueError, match="outer element's level"):
         operad.equivariance_verdicts(car, one1, 0, one0, one0, one0)
+
+
+def test_equivariance_verdicts_compute_the_readings_asked_for():
+    """For random subsets of the readings, exactly those keys come back,
+    in table order, with the per-reading oracle's verdicts; both
+    carriers on both families, and some asked readings fail."""
+    rng = random.Random(12)
+    table = list(operad.READINGS)
+    for car in CARRIERS:
+        seen = set()
+        for _ in range(40):
+            args = _random_equivariance_inputs(rng, car)
+            asked = set(rng.sample(table, rng.randint(0, len(table))))
+            verdicts = operad.equivariance_verdicts(car, *args, readings=asked)
+            oracle = _verdicts_oracle(car, *args)
+            assert list(verdicts.items()) == [(k, oracle[k]) for k in table if k in asked]
+            seen |= {k for k, ok in verdicts.items() if not ok}
+        assert any(k.startswith("cond1/") for k in seen)
+        assert any(k.startswith("cond2/") for k in seen)
+
+
+def test_equivariance_verdicts_refuse_unknown_readings():
+    """Before any side is built; asking for no reading builds none."""
+    car = _NoWork(SYMMETRIC)
+    one0, one1 = SYMMETRIC.one(0), SYMMETRIC.one(1)
+    with pytest.raises(ValueError, match="^unknown readings: cond3, left-inv$"):
+        operad.equivariance_verdicts(car, one1, 0, one0, one0, one1,
+                                     readings=["left-inv", "cond1/left-inv", "cond3"])
+    assert operad.equivariance_verdicts(car, one1, 0, one0, one0, one1, readings=()) == {}
+
+
+# The fold as it was before the search stopped a refuted reading: every
+# reading evaluated on every input.  The reference the search's reports
+# are checked against.
+
+def _full_fold_record(tally, verdicts, car, mu, i, nu, beta_inner, beta_outer):
+    describe = lambda beta: (f"{car.format(mu)}, {car.format(nu)}, "
+                             f"{car.inst.format(beta)}, i={i}")
+    for reading, ok in operad.equivariance_verdicts(
+            car, mu, i, nu, beta_inner, beta_outer).items():
+        key = f"{car.kind}/{reading}"
+        verdicts[key] = verdicts.get(key, True) and ok
+        if reading == suites.CALIBRATED_COND1:
+            tally.check(ok, "equivariance cond1 [left-inv]",
+                        lambda: describe(beta_inner))
+        elif reading == suites.CALIBRATED_COND2:
+            tally.check(ok, "equivariance cond2 [calibrated]",
+                        lambda: describe(beta_outer))
+
+
+def _full_fold_extra(verdicts):
+    return {"verdicts": dict(sorted(verdicts.items())),
+            "surviving": sorted(k for k, v in verdicts.items() if v)}
+
+
+def _full_fold_report(monkeypatch, instance, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "_record_equivariance", _full_fold_record)
+        patch.setattr(suites, "_verdict_extra", _full_fold_extra)
+        return suites.run_suite("equivariance", instance, **kwargs)
+
+
+@pytest.mark.parametrize("instance, kwargs", [
+    ("symm", {}), ("braid", {}),
+    *(("symm", {"max_level": 1, "seed": seed}) for seed in range(3)),
+    *(("braid", {"seed": seed}) for seed in (1, 2, 3))])
+def test_equivariance_report_equals_the_full_fold(monkeypatch, instance, kwargs):
+    """The acceptance scopes, and other seeds, give the reference's
+    report byte for byte."""
+    expected = _full_fold_report(monkeypatch, instance, **kwargs).to_json()
+    assert suites.run_suite("equivariance", instance, **kwargs).to_json() == expected
+
+
+@pytest.mark.parametrize("instance, failures", [("symm", 2716), ("braid", 52)])
+def test_equivariance_report_equals_the_full_fold_under_a_fault(
+        monkeypatch, kept_entries, instance, failures):
+    """With partial composition's block index shifted, calibrated cases
+    fail too, and the reports at the acceptance scope still agree."""
+    kernel, fault = SHIFTED_FAULTS["operadic-mult"]
+    monkeypatch.setattr(perms, kernel, eval(fault, {"right": getattr(perms, kernel)}))
+    expected = _full_fold_report(monkeypatch, instance).to_json()
+    report = suites.run_suite("equivariance", instance)
+    assert report.to_json() == expected
+    assert report.failures == failures
+
+
+def test_equivariance_search_composes_less_than_the_full_fold(monkeypatch):
+    """The carriers' compositions in a warm symmetric run at the
+    acceptance scope.  The full fold built three composites and four
+    left-hand sides on each of the 4,947 inputs: 34,629 compositions."""
+    suites.run_suite("equivariance", "symm")
+    calls = collections.Counter()
+    for cls in (operad.SetCarrier, operad.GroupoidCarrier):
+        def counted(self, a, i, b, comp=cls.comp):
+            calls[self.kind] += 1
+            return comp(self, a, i, b)
+        monkeypatch.setattr(cls, "comp", counted)
+    inputs = suites.run_suite("equivariance", "symm").cases // 2
+    assert dict(calls) == {"set": 17691, "gpd": 515}
+    assert sum(calls.values()) < 7 * inputs == 34629
 
 
 def test_g_like_combined_report():
