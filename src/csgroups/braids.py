@@ -37,10 +37,10 @@ words with identical letters are equal at once.  Otherwise the generators
 either word uses split into maximal runs of consecutive indices; the
 letters of different runs commute, so the words are equal exactly when
 their letters in each run are.  Each run's letters are freely reduced
-as they are split (a letter cancels the inverse letter before it in its
-run), in time linear in the length; a run whose reduced letters are
-identical in both words is equal without a normal form, and any other
-run's normal form is computed on that run's strands alone.  The pair
+as they are split, in time linear in the length; words whose generators
+form one run, as most do, are reduced whole and not split.  A run whose
+reduced letters are identical in both words is equal without a normal
+form, and any other run's normal form is on that run's strands.  The pair
 step of the normal form is kept in a table on at most 5 strands, as
 perms keeps its kernels' results.  The cost is polynomial in the length
 and the strand count.
@@ -141,13 +141,20 @@ def reduced_word(b: BraidWord) -> BraidWord:
     pairs or to nothing, so they commute with it up to a second
     reduction.
     """
+    return _word(b.strands, tuple(_free_reduce(b.letters)))
+
+
+def _free_reduce(letters, lo: int = 0) -> list[Letter]:
     out: list[Letter] = []
-    for k, sign in b.letters:
-        if out and out[-1] == (k, -sign):
+    last = (-1, 0)  # the last letter of out; (-1, 0) cancels no letter
+    for letter in letters:
+        if last[0] == letter[0] and last[1] != letter[1]:
             out.pop()
+            last = out[-1] if out else (-1, 0)
         else:
-            out.append((k, sign))
-    return _word(b.strands, tuple(out))
+            out.append(letter)
+            last = letter
+    return [(k - lo, sign) for k, sign in out] if lo else out
 
 
 def underlying_perm_word(b: BraidWord) -> Perm:
@@ -319,11 +326,16 @@ def _run_words(*words):
     on strands = its generator count + 1, and freely reduced: a letter
     that is the inverse of its subword's last letter removes that letter
     instead of being appended, so cancelling pairs go even when letters
-    of other runs stood between them.
+    of other runs stood between them.  A single run takes no lookups.
     """
+    gens = {k for w in words for k, _ in w}
+    lo = min(gens, default=0)
+    if gens and len(gens) == max(gens) - lo + 1:
+        yield lo, len(gens) + 1, [_free_reduce(w, lo) for w in words]
+        return
     runs: list[list] = []
     where = {}
-    for k in sorted({k for w in words for k, _ in w}):
+    for k in sorted(gens):
         if not runs or runs[-1][1] != k - 1:
             runs.append([k, k, tuple([] for _ in words)])
         runs[-1][1] = k
@@ -393,11 +405,13 @@ def canonical_value(b: BraidWord):
 
 
 def _merge(parts):
-    depth = max((len(factors) for _, factors in parts), default=0)
-    return tuple(
-        tuple((lo + p, lo + v) for lo, factors in parts if i < len(factors)
-              for p, v in enumerate(factors[i]) if p != v)
-        for i in range(depth))
+    merged: list[list] = []
+    for lo, factors in parts:
+        for i, f in enumerate(factors):
+            if i == len(merged):
+                merged.append([])
+            merged[i] += [(lo + p, lo + v) for p, v in enumerate(f) if p != v]
+    return tuple(map(tuple, merged))
 
 
 def artin_fingerprint(value) -> str:

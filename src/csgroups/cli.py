@@ -20,6 +20,7 @@ making them again.
 This module alone turns text into elements, by one grammar: eval reads
 an expression with _ExprParser, and read_horn reads a kan-lift file's
 base and faces with the same parser, as literals without their @level.
+A braid word's run of letters is one token, read into letters by one scan.
 
 main sends eval or kan-lift with one argument to its command, building
 no parser; other lines share one argparse parser, built on first use.
@@ -59,12 +60,14 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<braid>s[0-9]+(?:\^-1)?)"
+    r"|(?P<braid>s[0-9]+(?:\^-1)?(?:\s*s[0-9]+(?:\^-1)?)*)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<name>[A-Za-z]+(?:_[0-9]+)?)"
     r"|(?P<punct>[()\[\],@])"
     r"|(?P<bad>.)", re.DOTALL
 )
+# One letter of a braid token: the digits lose their leading zeros but the last.
+_LETTER = re.compile(r"(s0*([0-9]+)(\^-1)?)")
 
 
 def _tokenize(text: str):
@@ -79,15 +82,17 @@ def _tokenize(text: str):
 
 
 def _found(token) -> str:
-    """How a parse error names the token it found."""
+    """How a parse error names the token it found; a braid run by its first letter."""
     kind, text, _ = token
+    if kind == "braid":
+        text = _LETTER.match(text).group()
     return "the end of the input" if kind == "end" else repr(perms.clip(text))
 
 
 class _ExprParser:
     """Permutation literals, braid words with level annotations, and the
     structural operators, as nested calls; literal_at reads one literal
-    without its @level, for read_horn."""
+    without its @level, for read_horn.  A run of braid letters is one token."""
 
     def __init__(self, text: str):
         self.text = text
@@ -124,9 +129,9 @@ class _ExprParser:
 
     def end(self):
         """Refuse any input left after what was read."""
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input {perms.clip(text)!r}", pos)
+        token = self.peek()
+        if token[0] != "end":
+            raise ParseError(f"trailing input {_found(token)}", token[2])
 
     def expr(self, depth=0):
         kind, text, pos = self.peek()
@@ -157,10 +162,9 @@ class _ExprParser:
         return word
 
     def braid_literal(self):
-        pos = self.peek()[2]
-        letters = self.braid_letters()
+        letters, pos = self.braid_letters()
         self.take("punct", "@")
-        return BRAID, self.braid_word(letters, self.number("level"), pos)
+        return BRAID, self.braid_word(letters, pos, self.number("level"))
 
     def literal_at(self, inst, level):
         """An element literal of `inst` written without its @level: a
@@ -168,32 +172,28 @@ class _ExprParser:
         `level` (1, or none, for the empty word)."""
         if inst is SYMMETRIC:
             return SYMMETRIC.element(self.perm_word())
-        pos = self.peek()[2]
-        return self.braid_word(self.braid_letters(), level, pos)
+        return self.braid_word(*self.braid_letters(), level)
 
     def braid_letters(self):
-        """The letter tokens of a braid word; none for the literal 1."""
-        if self.peek()[:2] == ("int", "1"):
-            self.take("int")
-            return []
-        letters = []
-        while self.peek()[0] == "braid":
-            letters.append(self.take("braid")[1])
-        return letters
+        """A braid word's text (its run of letters, the literal 1, or none) and position."""
+        kind, text, pos = self.peek()
+        if kind == "braid" or (kind, text) == ("int", "1"):
+            self.idx += 1
+            return text, pos
+        return "", pos
 
-    def braid_word(self, letters, level, pos):
-        """The element of the letter tokens at `level`, each generator
+    def braid_word(self, letters, pos, level):
+        """The element of the run of letters at `level`, each generator
         checked to be in range, or a ParseError at `pos`."""
+        width = len(str(level))
         word = []
-        for text in letters:
-            digits, inverse, _ = text[1:].partition("^")
-            digits = digits.lstrip("0") or "0"
+        for text, digits, inverse in _LETTER.findall(letters):
             # A digit string longer than the level's cannot be in range,
             # and int() refuses one of more than 4300 digits.
-            if len(digits) > len(str(level)) or not 1 <= int(digits) <= level:
+            if len(digits) > width or not 1 <= (k := int(digits)) <= level:
                 raise ParseError(f"generator {perms.clip(text)!r} out of range "
                                  f"at level {level}", pos)
-            word.append((int(digits) - 1, -1 if inverse else 1))
+            word.append((k - 1, -1 if inverse else 1))
         return BRAID.element(braids.BraidWord(level + 1, tuple(word)))
 
     def call(self, depth):

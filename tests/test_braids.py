@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from csgroups import BRAID, braids, cli, perms
 from csgroups.braids import BraidWord, empty_word, generator
+import runs
 from words import face, word
 
 
@@ -517,6 +518,58 @@ def test_canonical_value_tracks_equality():
         agreed[equal] += 1
     assert min(agreed.values()) > 100
 
+
+
+def _split(words):
+    return [(lo, strands, [list(u) for u in subwords]) for lo, strands, subwords in words]
+
+
+def _run_letters(rng, n, gens, length):
+    return [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
+
+
+def test_the_run_split_matches_the_reference():
+    """On 2 to 8 strands, words over all the generators (one run from
+    0), over a drawn subset of them (one run from above 0, or several),
+    or over none; the second word of a pair is drawn the same way, or is
+    the first with a cancelling pair, a braid relation or a far
+    commutation put in.  The split, the canonical value and equality
+    are those of the one-loop reference in tests/runs.py, and equality
+    is the free-group action's."""
+    rng = random.Random(31)
+    shapes = {"none": 0, "one run from 0": 0, "one run above 0": 0, "several runs": 0}
+    agreed = {True: 0, False: 0}
+    for _ in range(1000):
+        n = rng.randint(1, 7)
+        words = []
+        for _ in range(2):
+            gens = (list(range(n)) if rng.random() < 0.4
+                    else rng.sample(range(n), rng.randint(1, n)))
+            words.append(_run_letters(rng, n, gens, rng.randint(0, 12)))
+        u, v = words
+        if rng.random() < 0.5:
+            v, at, k = list(u), rng.randint(0, len(u)), rng.randrange(n)
+            kind = rng.choice(("cancel", "relation", "commute"))
+            if kind == "relation" and n >= 2:
+                v[at:at] = relator(min(k, n - 2))
+            elif kind == "commute" and k + 2 < n:
+                v[at:at] = [(k, 1), (k + 2, -1), (k, -1), (k + 2, 1)]
+            else:
+                v[at:at] = [(k, -1), (k, 1)]
+        u, v = BraidWord(n + 1, tuple(u)), BraidWord(n + 1, tuple(v))
+        for w in (u, v):
+            found = _split(braids._run_words(w.letters))
+            assert found == _split(runs.run_words(w.letters))
+            assert braids.canonical_value(w) == runs.canonical_value(w)
+            shapes["none" if not found else "several runs" if len(found) > 1
+                   else "one run above 0" if found[0][0] else "one run from 0"] += 1
+        assert (_split(braids._run_words(u.letters, v.letters))
+                == _split(runs.run_words(u.letters, v.letters)))
+        expected = braids.artin_act(u) == braids.artin_act(v)
+        assert braids.braids_equal(u, v) == runs.braids_equal(u, v) == expected
+        assert (braids.canonical_value(u) == braids.canonical_value(v)) == expected
+        agreed[expected] += 1
+    assert min(shapes.values()) >= 50 and min(agreed.values()) >= 200, (shapes, agreed)
 
 # The reduced Burau representation of B_3 over Z[t, t^-1], faithful on
 # 3 strands: a Laurent polynomial is a dict from exponent to a nonzero

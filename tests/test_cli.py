@@ -187,6 +187,59 @@ def test_eval_operator_errors(capsys, expression, err):
     assert run(capsys, "eval", expression) == (2, "", err)
 
 
+def _pinned_eval_inputs():
+    """About 2,000 eval inputs drawn from random.Random(0): braid products,
+    inverses and literals on 2-7 strands, half of whose words use only
+    some of the generators (so several runs of them, as in s1 s3@4), with
+    letters written spaced, juxtaposed or split by other whitespace, now
+    and then one out of range; partial compositions of permutations;
+    soups of braid tokens; and error lines that end, or name, a run of
+    letters."""
+    rng = random.Random(0)
+
+    def letters(level, gens):
+        out = []
+        for _ in range(rng.randint(0, 8)):
+            k = rng.choice(gens) + 1 if rng.random() < 0.99 else rng.choice((0, level + 1))
+            out.append(f"s{'0' * (rng.random() < 0.03)}{k}" + rng.choice(("", "^-1")))
+        return "".join(rng.choice((" ", " ", " ", "", "\t", "  ")) + x
+                       for x in out).lstrip(" ") or "1"
+
+    inputs = []
+    for _ in range(1400):
+        level = rng.randint(1, 6)
+        gens = (range(level) if rng.random() < 0.5
+                else rng.sample(range(level), rng.randint(1, level)))
+        a, b = (f"{letters(level, gens)}@{level}" for _ in range(2))
+        inputs.append(rng.choice(("{a}", "inv({a})", "mul({a}, {b})", "mul({a}, inv({b}))",
+                                  "mul(inv({a}), {b})")).format(a=a, b=b))
+    for _ in range(300):
+        p, q = (rng.sample(range(n), n) for n in (rng.randint(1, 6), rng.randint(1, 6)))
+        inputs.append(f"circ_{rng.randrange(len(p) + (rng.random() < 0.1))}("
+                      f"{perms.format_perm(p)},"
+                      f"{perms.format_perm(q)})")
+    tokens = ["s1", "s2", "s3^-1", "s12", "s0", "s", "^-1", "^-", "@", "1", "2", "[", "]",
+              "(", ")", ",", " ", "", "mul", "inv", "sL", "s_0", "x"]
+    for _ in range(300):
+        inputs.append("".join(rng.choice(tokens) for _ in range(rng.randint(1, 10))))
+    return inputs + [
+        "[s1 s2]", "mul(s1@2 s2 s1, 1@2)", "s1 s2^-@2", "s1 s@2", "s1s2@2", "s" + "9" * 5000,
+        "s1 s2", "s1 s2@", "s1 s2@s3 s4", "[0]s1 s2", "s1@1 s2 s3", "1@2 s1 s2", "mul(s1 s2)",
+        "s1 s2 sL(s1@1)", "s1\ns2\ts3@3", "s2 s1" + " s9" * 3000 + "@3"]
+
+
+# SHA-256 of every (exit code, stdout, stderr) of _pinned_eval_inputs, in
+# order, as recorded before a run of braid letters became one token.
+_PINNED_EVAL_DIGEST = "c020b565da7d4e6e806919dbaddef4c6561df58ce8e1a1c87be8bbb42dcc7435"
+
+
+def test_eval_bytes_are_pinned(capsys):
+    seen = hashlib.sha256()
+    for expression in _pinned_eval_inputs():
+        seen.update(json.dumps(run(capsys, "eval", expression)).encode("utf-8"))
+    assert seen.hexdigest() == _PINNED_EVAL_DIGEST
+
+
 @pytest.mark.parametrize("expression", ["d_1001([1,0])", "s_1001([1,0])",
                                         "circ_1001([1,0],[1,0])", "d_" + "9" * 5000 + "([1,0])"],
                          ids=["d", "s", "circ", "5000-digits"])
@@ -979,15 +1032,30 @@ def _tokens_or_error(tokenize, text):
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("s1\ns2@2", [("braid", "s1", 0), ("braid", "s2", 3), ("punct", "@", 5),
-                  ("int", "2", 6), ("end", "", 7)]),
+    ("s1\ns2@2", [("braid", "s1\ns2", 0), ("punct", "@", 5), ("int", "2", 6),
+                  ("end", "", 7)]),
     ("[1,\t0]", [("punct", "[", 0), ("int", "1", 1), ("punct", ",", 2),
                  ("int", "0", 4), ("punct", "]", 5), ("end", "", 6)]),
     ("s\u0661@1", "at position 1: unexpected character '\u0661'"),
-    ("mul(x\x00)", "at position 5: unexpected character '\\x00'")])
+    ("mul(x\x00)", "at position 5: unexpected character '\\x00'"),
+    ("[0]s1s2^-1 x", [("punct", "[", 0), ("int", "0", 1), ("punct", "]", 2),
+                      ("braid", "s1s2^-1", 3), ("name", "x", 11), ("end", "", 12)])])
 def test_tokenize_pins_tokens_and_positions(text, expected):
     assert _tokens_or_error(cli._tokenize, text) == expected
     assert _tokens_or_error(_tokenize_per_position, text) == expected
+
+
+# A run of braid letters is one token; an error that finds one names its
+# first letter, as when each letter was a token of its own.
+@pytest.mark.parametrize("expression, err", [
+    ("[s1 s2]", "parse error at position 1: expected int, found 's1'\n"),
+    ("mul(s1@2 s2 s1, 1@2)", "parse error at position 9: expected ')', found 's2'\n"),
+    ("mul s1 s2", "parse error at position 4: expected '(', found 's1'\n"),
+    ("s1 s2@s3 s4", "parse error at position 6: expected int, found 's3'\n"),
+    ("[0]s1s2", "parse error at position 3: trailing input 's1'\n"),
+    ("1@2 s2^-1 s1", "parse error at position 4: trailing input 's2^-1'\n")])
+def test_an_error_names_the_first_letter_of_a_run(capsys, expression, err):
+    assert run(capsys, "eval", expression) == (2, "", err)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
