@@ -41,6 +41,16 @@ class CsgElement:
     rows = arrows = None
 
 
+def _keep(owner, row, empty, key, result):
+    """Keep result at `key` of owner's row `row` (made `empty` while owner
+    has none) when both are interned, as perms.spend allows for the
+    larger; return result.  Every row of interned results fills here."""
+    if (owner.rows is not None and result.rows is not None
+            and perms.spend(max(owner.level, result.level) + 1)):
+        owner.rows.setdefault(row, empty)[key] = result
+    return result
+
+
 class Tally:
     """Counts checked cases and collects the violations among them as
     (identity, inputs) pairs; every checker records into the tally its
@@ -109,9 +119,12 @@ class SymmetricCsg(CsgInstance):
     by the int index; for mul a dict by the other operand's id, as
     operad.circ_gpd keys its row (only an interned operand, never freed,
     has one); for _cable and _pad, one block_substitute each, a dict by
-    the counts, read only for an int index.  So every kept element, on up
-    to perms._TABLE_POINTS points, answers its products from its own row.
-    A miss runs the kernel.  Equality is by value."""
+    the counts, read only for an int index; for one, the row of the unit
+    of level 0, a list by level, so it resets with the intern store.
+    Every operation reads its row inline, and only a miss runs the kernel
+    and keeps the result (core._keep).  So every kept element, on up to
+    perms._TABLE_POINTS points, answers its products from its own row.
+    Equality is by value."""
 
     name = "symm"
     _interned: dict[perms.Perm, CsgElement] = {}
@@ -128,16 +141,15 @@ class SymmetricCsg(CsgInstance):
         return g
 
     def _fill(self, kernel, g, empty, key, *args, row=None):
-        """The interned kernel(*args), kept at `key` of g's row `row` or
-        kernel's (the `empty` row while g has none) as perms.spend allows."""
-        result = self._intern(kernel(*args))
-        if (g.rows is not None and result.rows is not None
-                and perms.spend(max(g.level, result.level) + 1)):
-            g.rows.setdefault(row or kernel, empty)[key] = result
-        return result
+        """The interned kernel(*args), kept at `key` of g's row `row` or kernel's."""
+        return _keep(g, row or kernel, empty, key, self._intern(kernel(*args)))
 
     def one(self, n: int) -> CsgElement:
-        return self._intern(perms.identity(n))
+        # The unit of level 0 keeps the unit of every level in its row.
+        unit = self._interned.get((0,))
+        row = unit and unit.rows.get(perms.identity)
+        return row and -1 < n < len(row) and row[n] or self._fill(
+            perms.identity, unit or self._intern((0,)), [None] * perms._TABLE_POINTS, n, n)
 
     def element(self, payload) -> CsgElement:
         word = tuple(payload)
@@ -146,12 +158,12 @@ class SymmetricCsg(CsgInstance):
         return self._intern(word)
 
     def mul(self, g, h):
-        # compose refuses another level, so the row holds no key for one.
-        if h.rows is None:
-            return self._intern(perms.compose(g.payload, h.payload))
+        # compose refuses another level, so the row holds no key for one;
+        # only an interned h, never freed, is kept by its id.
         row = g.rows and g.rows.get(perms.compose)
-        return (row and row.get(id(h))
-                or self._fill(perms.compose, g, {}, id(h), g.payload, h.payload))
+        return row and row.get(id(h)) or (
+            self._fill(perms.compose, g, {}, id(h), g.payload, h.payload) if h.rows is not None
+            else self._intern(perms.compose(g.payload, h.payload)))
 
     def inv(self, g):
         row = g.rows and g.rows.get(perms.inverse)

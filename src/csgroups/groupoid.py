@@ -30,11 +30,13 @@ group part is an interned symmetric element (on at most 7 points) and
 perms.kept admits the source, as perms.spend allows.  Such an arrow
 keeps rows of the interned results of target, its faces and
 degeneracies and operad.circ_gpd, keyed by the perms kernels they are
-computed with, each result as perms.spend allows; a face or
-degeneracy row is a list, so a bool index reads as its int and a float
-raises TypeError.  So a replaced perms kernel fills rows of its own,
-but a replaced instance method (face, degeneracy, mul, pad, ...) is not
-seen where a row already holds the result.  Equality is still by value.
+computed with, as perms.spend allows; a face or degeneracy row is a
+list, so a bool index reads as its int and a float raises TypeError.
+Each reads its row inline (identity_arrow and n_action read the group
+part's arrows), and only a miss computes and keeps (core._keep).  So a
+replaced perms kernel fills rows of its own, but a replaced instance
+method (face, degeneracy, mul, pad, ...) is not seen where a row
+already holds the result.  Equality is still by value.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import json
 import random
 
 from . import perms
-from .core import CsgElement, CsgInstance, Tally, simplicial_report
+from .core import CsgElement, CsgInstance, Tally, _keep, simplicial_report
 from .perms import Perm
 
 
@@ -95,7 +97,8 @@ def target(inst: CsgInstance, a: GroupoidArrow) -> Perm:
 
 
 def identity_arrow(inst: CsgInstance, p: Perm) -> GroupoidArrow:
-    return arrow(p, inst.one(len(p) - 1))
+    f = inst.one(len(p) - 1)
+    return f.arrows and f.arrows.get(p) or arrow(p, f)
 
 
 def arrows_equal(inst: CsgInstance, a: GroupoidArrow, b: GroupoidArrow) -> bool:
@@ -125,29 +128,29 @@ def hom_arrow(inst: CsgInstance, src: Perm, dst: Perm) -> GroupoidArrow:
 
 
 def _simplicial(inst: CsgInstance, kernel, op, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    """The face or degeneracy of a by kernel and op, kept in a's row for kernel."""
-    row = a.rows and 0 <= i <= a.f.level and a.rows.get(kernel)
-    if row and row[i]:
-        return row[i]
+    """The face or degeneracy of a by kernel and op, a miss of a's row, kept there."""
     source = kernel(i, a.source)
-    result = arrow(source, op(inst.underlying_perm(a.f)[a.source.index(i)], a.f))
-    if (a.rows is not None and result.rows is not None
-            and perms.spend(max(a.level, result.level) + 1)):
-        a.rows.setdefault(kernel, [None] * (a.f.level + 1))[i] = result
-    return result
+    return _keep(a, kernel, [None] * (a.f.level + 1), i,
+                arrow(source, op(inst.underlying_perm(a.f)[a.source.index(i)], a.f)))
 
 
 def face_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    return _simplicial(inst, perms.face_perm, inst.face, i, a)
+    row = a.rows and a.rows.get(perms.face_perm)
+    return (row and -1 < i < len(row) and row[i]
+            or _simplicial(inst, perms.face_perm, inst.face, i, a))
 
 
 def degeneracy_arrow(inst: CsgInstance, i: int, a: GroupoidArrow) -> GroupoidArrow:
-    return _simplicial(inst, perms.degeneracy_perm, inst.degeneracy, i, a)
+    row = a.rows and a.rows.get(perms.degeneracy_perm)
+    return (row and -1 < i < len(row) and row[i]
+            or _simplicial(inst, perms.degeneracy_perm, inst.degeneracy, i, a))
 
 
 def n_action(t: Perm, a: GroupoidArrow) -> GroupoidArrow:
     """Left translation of the source by a permutation of the same level."""
-    return arrow(perms.compose(t, a.source), a.f)
+    source = perms.compose(t, a.source)
+    arrows = a.f.arrows
+    return arrows and arrows.get(source) or arrow(source, a.f)
 
 
 def is_automorphism(inst: CsgInstance, a: GroupoidArrow) -> bool:

@@ -38,12 +38,11 @@ is asked for hold on one input, building only the sides they need.
 from __future__ import annotations
 
 from . import perms
-from .core import CsgElement, CsgInstance, Tally
+from .core import CsgElement, CsgInstance, Tally, _keep
 from .groupoid import (
     GroupoidArrow,
     arrow,
     arrows_equal,
-    composite_equals,
     continue_arrow,
     face_arrow,
     format_arrow,
@@ -67,20 +66,20 @@ def circ_gpd(inst: CsgInstance, a: GroupoidArrow, i: int, b: GroupoidArrow) -> G
     results by slot and b, as perms.spend allows, in a row keyed by the
     kernels of the symmetric path (block_substitute, identity, compose).
     An interned arrow is never freed (its element keeps it), so its id
-    is a stable key."""
+    is a stable key.  The row is read first; only a miss builds."""
     n = a.f.level
-    kernels = (a.rows is not None and b.rows is not None and type(i) is int and 0 <= i <= n
-               and (perms.block_substitute, perms.identity, perms.compose))
+    kernels = a.rows is not None and (perms.block_substitute, perms.identity, perms.compose)
     row = kernels and a.rows.get(kernels)
-    c = row and row.get((n + 1) * id(b) + i)
-    if not c:
-        src = perms.block_substitute(a.source, i, b.source)
-        j = a.source.index(i)
-        k = inst.underlying_perm(a.f)[j]
-        c = arrow(src, inst.mul(inst.degeneracy_power(k, b.level, a.f),
-                                inst.pad(b.f, j, n - j)))
-        if kernels and c.rows is not None and perms.spend(c.level + 1):
-            a.rows.setdefault(kernels, {})[(n + 1) * id(b) + i] = c
+    if row and type(i) is int and 0 <= i <= n:
+        c = row.get((n + 1) * id(b) + i)
+        if c:
+            return c
+    src = perms.block_substitute(a.source, i, b.source)
+    j = a.source.index(i)
+    k = inst.underlying_perm(a.f)[j]
+    c = arrow(src, inst.mul(inst.degeneracy_power(k, b.level, a.f), inst.pad(b.f, j, n - j)))
+    if kernels and type(i) is int and b.rows is not None:  # block_substitute took i
+        _keep(a, kernels, {}, (n + 1) * id(b) + i, c)
     return c
 
 
@@ -367,10 +366,13 @@ def check_circ_functorial(tally: Tally, inst: CsgInstance, outer, i: int, inner)
 
     xv = circ_gpd(inst, x, i, v)
     yw = circ_gpd(inst, y, i, w)
+    xy = circ_gpd(inst, comp_outer, i, comp_inner)
+    t = target(inst, xv)  # once, for both laws below
 
-    tally.check(target(inst, xv) == perms.block_substitute(y.source, i, w.source),
+    tally.check(t == perms.block_substitute(y.source, i, w.source),
                 "target(x o_i v) == target(x) o_i target(v)", inputs)
-    tally.check(composite_equals(inst, circ_gpd(inst, comp_outer, i, comp_inner), yw, xv),
+    tally.check(t == yw.source and xy.source == xv.source  # composite_equals(xy, yw, xv)
+                and inst.equal(xy.f, inst.mul(yw.f, xv.f)),
                 "(y.x) o_i (w.v) == (y o_i w).(x o_i v)", inputs)
     ids = circ_gpd(inst, id_outer, i, id_inner)
     tally.check(arrows_equal(inst, ids, identity_arrow(inst, ids.source)),

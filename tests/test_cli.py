@@ -483,6 +483,9 @@ def test_check_instance_contract(capsys):
     ("crossed", "--instance", "braid", "--max-level", "0"),
     ("simplicial", "--instance", "braid", "--max-level", "0"),
     ("extra-degeneracy", "--instance", "braid", "--max-level", "0"),
+    # At level 0 the equivariance search refutes none of its readings.
+    ("equivariance", "--max-level", "0"),
+    ("equivariance", "--instance", "braid", "--max-level", "0"),
 ])
 def test_check_rejects_out_of_range_numbers(capsys, argv):
     code, out, err = run(capsys, "check", *argv)
@@ -722,10 +725,19 @@ def test_injected_fault_fails_crossed(monkeypatch, capsys):
 # substitutes blocks, and the arrow degeneracy doubles a point.  The
 # block index stops at the last point instead of wrapping: wrapped, the
 # shift relabels the two slots of level 1 consistently, and the laws
-# hold.  Each fault is source, for this process and a fresh interpreter.
+# hold.  The other kernels whose rows the arrow and element reads follow
+# get a fault of their own: the face index shifts, compose takes its
+# operands in turn (mul, target, n_action), and the identity rotates its
+# points (one, identity_arrow).  Each fault is source, for this process
+# and a fresh interpreter: kernel -> (suite, max_level, failures, fault).
 SHIFTED_FAULTS = {
-    "operadic-mult": ("block_substitute", "lambda p, i, q: right(p, min(i + 1, len(p) - 1), q)"),
-    "groupoid-simplicial": ("degeneracy_perm", "lambda i, p: right((i + 1) % len(p), p)"),
+    "block_substitute": ("operadic-mult", 1, 144,
+                         "lambda p, i, q: right(p, min(i + 1, len(p) - 1), q)"),
+    "degeneracy_perm": ("groupoid-simplicial", 2, 1020,
+                        "lambda i, p: right((i + 1) % len(p), p)"),
+    "face_perm": ("groupoid-simplicial", 2, 606, "lambda i, p: right((i + 1) % len(p), p)"),
+    "compose": ("groupoid-simplicial", 2, 1390, "lambda g, h: right(h, g)"),
+    "identity": ("groupoid-simplicial", 2, 36, "lambda n: right(n)[1:] + right(n)[:1]"),
 }
 SHIFTED_FAULT = """
 import sys
@@ -737,15 +749,15 @@ print(suites.run_suite({suite!r}, "symm", max_level={level}).to_json())
 """
 
 
-@pytest.mark.parametrize("suite, level, failures", [
-    ("operadic-mult", 1, 144), ("groupoid-simplicial", 2, 1020)])
-def test_fault_after_warm_up_matches_a_fresh_run(monkeypatch, suite, level, failures):
+@pytest.mark.parametrize("kernel", SHIFTED_FAULTS,
+                         ids=lambda kernel: "-".join(map(str, SHIFTED_FAULTS[kernel][:3])))
+def test_fault_after_warm_up_matches_a_fresh_run(monkeypatch, kernel):
     """Rows filled before a kernel is replaced never answer for the
     replacement: a warm run with the fault reports what a fresh
     interpreter with the same fault reports."""
     suites.run_suite("operadic-mult", "symm", max_level=1)
     suites.run_suite("groupoid-simplicial", "symm", max_level=2)
-    kernel, fault = SHIFTED_FAULTS[suite]
+    suite, level, failures, fault = SHIFTED_FAULTS[kernel]
     monkeypatch.setattr(perms, kernel, eval(fault, {"right": getattr(perms, kernel)}))
     warm = suites.run_suite(suite, "symm", max_level=level)
     src = str(pathlib.Path(suites.__file__).parents[1])
@@ -755,7 +767,7 @@ def test_fault_after_warm_up_matches_a_fresh_run(monkeypatch, suite, level, fail
         capture_output=True, text=True, check=True, timeout=120).stdout
     assert warm.to_json() + "\n" == fresh
     assert warm.failures == failures > 0
-    if suite == "operadic-mult":
+    if kernel == "block_substitute":
         assert "(y.x) o_i (w.v) == (y o_i w).(x o_i v)" in {
             ce["identity"] for ce in warm.counterexamples}
 

@@ -495,6 +495,34 @@ def test_warm_suites_on_six_and_seven_points_fill_no_row(monkeypatch):
     assert filled == []
 
 
+@pytest.mark.usefixtures("kept_entries")
+def test_a_warm_pass_of_the_arrow_suites_only_hits(monkeypatch):
+    """From empty stores, one symmetric pass of operadic-mult and
+    groupoid-simplicial at their acceptance scopes keeps every result a
+    second pass reads: the second pass fills no element row, builds no
+    circ_gpd result (the only caller of operad.arrow in these suites),
+    takes no arrow face or degeneracy past its row and constructs no
+    GroupoidArrow.  A hit path that falls through to its miss path
+    would show here."""
+    names = ("operadic-mult", "groupoid-simplicial")
+    first = [suites.run_suite(name, "symm").to_json() for name in names]
+    misses = collections.Counter()
+
+    def counted(name, miss):
+        def wrapper(*args, **kwargs):
+            misses[name] += 1
+            return miss(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((core.SymmetricCsg, "_fill"), (operad, "arrow"),
+                        (groupoid, "_simplicial"), (groupoid.GroupoidArrow, "__post_init__")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    second = [suites.run_suite(name, "symm").to_json() for name in names]
+    monkeypatch.undo()
+    assert second == first
+    assert misses == {}
+
+
 def test_warm_operadic_mult_builds_no_element(monkeypatch, run_suite):
     """Once symmetric operadic-mult has run at its acceptance scope, a
     second run builds no CsgElement: every element it needs is interned."""

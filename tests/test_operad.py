@@ -415,7 +415,8 @@ def test_equivariance_report_equals_the_full_fold_under_a_fault(
         monkeypatch, kept_entries, instance, failures):
     """With partial composition's block index shifted, calibrated cases
     fail too, and the reports at the acceptance scope still agree."""
-    kernel, fault = SHIFTED_FAULTS["operadic-mult"]
+    kernel = "block_substitute"
+    fault = SHIFTED_FAULTS[kernel][-1]
     monkeypatch.setattr(perms, kernel, eval(fault, {"right": getattr(perms, kernel)}))
     expected = _full_fold_report(monkeypatch, instance).to_json()
     report = suites.run_suite("equivariance", instance)
