@@ -24,9 +24,9 @@ Operadic insertion pads one word and cables a strand of another into
 m + 1 parallel strands, the degeneracy at one index applied m times.
 _cable_word and _pad_word, the only insertion kernels, do each in one
 pass over the letters: a letter crossing the cabled strand becomes
-m + 1 letters, and padding shifts every letter once.  The degeneracy
-is _cable_word at m = 1, and the end insertions s_left and s_right are
-_pad_word with one strand on the left or on the right.
+m + 1 letters, and padding shifts every letter once.  core.CsgInstance
+derives the degeneracy (_cable_word at m = 1) and the end insertions
+s_left and s_right (_pad_word by one strand) from them.
 
 Word equality is decided by the left-greedy normal form Delta^d A_1 ...
 A_r (Garside, Q. J. Math. 1969; Elrifai and Morton, Q. J. Math. 1994),

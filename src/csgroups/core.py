@@ -2,11 +2,11 @@
 The two crossed simplicial group families and their law checkers.
 
 SymmetricCsg and BraidCsg each bundle the group operations of one
-family at every level, the face and degeneracy maps, the end
-insertions s_left and s_right, the projection onto permutations, and
-one kernel for each insertion of partial composition; only the
+family at every level, the face map, the projection onto permutations,
+and one kernel for each insertion of partial composition; only the
 symmetric family enumerates its levels.  Their common base CsgInstance
-names these, owns the count rule of the insertions, and derives purity
+names these, owns the count rule of the insertions, and derives from
+them the degeneracies, the end insertions s_left and s_right, purity
 and the juxtaposition product.  Faces and degeneracies are not
 homomorphisms; instead they satisfy the crossed identities
 
@@ -75,20 +75,30 @@ class Tally:
 class CsgInstance:
     """Operations of one crossed simplicial group family.  A family sets
     `name` and defines one(n), element(payload), mul, inv, face(i, g),
-    degeneracy(i, g), underlying_perm, s_left, s_right, equal,
-    section(p) (a positive lift through the projection, compatible with
-    faces and degeneracies), format and random_element(rng, n, max_len);
-    an enumerable one also defines elements(n).  A family reads no text:
-    element literals are read by cli alone, for eval and kan-lift.  mul
-    and equal raise ValueError on levels that differ.  A family also
-    defines _cable(i, m, g), s_i applied m >= 1 times, and _pad(g, left,
-    right), left + right >= 1 points, each in one step.  The operations
-    derived from these are shared; a family may override reduced(g),
-    which returns g by default, with a shorter name for the same element
-    (kan keeps its horn filler short with it)."""
+    underlying_perm, equal, section(p) (a positive lift through the
+    projection, compatible with faces and degeneracies), format and
+    random_element(rng, n, max_len); an enumerable one also defines
+    elements(n).  A family reads no text: element literals are read by
+    cli alone, for eval and kan-lift.  mul and equal raise ValueError on
+    levels that differ.  A family also defines _cable(i, m, g), s_i
+    applied m >= 1 times, and _pad(g, left, right), left + right >= 1
+    points, each in one step.  The operations derived from these are
+    shared (degeneracy is the one-strand _cable, s_left and s_right the
+    one-point _pads); a family may override reduced(g), which returns g
+    by default, with a shorter name for the same element (kan keeps its
+    horn filler short with it)."""
 
     def reduced(self, g: CsgElement) -> CsgElement:
         return g
+
+    def degeneracy(self, i: int, g: CsgElement) -> CsgElement:
+        return self._cable(i, 1, g)
+
+    def s_left(self, g: CsgElement) -> CsgElement:
+        return self._pad(g, 1, 0)
+
+    def s_right(self, g: CsgElement) -> CsgElement:
+        return self._pad(g, 0, 1)
 
     def is_pure(self, g: CsgElement) -> bool:
         return self.underlying_perm(g) == perms.identity(g.level)
@@ -119,12 +129,12 @@ class SymmetricCsg(CsgInstance):
     by the int index; for mul a dict by the other operand's id, as
     operad.circ_gpd keys its row (only an interned operand, never freed,
     has one); for _cable and _pad, one block_substitute each, a dict by
-    the counts, read only for an int index; for one, the row of the unit
-    of level 0, a list by level, so it resets with the intern store.
-    Every operation reads its row inline, and only a miss runs the kernel
-    and keeps the result (core._keep).  So every kept element, on up to
-    perms._TABLE_POINTS points, answers its products from its own row.
-    Equality is by value."""
+    the counts, read only for an int index (the shared s_left and s_right
+    read the _pad row); for one, the row of the unit of level 0, a list
+    by level, so it resets with the intern store.  Every operation reads
+    its row inline, and only a miss runs the kernel and keeps the result
+    (core._keep).  So every kept element, on up to perms._TABLE_POINTS
+    points, answers its products from its own row.  Equality is by value."""
 
     name = "symm"
     _interned: dict[perms.Perm, CsgElement] = {}
@@ -175,6 +185,8 @@ class SymmetricCsg(CsgInstance):
                 or self._fill(perms.face_perm, g, [None] * (g.level + 1), i, i, g.payload))
 
     def degeneracy(self, i, g):
+        """Not the shared _cable(i, 1, g): arrow sources go through degeneracy_perm,
+        degeneracy_arrow keys its row by it, and a warm _cable hit costs twice this read."""
         row = g.rows and 0 <= i <= g.level and g.rows.get(perms.degeneracy_perm)
         return (row and row[i]
                 or self._fill(perms.degeneracy_perm, g, [None] * (g.level + 1), i, i, g.payload))
@@ -192,14 +204,6 @@ class SymmetricCsg(CsgInstance):
 
     def underlying_perm(self, g):
         return g.payload
-
-    def s_left(self, g):
-        row = g.rows and g.rows.get(perms.s_left_perm)
-        return row[0] if row else self._fill(perms.s_left_perm, g, [None], 0, g.payload)
-
-    def s_right(self, g):
-        row = g.rows and g.rows.get(perms.s_right_perm)
-        return row[0] if row else self._fill(perms.s_right_perm, g, [None], 0, g.payload)
 
     def equal(self, g, h):
         if g is not h and g.level != h.level:
@@ -229,8 +233,8 @@ class BraidCsg(CsgInstance):
     (braids.artin_act) as the reference oracle of the tests.  mul
     concatenates (eval prints the product's letters); reduced is the
     free reduction (braids.reduced_word).  _cable and _pad are one pass
-    each (braids._cable_word, _pad_word); degeneracy is _cable_word at
-    m = 1, and s_left and s_right are _pad_word by one strand.  element
+    each (braids._cable_word, _pad_word), and the shared degeneracy,
+    s_left and s_right go through them at one strand.  element
     checks its payload; every other result is built by _build,
     unchecked, from a word whose level it is given."""
 
@@ -262,9 +266,6 @@ class BraidCsg(CsgInstance):
     def face(self, i, g):
         return self._build(g.level - 1, braids.face_word(i, g.payload))
 
-    def degeneracy(self, i, g):
-        return self._build(g.level + 1, braids._cable_word(i, 1, g.payload))
-
     def _cable(self, i, m, g):
         return self._build(g.level + m, braids._cable_word(i, m, g.payload))
 
@@ -273,12 +274,6 @@ class BraidCsg(CsgInstance):
 
     def underlying_perm(self, g):
         return braids.underlying_perm_word(g.payload)
-
-    def s_left(self, g):
-        return self._build(g.level + 1, braids._pad_word(g.payload, 1, 0))
-
-    def s_right(self, g):
-        return self._build(g.level + 1, braids._pad_word(g.payload, 0, 1))
 
     def equal(self, g, h):
         return braids.braids_equal(g.payload, h.payload)
@@ -375,8 +370,8 @@ def check_extra_degeneracy(tally: Tally, inst: CsgInstance, g: CsgElement):
     equal = inst.equal
     # (name, insertion, its permutation form, the index shift it puts on
     # the faces and degeneracies it passes, the face that undoes it)
-    ends = (("sL", inst.s_left, perms.s_left_perm, 1, 0),
-            ("sR", inst.s_right, perms.s_right_perm, 0, n + 1))
+    ends = (("sL", inst.s_left, lambda p: (0,) + tuple(v + 1 for v in p), 1, 0),
+            ("sR", inst.s_right, lambda p: p + (len(p),), 0, n + 1))
     for name, insert, insert_perm, shift, undo in ends:
         lifted = insert(g)
         tally.check(equal(inst.face(undo, lifted), g), f"d_{undo} {name} == id", describe)

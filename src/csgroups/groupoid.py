@@ -184,19 +184,20 @@ def check_arrow_functorial(tally: Tally, inst: CsgInstance, a: GroupoidArrow,
     drawn from rng after the caller has drawn fbs.  a's own faces and
     degeneracies are taken once for all of fbs; each fb's are its own."""
     n = a.level
-    sides = [(i, face_arrow(inst, i, a) if n >= 1 else None, degeneracy_arrow(inst, i, a))
+    sides = [(i, face_arrow(inst, i, a) if n >= 1 else None, degeneracy_arrow(inst, i, a),
+              f"d_{i} is a functor", f"s_{i} is a functor")
              for i in (range(n + 1) if rng is None else [rng.randint(0, n)])]
     for fb in fbs:
         b, comp = continue_arrow(inst, a, fb)
         inputs = lambda: f"{format_arrow(inst, a)}, {format_arrow(inst, b)}"
-        for i, da, sa in sides:
+        for i, da, sa, d_name, s_name in sides:
             if n >= 1:
                 lhs = face_arrow(inst, i, comp)
                 tally.check(composite_equals(inst, lhs, face_arrow(inst, i, b), da),
-                            f"d_{i} is a functor", inputs)
+                            d_name, inputs)
             lhs = degeneracy_arrow(inst, i, comp)
             tally.check(composite_equals(inst, lhs, degeneracy_arrow(inst, i, b), sa),
-                        f"s_{i} is a functor", inputs)
+                        s_name, inputs)
 
 
 def check_arrow_action(tally: Tally, inst: CsgInstance, t: Perm, a: GroupoidArrow,

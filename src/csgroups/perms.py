@@ -9,8 +9,7 @@ first, i.e. compose(g, h)(x) = g(h(x)).
 The simplicial structure: the face at index i removes the point whose
 value is i (the source position inverse(s)[i] and the value i are both
 deleted, and the remaining sources and values are compacted); the
-degeneracy at i doubles that point.  s_left and s_right insert a fresh
-fixed point at the left or right end and are group homomorphisms.
+degeneracy at i doubles that point.
 
 block_substitute expands the point i of the outer permutation into a
 block of m + 1 consecutive points carrying an inner permutation.  Each
@@ -29,15 +28,17 @@ symmetric insertions and the misses of the symmetric elements' own rows
 still raises and nothing that raised is kept; the rule `kept` admits
 only tuples of ints, so sharing is safe.
 
-Every keep of the library goes through `spend`: these tables, the
+Every keep of permutations goes through `spend`: these tables, the
 symmetric intern store, the arrow store and the rows of elements and
-arrows.  An entry on at most 5 points is always kept: the permutations
-of levels 0 to 4 are few, so each store of them is bounded.  An entry
-on 6 or 7 points takes one entry of one shared budget; once it is spent
-such a result is computed fresh and not kept, as a result on more than
-7 points always is.  So memory stays bounded however many levels and
-seeds a process checks, and a caller that spends the budget on large
-results leaves the small ones kept.
+arrows (braids._PAIRS, the braid pair step, does not spend: its domain,
+pairs of simple factors on at most 5 strands, bounds it).  An entry on
+at most 5 points is always kept: the permutations of levels 0 to 4 are
+few, so each store of them is bounded.  An entry on 6 or 7 points takes
+one entry of one shared budget; once it is spent such a result is
+computed fresh and not kept, as a result on more than 7 points always
+is.  So memory stays bounded however many levels and seeds a process
+checks, and a caller that spends the budget on large results leaves
+the small ones kept.
 """
 
 from __future__ import annotations
@@ -200,28 +201,6 @@ def degeneracy_perm(i: int, p: Perm) -> Perm:
     a = p.index(i)
     up = tuple(v + 1 if v > i else v for v in p)
     return up[:a] + (i, i + 1) + up[a + 1:]
-
-
-@_tabled
-def s_left_perm(p: Perm) -> Perm:
-    """
-    Add a fixed point at the left end: (0, p(0)+1, ..., p(n)+1).
-
-    >>> s_left_perm((1, 0))
-    (0, 2, 1)
-    """
-    return (0,) + tuple(v + 1 for v in p)
-
-
-@_tabled
-def s_right_perm(p: Perm) -> Perm:
-    """
-    Add a fixed point at the right end: (p(0), ..., p(n), n+1).
-
-    >>> s_right_perm((1, 0))
-    (1, 0, 2)
-    """
-    return p + (len(p),)
 
 
 @_tabled

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from csgroups import BRAID, braids, cli, perms
 from csgroups.braids import BraidWord, empty_word, generator
+import loops
 import runs
 from words import face, word
 
@@ -103,7 +104,7 @@ def test_face_frozen_values():
 def test_face_degeneracy_projection_squares():
     """The strand kernels project onto the permutation kernels: a face
     onto face_perm, cabling at m onto degeneracy_perm applied m times,
-    and padding by one strand onto s_left_perm and s_right_perm."""
+    and padding by one strand onto a fixed point added at either end."""
     rng = random.Random(1)
     for _ in range(150):
         n = rng.randint(1, 4)
@@ -116,8 +117,8 @@ def test_face_degeneracy_projection_squares():
             for m in range(1, 4):
                 q = perms.degeneracy_perm(i, q)
                 assert braids.underlying_perm_word(braids._cable_word(i, m, b)) == q
-        assert braids.underlying_perm_word(braids._pad_word(b, 1, 0)) == perms.s_left_perm(p)
-        assert braids.underlying_perm_word(braids._pad_word(b, 0, 1)) == perms.s_right_perm(p)
+        assert braids.underlying_perm_word(braids._pad_word(b, 1, 0)) == loops.s_left_perm(p)
+        assert braids.underlying_perm_word(braids._pad_word(b, 0, 1)) == loops.s_right_perm(p)
 
 
 def test_degeneracy_frozen_value():

@@ -91,10 +91,10 @@ def test_projection_commutes_with_structure():
                 assert inst.underlying_perm(inst.face(i, g)) == perms.face_perm(i, pg)
                 assert inst.underlying_perm(inst.degeneracy(i, g)) == \
                     perms.degeneracy_perm(i, pg)
-            assert inst.underlying_perm(inst.s_left(g)) == perms.s_left_perm(pg)
-            assert inst.underlying_perm(inst.s_right(g)) == perms.s_right_perm(pg)
+            assert inst.underlying_perm(inst.s_left(g)) == loops.s_left_perm(pg)
+            assert inst.underlying_perm(inst.s_right(g)) == loops.s_right_perm(pg)
             assert inst.underlying_perm(inst.pad(g, 2, 1)) == \
-                perms.s_left_perm(perms.s_left_perm(perms.s_right_perm(pg)))
+                loops.s_left_perm(loops.s_left_perm(loops.s_right_perm(pg)))
             assert inst.underlying_perm(inst.boxplus(g, h)) == SYMMETRIC.boxplus(
                 SYMMETRIC.element(pg), SYMMETRIC.element(ph)).payload
 
@@ -129,8 +129,8 @@ def _outcome(call):
 
 
 @st.composite
-def braid_element_st(draw, max_level=5, max_len=12):
-    n = draw(st.integers(min_value=0, max_value=max_level))
+def braid_element_st(draw, max_level=5, max_len=12, levels=None):
+    n = draw(st.integers(min_value=0, max_value=max_level) if levels is None else levels)
     letters = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=max(n - 1, 0)),
                                       st.sampled_from((1, -1))), max_size=max_len if n else 0))
     return BRAID.element(braids.BraidWord(n + 1, tuple(letters)))
@@ -167,8 +167,11 @@ def _symm_outcome(call, message):
 
 
 # Levels 0-4, and level 8, on more points than an interned element has.
-@given(st.one_of(st.integers(min_value=0, max_value=4), st.just(8))
-       .flatmap(lambda n: st.permutations(range(n + 1))), _INDEX, _COUNT, _COUNT, _COUNT)
+_LEVELS = st.one_of(st.integers(min_value=0, max_value=4), st.just(8))
+
+
+@given(_LEVELS.flatmap(lambda n: st.permutations(range(n + 1))), _INDEX, _COUNT, _COUNT,
+       _COUNT)
 @settings(max_examples=400)
 def test_symmetric_insertion_kernels_match_the_shared_loops(p, i, m, left, right):
     """SymmetricCsg inserts with one block substitution each; the same
@@ -180,6 +183,27 @@ def test_symmetric_insertion_kernels_match_the_shared_loops(p, i, m, left, right
         _symm_outcome(lambda: loops.degeneracy_power(SYMMETRIC, i, m, g), count_error)
     assert _symm_outcome(lambda: SYMMETRIC.pad(g, left, right), True) == \
         _symm_outcome(lambda: loops.pad(SYMMETRIC, g, left, right), True)
+
+
+@given(st.one_of(_LEVELS.flatmap(lambda n: st.permutations(range(n + 1)))
+                 .map(lambda p: SYMMETRIC.element(tuple(p))),
+                 braid_element_st(levels=_LEVELS)), _INDEX)
+@settings(max_examples=400)
+def test_one_strand_insertions_are_the_insertion_kernels_at_one(g, i):
+    """On both families the end insertions equal the test-side loops'
+    padding by one point, and the degeneracy equals their degeneracy
+    step (written out on braid words) and the family's _cable at m = 1.
+    An index the degeneracy refuses, out of range or a float, is refused
+    with the same type of error; the symmetric messages differ
+    (`degeneracy index`, `block index`)."""
+    inst = SYMMETRIC if isinstance(g.payload, tuple) else BRAID
+    assert _symm_outcome(lambda: inst.s_left(g), False) == \
+        _symm_outcome(lambda: loops.pad(inst, g, 1, 0), False)
+    assert _symm_outcome(lambda: inst.s_right(g), False) == \
+        _symm_outcome(lambda: loops.pad(inst, g, 0, 1), False)
+    assert _symm_outcome(lambda: inst.degeneracy(i, g), False) == \
+        _symm_outcome(lambda: loops.degeneracy_power(inst, i, 1, g), False) == \
+        _symm_outcome(lambda: inst.degeneracy_power(i, 1, g), False)
 
 
 def test_insertion_rows_answer_only_their_own_operation():
@@ -235,8 +259,8 @@ def test_checkers_braid_random():
     assert tally.ok, tally.violations[0]
 
 
-def _s_left_as_s_right(p):
-    return p + (len(p),)
+def _s_left_as_s_right(self, g):
+    return self._pad(g, 0, 1)
 
 
 def _degeneracy_one_strand_over(i, m, b, right=braids._cable_word):
@@ -255,9 +279,12 @@ def _braid_cases():
 # Every failing identity under each fault, the suite's report totals at
 # its acceptance scope, and the whole-tally totals, as the extra-degeneracy
 # checker gave them when it wrote the laws of s_left and s_right apart.
+# The shared s_left swapped for s_right also fails the projection square,
+# whose permutation forms are written out in the checker.
 @pytest.mark.parametrize("module, name, fault, inst, cases, report, tally, identities", [
-    (perms, "s_left_perm", _s_left_as_s_right, SYMMETRIC, _symm_cases, (606, 178),
-     (606, 178), ["d_0 sL == id"] + [f"d_{i + 1} sL == sL d_{i}" for i in range(4)]
+    (core.CsgInstance, "s_left", _s_left_as_s_right, SYMMETRIC, _symm_cases, (606, 207),
+     (606, 207), ["d_0 sL == id", "perm(sL g) == sL(perm g)"]
+     + [f"d_{i + 1} sL == sL d_{i}" for i in range(4)]
      + [f"s_{i + 1} sL == sL s_{i}" for i in range(4)]),
     (braids, "_cable_word", _degeneracy_one_strand_over, BRAID, _braid_cases,
      (20140, 1545), (4032, 312), [f"s_{i} sR == sR s_{i}" for i in range(1, 6)]
@@ -382,8 +409,8 @@ def test_interned_operations_agree_with_the_kernel_bodies():
         for g in els:
             p, n = g.payload, g.level
             results = [(SYMMETRIC.inv(g), perms.inverse.body(p)),
-                       (SYMMETRIC.s_left(g), perms.s_left_perm.body(p)),
-                       (SYMMETRIC.s_right(g), perms.s_right_perm.body(p))]
+                       (SYMMETRIC.s_left(g), loops.s_left_perm(p)),
+                       (SYMMETRIC.s_right(g), loops.s_right_perm(p))]
             results += [(SYMMETRIC.mul(g, h), perms.compose.body(p, h.payload))
                         for h in els if h.level == n]
             results += [(SYMMETRIC.degeneracy(i, g), perms.degeneracy_perm.body(i, p))

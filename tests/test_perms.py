@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from csgroups import SYMMETRIC, braids, cli, groupoid, perms
 from csgroups.core import SymmetricCsg
+import loops
 from words import base, face, word
 
 
@@ -83,15 +84,20 @@ def test_face_degeneracy_frozen_values():
 
 
 def test_end_insertions():
-    assert perms.s_right_perm((1, 0)) == (1, 0, 2)
-    assert perms.s_left_perm((1, 0)) == (0, 2, 1)
+    """The symmetric end insertions, one block substitution into the
+    identity on two points, add a fixed point at an end and are
+    homomorphisms."""
+    s_left = lambda p: SYMMETRIC.s_left(SYMMETRIC.element(p)).payload
+    s_right = lambda p: SYMMETRIC.s_right(SYMMETRIC.element(p)).payload
+    assert s_right((1, 0)) == (1, 0, 2)
+    assert s_left((1, 0)) == (0, 2, 1)
     for p in perms.all_perms(2):
+        assert s_left(p) == loops.s_left_perm(p) == perms.block_substitute((0, 1), 1, p)
+        assert s_right(p) == loops.s_right_perm(p) == perms.block_substitute((0, 1), 0, p)
         for q in perms.all_perms(2):
             pq = perms.compose(p, q)
-            assert perms.s_left_perm(pq) == perms.compose(
-                perms.s_left_perm(p), perms.s_left_perm(q))
-            assert perms.s_right_perm(pq) == perms.compose(
-                perms.s_right_perm(p), perms.s_right_perm(q))
+            assert s_left(pq) == perms.compose(s_left(p), s_left(q))
+            assert s_right(pq) == perms.compose(s_right(p), s_right(q))
 
 
 def test_block_substitute_frozen_values():
@@ -177,7 +183,7 @@ def test_index_errors():
 # The tables each kernel keeps of its own results.
 
 KERNELS = ("identity", "compose", "inverse", "face_perm", "degeneracy_perm",
-           "s_left_perm", "s_right_perm", "block_substitute")
+           "block_substitute")
 
 
 def _clear_tables():
@@ -197,8 +203,9 @@ def _calls(top):
         yield "identity", (n,)
         for p in level:
             yield "inverse", (p,)
-            yield "s_left_perm", (p,)
-            yield "s_right_perm", (p,)
+            # The end insertions: p for the point 1 or 0 of the identity.
+            yield "block_substitute", ((0, 1), 1, p)
+            yield "block_substitute", ((0, 1), 0, p)
             for q in level:
                 yield "compose", (p, q)
             for i in range(n + 1):
@@ -222,8 +229,8 @@ def _calls_past_the_bound():
         yield "inverse", (p,)
         yield "face_perm", (i, perms.random_perm(rng, top + 1))
         yield "degeneracy_perm", (i, small)
-        yield "s_left_perm", (small,)
-        yield "s_right_perm", (small,)
+        yield "block_substitute", ((0, 1), 1, small)
+        yield "block_substitute", ((0, 1), 0, small)
         yield "block_substitute", (perms.random_perm(rng, 3), rng.randint(0, 3),
                                    perms.random_perm(rng, top - 3))
 
@@ -277,8 +284,8 @@ def test_larger_permutations_are_not_kept():
         perms.face_perm(2, p9)
         perms.degeneracy_perm(2, p7)
         perms.degeneracy_perm(2, p8)
-        perms.s_left_perm(p7)
-        perms.s_right_perm(p8)
+        perms.block_substitute((0, 1), 1, p7)
+        perms.block_substitute((0, 1), 0, p8)
         perms.block_substitute(p7, 1, (1, 0))
         perms.block_substitute((1, 0), 1, p7)
         perms.block_substitute(p8, 1, (0,))
@@ -292,7 +299,7 @@ def test_bool_arguments_leave_no_bool_in_a_table():
     from bools must not be handed to int callers."""
     calls = [("identity", (1,)), ("compose", ((1, 0), (0, 1))), ("inverse", ((1, 0),)),
              ("face_perm", (1, (1, 0, 2))), ("degeneracy_perm", (1, (0, 1))),
-             ("s_left_perm", ((1, 0),)), ("s_right_perm", ((1, 0),)),
+             ("block_substitute", ((0, 1), 1, (1, 0))), ("block_substitute", ((0, 1), 0, (1, 0))),
              ("block_substitute", ((1, 0), 1, (1, 0)))]
 
     def as_bools(value):
@@ -390,7 +397,8 @@ def test_no_store_keeps_past_the_budget(kept_entries):
     assert all(len(v) <= perms._TABLE_POINTS for table in tables.values()
                for v in table.values())
     # Once the budget is spent, small results are still kept.
-    assert perms.s_left_perm((1, 0, 3, 2)) is perms.s_left_perm((1, 0, 3, 2))
+    assert perms.block_substitute((0, 1), 1, (1, 0, 3, 2)) is \
+        perms.block_substitute((0, 1), 1, (1, 0, 3, 2))
     assert kept_entries() == perms._BUDGET
     assert size < 18_000_000, size
 

@@ -5,6 +5,7 @@ import builtins
 import pathlib
 
 import csgroups
+from csgroups import core
 
 PACKAGE = pathlib.Path(csgroups.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -165,6 +166,20 @@ def test_shared_instance_operations_keep_no_loop():
                and any(isinstance(n, (ast.For, ast.While, ast.comprehension))
                        for n in ast.walk(item))}
     assert looping == set(), looping
+
+
+def test_one_strand_insertions_are_written_once():
+    """`CsgInstance` derives the degeneracy and the end insertions from
+    each family's `_cable` and `_pad`: no family binds `s_left` or
+    `s_right`, and only `SymmetricCsg` binds `degeneracy` (its arrow
+    sources share that row).  So a per-family copy of a one-strand
+    insertion cannot come back unnoticed."""
+    def family(cls):
+        return [cls] + [c for sub in cls.__subclasses__() for c in family(sub)]
+    owners = {name: {cls.__name__ for cls in family(core.CsgInstance) if name in vars(cls)}
+              for name in ("degeneracy", "s_left", "s_right")}
+    assert owners == {"degeneracy": {"CsgInstance", "SymmetricCsg"},
+                      "s_left": {"CsgInstance"}, "s_right": {"CsgInstance"}}, owners
 
 
 def test_arrows_are_built_only_by_the_interning_helper():
