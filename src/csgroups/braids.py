@@ -18,7 +18,8 @@ parallel cable.
 A word is checked once, by the BraidWord constructor at the boundary;
 the operations that build words from words, and random_word, whose
 letters are valid by construction, build through _word, which skips
-that check and fills the two slots of the word directly.
+that check and fills the two slots of the word directly.  An element of
+core.BRAID is its word, so this is the element's one check too.
 
 Operadic insertion pads one word and cables a strand of another into
 m + 1 parallel strands, the degeneracy at one index applied m times.
@@ -78,6 +79,10 @@ class BraidWord:
 
     strands: int
     letters: tuple[Letter, ...]
+    # An element of core.BRAID is its word: its payload is the word, and
+    # it keeps no interned arrows (groupoid.arrow reads `arrows`).
+    arrows = None
+    payload = property(lambda self: self)
 
     def __post_init__(self):
         strands, letters = self.strands, self.letters

@@ -249,11 +249,10 @@ _OPERATORS = {
 def render_element(inst: CsgInstance, g: CsgElement) -> str:
     if inst.name == "symm":
         return perms.format_perm(g.payload)
-    word = g.payload
-    perm = braids.underlying_perm_word(word)
-    value = braids.canonical_value(word)
+    perm = braids.underlying_perm_word(g)
+    value = braids.canonical_value(g)
     _, x, y = value
-    return (f"{braids.format_letters(word)} @ {g.level}"
+    return (f"{braids.format_letters(g)} @ {g.level}"
             f"  perm={perms.format_perm(perm)}"
             f"  artin={braids.artin_fingerprint(value)}"
             f"  identity={'true' if not x and not y else 'false'}")

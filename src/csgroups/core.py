@@ -31,7 +31,10 @@ from . import braids, perms
 
 @dataclasses.dataclass(frozen=True)
 class CsgElement:
-    """A level-tagged element; the payload type is fixed by the instance."""
+    """A permutation tagged with its level, the symmetric element (cli also
+    holds a horn face's unread text in one).  Every family's element has
+    `level` and `payload`, and `arrows` is None unless it is interned; a
+    braid element is its braids.BraidWord, whose payload is itself."""
 
     level: int
     payload: object
@@ -73,10 +76,12 @@ class Tally:
 
 
 class CsgInstance:
-    """Operations of one crossed simplicial group family.  A family sets
-    `name` and defines one(n), element(payload), mul, inv, face(i, g),
-    underlying_perm, equal, section(p) (a positive lift through the
-    projection, compatible with faces and degeneracies), format and
+    """Operations of one crossed simplicial group family, whose elements
+    keep the element protocol of CsgElement (`level`, `payload`, and
+    `arrows`, None unless interned).  A family sets `name` and defines
+    one(n), element(payload), mul, inv, face(i, g), underlying_perm,
+    equal, section(p) (a positive lift through the projection,
+    compatible with faces and degeneracies), format and
     random_element(rng, n, max_len); an enumerable one also defines
     elements(n).  A family reads no text: element literals are read by
     cli alone, for eval and kan-lift.  mul and equal raise ValueError on
@@ -164,7 +169,7 @@ class SymmetricCsg(CsgInstance):
     def element(self, payload) -> CsgElement:
         word = tuple(payload)
         if not perms.is_perm(word):
-            raise ValueError(f"{payload!r} is not a permutation")
+            raise ValueError(f"{perms.clip(repr(payload))} is not a permutation")
         return self._intern(word)
 
     def mul(self, g, h):
@@ -222,70 +227,59 @@ class SymmetricCsg(CsgInstance):
         return (self._intern(p) for p in perms.all_perms(n))
 
 
-# BraidCsg._build sets the two fields past the frozen __setattr__.
-_new_element = object.__new__
-_set_field = object.__setattr__
-
-
 class BraidCsg(CsgInstance):
-    """Braid groups on level + 1 strands; equality by the left-greedy
-    normal form (braids.braids_equal), with the free-group action
-    (braids.artin_act) as the reference oracle of the tests.  mul
-    concatenates (eval prints the product's letters); reduced is the
-    free reduction (braids.reduced_word).  _cable and _pad are one pass
-    each (braids._cable_word, _pad_word), and the shared degeneracy,
-    s_left and s_right go through them at one strand.  element
-    checks its payload; every other result is built by _build,
-    unchecked, from a word whose level it is given."""
+    """Braid groups on level + 1 strands: an element is its
+    braids.BraidWord, and each operation returns the word its braids
+    kernel builds (element only checks that its payload is a word).
+    Equality by the left-greedy normal form (braids.braids_equal), with
+    the free-group action (braids.artin_act) as the reference oracle of
+    the tests.  mul concatenates (eval prints the product's letters);
+    reduced is the free reduction (braids.reduced_word).  The shared
+    degeneracy, s_left and s_right go through _cable and _pad at one
+    strand (braids._cable_word, _pad_word, one pass each)."""
 
     name = "braid"
 
-    def _build(self, level: int, word: braids.BraidWord) -> CsgElement:
-        g = _new_element(CsgElement)
-        _set_field(g, "level", level)
-        _set_field(g, "payload", word)
-        return g
+    def one(self, n: int) -> braids.BraidWord:
+        return braids.empty_word(n)
 
-    def one(self, n: int) -> CsgElement:
-        return self._build(n, braids.empty_word(n))
-
-    def element(self, payload) -> CsgElement:
+    def element(self, payload) -> braids.BraidWord:
         if not isinstance(payload, braids.BraidWord):
-            raise ValueError(f"expected a BraidWord, got {payload!r}")
-        return CsgElement(payload.level, payload)
+            raise ValueError(f"expected a BraidWord, got {perms.clip(repr(payload))}")
+        return payload
 
     def mul(self, g, h):
-        return self._build(g.level, braids.concat(g.payload, h.payload))
+        return braids.concat(g, h)
 
     def reduced(self, g):
-        return self._build(g.level, braids.reduced_word(g.payload))
+        return braids.reduced_word(g)
 
     def inv(self, g):
-        return self._build(g.level, braids.invert_word(g.payload))
+        return braids.invert_word(g)
 
     def face(self, i, g):
-        return self._build(g.level - 1, braids.face_word(i, g.payload))
+        return braids.face_word(i, g)
 
     def _cable(self, i, m, g):
-        return self._build(g.level + m, braids._cable_word(i, m, g.payload))
+        return braids._cable_word(i, m, g)
 
     def _pad(self, g, left, right):
-        return self._build(g.level + left + right, braids._pad_word(g.payload, left, right))
+        return braids._pad_word(g, left, right)
 
     def underlying_perm(self, g):
-        return braids.underlying_perm_word(g.payload)
+        return braids.underlying_perm_word(g)
 
     def equal(self, g, h):
-        return braids.braids_equal(g.payload, h.payload)
+        return braids.braids_equal(g, h)
 
     def section(self, p):
-        return self._build(len(p) - 1, braids.permutation_braid(p))
+        return braids.permutation_braid(p)
 
     def format(self, g):
-        return f"{braids.format_letters(g.payload)}@{g.level}"
+        return f"{braids.format_letters(g)}@{g.level}"
 
     def random_element(self, rng, n, max_len=12):
-        return self._build(n, braids.random_word(rng, n, max_len))
+        return braids.random_word(rng, n, max_len)
 
 
 SYMMETRIC = SymmetricCsg()

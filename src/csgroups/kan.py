@@ -124,7 +124,7 @@ def decompose(inst: CsgInstance, g: CsgElement) -> Decomposition:
 
 def _letters(g: CsgElement) -> int:
     """A braid word's letters; 0 for a permutation, whose size its level fixes."""
-    return len(g.payload.letters) if isinstance(g.payload, braids.BraidWord) else 0
+    return len(g.letters) if isinstance(g, braids.BraidWord) else 0
 
 
 # The first fill's letter cap, per letter of the horn and per point.  On

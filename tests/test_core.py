@@ -65,6 +65,18 @@ def test_symmetric_elements_take_only_int_entries(payload):
         SYMMETRIC.element(payload)
 
 
+@pytest.mark.parametrize("inst, payload, text", [
+    (SYMMETRIC, (0,) * 3000, "{} is not a permutation"),
+    (BRAID, "x" * 3000, "expected a BraidWord, got {}")], ids=["symm", "braid"])
+def test_element_errors_clip_the_payload(inst, payload, text):
+    """element echoes a refused payload through perms.clip, as every
+    other boundary error does, so a long payload gives a short line."""
+    with pytest.raises(ValueError) as err:
+        inst.element(payload)
+    assert str(err.value) == text.format(perms.clip(repr(payload)))
+    assert len(str(err.value)) <= perms.MAX_ECHO + len("...") + len(text) - len("{}")
+
+
 def test_projection_is_homomorphism():
     rng = random.Random(1)
     for inst in (SYMMETRIC, BRAID):
@@ -153,6 +165,36 @@ def test_braid_insertion_kernels_match_the_shared_loops(g, i, m, left, right):
         _outcome(lambda: loops.degeneracy_power(BRAID, i, m, g))
     assert _outcome(lambda: BRAID.pad(g, left, right)) == \
         _outcome(lambda: loops.pad(BRAID, g, left, right))
+
+
+@given(braid_element_st(), braid_element_st(), st.data())
+@settings(max_examples=200)
+def test_every_braid_operation_returns_a_word(g, k, data):
+    """A braid element is its word: every BRAID operation returns the
+    braids.BraidWord its kernel builds, at the level its rule gives;
+    element returns a word as it is, a word's payload is the word, and
+    a word keeps no interned arrows, so each groupoid.arrow is fresh."""
+    n = g.level
+    h = data.draw(braid_element_st(levels=st.just(n)))
+    i = data.draw(st.integers(min_value=0, max_value=n))
+    m, left, right = data.draw(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3))
+    p = tuple(data.draw(st.permutations(range(n + 1))))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2 ** 16)))
+    results = [(BRAID.one(n), n), (BRAID.mul(g, h), n), (BRAID.inv(g), n),
+               (BRAID.reduced(g), n), (BRAID.degeneracy(i, g), n + 1),
+               (BRAID.s_left(g), n + 1), (BRAID.s_right(g), n + 1),
+               (BRAID.degeneracy_power(i, m, g), n + m),
+               (BRAID.pad(g, left, right), n + left + right),
+               (BRAID.boxplus(g, k), n + k.level + 1), (BRAID.section(p), n),
+               (BRAID.random_element(rng, n, 12), n)]
+    if n >= 1:
+        results.append((BRAID.face(i, g), n - 1))
+    for w, level in results:
+        assert type(w) is braids.BraidWord and w.level == level
+        assert BRAID.element(w) is w and w.payload is w and w.arrows is None
+        source = perms.identity(level)[::-1]
+        a, b = groupoid.arrow(source, w), groupoid.arrow(source, w)
+        assert a == b and a is not b
 
 
 def _symm_outcome(call, message):

@@ -261,23 +261,17 @@ def test_braid_words_are_built_only_by_the_listed_builders():
     }, builders
 
 
-def test_braid_elements_are_built_only_by_the_two_builders():
-    """`BraidCsg` constructs a `CsgElement` only in the checked `element`
-    and the unchecked `_build`: no other method names the class in its
-    body, reads `__new__` or `__setattr__`, or calls a module name bound
-    to one of them, so every other result goes through `_build`."""
+def test_braid_elements_are_their_words():
+    """A braid element is the `BraidWord` its `braids` kernel builds:
+    `BraidCsg` names no `CsgElement` and reads no `__new__` or
+    `__setattr__`, and `core` binds no name to either, so no wrapper and
+    no second construction path can come back unnoticed."""
     tree = ast.parse((PACKAGE / "core.py").read_text())
-    bypass = _aliases(tree, ("__new__", "__setattr__"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "BraidCsg")
-    builders = set()
-    for item in cls.body:
-        body = item.body if isinstance(item, ast.FunctionDef) else [item]
-        if any(isinstance(n, ast.Name) and n.id in bypass | {"CsgElement"}
-               or isinstance(n, ast.Attribute) and n.attr in ("__new__", "__setattr__")
-               for stmt in body for n in ast.walk(stmt)):
-            builders.add(getattr(item, "name", f"line {item.lineno}"))
-    assert builders == {"element", "_build"}, builders
+    named = {_name(n) for n in ast.walk(cls) if isinstance(n, (ast.Name, ast.Attribute))}
+    assert named & {"CsgElement", "__new__", "__setattr__"} == set(), named
+    assert _aliases(tree, ("__new__", "__setattr__")) == set()
 
 
 def test_fill_error_is_raised_only_by_lift_horn():
